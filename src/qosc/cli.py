@@ -385,6 +385,8 @@ def _suite_aw_algebra(args, pol: TolerancePolicy):
 
 def _suite_aw_match(args, pol: TolerancePolicy):
     _require(args, "q", "a1", "a2", "a3", "a4")
+    if args.size is not None:
+        raise InvalidParameterError("--size is not used by --suite aw-match; pass --count")
     count = 21 if args.count is None else int(args.count)
     pa = AWParams(
         q=float(args.q),

@@ -9,11 +9,23 @@ float build uses.  numpy enters only in the eigenvector certification inside
 Truncation bookkeeping: all infinite-matrix identities checked here hold on a
 size x size truncation except for rows coupled to the cut, so residual checks
 take an explicit row window and default to rows 0..size-2.
+
+Eigenvalues of a tridiagonal matrix take one of two paths, chosen by the signs
+of w_n = sub_n * super_n alone.  When every w_n > 0 the matrix is similar to a
+symmetric one and Sturm-count bisection isolates each eigenvalue.  Otherwise
+the Ehrlich-Aberth iteration approximates every root of the characteristic
+polynomial: a Newton inclusion disc that misses the real axis, evaluated with
+a rounding bound or exactly, certifies a non-real eigenvalue
+(UnsupportedSpectrumError); else the roots are bracketed by sign changes.
+Both paths finish with a bracketed Newton iteration and a double-double polish.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     InvalidParameterError,
@@ -292,147 +304,452 @@ def char_poly_eval(M: BandMatrix, x):
 
 # -- eigenvalue machinery -----------------------------------------------------
 #
-# Plain float minor recurrence for scanning, double-double compensated
-# evaluation for the Newton polish.  Both rescale jointly (value + derivative)
-# to dodge overflow/underflow; the polish terminates on a relative step bound.
+# The sign of w_n = sub_n * super_n picks the path (see eigenvalues()).  Both
+# paths end in the same bracketed float Newton iteration and double-double
+# polish; the polynomial recurrences rescale value and derivative jointly by
+# powers of two to dodge overflow/underflow.
 
+_EPS = 2.0**-53
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker splitting constant
-
-
-def _two_sum(a: float, b: float):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _two_prod(a: float, b: float):
-    p = a * b
-    aa = _SPLIT * a
-    ahi = aa - (aa - a)
-    alo = a - ahi
-    bb = _SPLIT * b
-    bhi = bb - (bb - b)
-    blo = b - bhi
-    return p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-
-
-def _dd_add(xh, xl, yh, yl):
-    sh, sl = _two_sum(xh, yh)
-    sl += xl + yl
-    return _two_sum(sh, sl)
-
-
-def _dd_mul_d(xh, xl, d):
-    ph, pl = _two_prod(xh, d)
-    pl += xl * d
-    return _two_sum(ph, pl)
+_BIG, _SMALL = 1e120, 1e-120
+_BIG2, _SMALL2 = _BIG * _BIG, _SMALL * _SMALL  # the same bounds on squares
+_DOWN, _UP = 2.0**-400, 2.0**400
+# The running error bound of the complex recurrence decides when a float sign
+# of p can be trusted and when a root needs exact evaluation.  Its local terms
+# are charged at _ERR_UNITS units of roundoff: complex multiply (sqrt(5) u),
+# the shifts z - b_k and the subtraction, and entries given to within a few
+# units (w_n = sub * super is itself rounded).  About 6 u is needed; the
+# factor-2 margin also covers the second-order terms the linear bound omits,
+# for any n << 1/u.
+_ERR_UNITS = 16.0
+_FLOAT_STEPS = 100
+_ABERTH_SWEEPS = 200
+_FLOAT_TOL = 4.0 * _EPS
 
 
 def _cp_float(b, w, x: float):
     """(p(x), p'(x)) up to a common positive rescale factor."""
     p0, p1 = 1.0, x - b[0]
     d0, d1 = 0.0, 1.0
-    for k in range(1, len(b)):
-        p2 = (x - b[k]) * p1 - w[k - 1] * p0
-        d2 = p1 + (x - b[k]) * d1 - w[k - 1] * d0
-        p0, p1, d0, d1 = p1, p2, d1, d2
-        m = abs(p1) + abs(d1)
-        if m > 1e120:
-            s = 2.0**-400
-            p0 *= s; p1 *= s; d0 *= s; d1 *= s
-        elif 0.0 < m < 1e-120:
-            s = 2.0**400
-            p0 *= s; p1 *= s; d0 *= s; d1 *= s
+    for bk, wk in zip(b[1:], w):
+        t = x - bk
+        p0, p1, d0, d1 = p1, t * p1 - wk * p0, d1, p1 + t * d1 - wk * d0
+        m = p1 * p1 + d1 * d1
+        if m > _BIG2:
+            p0 *= _DOWN; p1 *= _DOWN; d0 *= _DOWN; d1 *= _DOWN
+        elif 0.0 < m < _SMALL2:
+            p0 *= _UP; p1 *= _UP; d0 *= _UP; d1 *= _UP
     return p1, d1
 
 
 def _cp_dd(b, w, x: float):
-    """Compensated (double-double) p(x) plus float p'(x), jointly rescaled."""
+    """Compensated (double-double) p(x) plus float p'(x), jointly rescaled.
+
+    Each step forms (x - b_k) * P_{k-1} - w_{k-1} * P_{k-2} with the shift
+    x - b_k kept exactly as a double-double, Dekker products and Knuth sums
+    written out inline.
+    """
     p0h, p0l = 1.0, 0.0
-    p1h, p1l = _two_sum(x, -b[0])
+    p1h = x - b[0]
+    bb = p1h - x
+    p1l = (x - (p1h - bb)) + (-b[0] - bb)
     d0, d1 = 0.0, 1.0
-    for k in range(1, len(b)):
-        ah, al = _dd_mul_d(p1h, p1l, x - b[k])
-        bh, bl = _dd_mul_d(p0h, p0l, -w[k - 1])
-        p2h, p2l = _dd_add(ah, al, bh, bl)
-        d2 = d1 * (x - b[k]) + p1h - w[k - 1] * d0
+    for bk, wk in zip(b[1:], w):
+        nw = -wk
+        # t = x - b_k = th + tl exactly
+        th = x - bk
+        bb = th - x
+        tl = (x - (th - bb)) + (-bk - bb)
+        # (p1h, p1l) * (th, tl)
+        ph = p1h * th
+        aa = _SPLIT * p1h
+        ahi = aa - (aa - p1h)
+        alo = p1h - ahi
+        tt = _SPLIT * th
+        thi = tt - (tt - th)
+        tlo = th - thi
+        pl = ((ahi * thi - ph) + ahi * tlo + alo * thi) + alo * tlo
+        pl += p1h * tl + p1l * th
+        ah = ph + pl
+        bb = ah - ph
+        al = (ph - (ah - bb)) + (pl - bb)
+        # (p0h, p0l) * -w
+        ph = p0h * nw
+        aa = _SPLIT * p0h
+        ahi = aa - (aa - p0h)
+        alo = p0h - ahi
+        tt = _SPLIT * nw
+        whi = tt - (tt - nw)
+        wlo = nw - whi
+        pl = ((ahi * whi - ph) + ahi * wlo + alo * whi) + alo * wlo
+        pl += p0l * nw
+        bh = ph + pl
+        bb = bh - ph
+        bl = (ph - (bh - bb)) + (pl - bb)
+        # sum of the two products
+        sh = ah + bh
+        bb = sh - ah
+        sl = (ah - (sh - bb)) + (bh - bb)
+        sl += al + bl
+        p2h = sh + sl
+        bb = p2h - sh
+        p2l = (sh - (p2h - bb)) + (sl - bb)
+        d2 = d1 * th + p1h + nw * d0
         p0h, p0l, p1h, p1l, d0, d1 = p1h, p1l, p2h, p2l, d1, d2
-        m = abs(p1h) + abs(d1)
-        if m > 1e120:
-            s = 2.0**-400
-            p0h *= s; p0l *= s; p1h *= s; p1l *= s; d0 *= s; d1 *= s
-        elif 0.0 < m < 1e-120:
-            s = 2.0**400
-            p0h *= s; p0l *= s; p1h *= s; p1l *= s; d0 *= s; d1 *= s
+        m = p1h * p1h + d1 * d1
+        if m > _BIG2:
+            p0h *= _DOWN; p0l *= _DOWN; p1h *= _DOWN; p1l *= _DOWN; d0 *= _DOWN; d1 *= _DOWN
+        elif 0.0 < m < _SMALL2:
+            p0h *= _UP; p0l *= _UP; p1h *= _UP; p1l *= _UP; d0 *= _UP; d1 *= _UP
     return p1h, p1l, d1
 
 
 def _newton_dd(b, w, x0: float) -> float:
+    """Newton on the double-double p until the step falls to 1/4 ulp, or stops
+    shrinking (rounding then dominates p)."""
     x = x0
+    last = math.inf
     for _ in range(80):
         ph, pl, d1 = _cp_dd(b, w, x)
         if d1 == 0.0:
             break
         xn = x - (ph + pl) / d1
-        if abs(xn - x) <= 0.25e-15 * max(1e-300, abs(x)):
+        step = abs(xn - x)
+        if step <= 0.25e-15 * max(1e-300, abs(x)):
             return xn
+        if step >= last:
+            break
+        last = step
         x = xn
     return x
+
+
+def _mid(a: float, c: float) -> float:
+    """Bisection point of [a, c]: geometric when both ends share a sign and
+    differ by more than a factor of two, so wide brackets shrink by orders of
+    magnitude."""
+    if a > 0.0 and c > 2.0 * a:
+        return math.sqrt(a) * math.sqrt(c)
+    if c < 0.0 and a < 2.0 * c:
+        return -math.sqrt(-a) * math.sqrt(-c)
+    return 0.5 * (a + c)
+
+
+def _polish(b, w, a: float, c: float, sa: int, x: float) -> float:
+    """The root of p in the bracket [a, c], where p has sign ``sa`` at a.
+
+    Newton from x, safeguarded as in rtsafe: a step that would leave the
+    bracket (which shrinks by the sign of p at every iterate), or that does
+    not halve the step before last, is replaced by a bisection.  Then the
+    double-double polish; a polish that leaves the bracket is discarded.
+    """
+    lo, hi = a, c
+    step = older = c - a
+    for _ in range(_FLOAT_STEPS):
+        p, d = _cp_float(b, w, x)
+        if p == 0.0:
+            break
+        if (p > 0.0) == (sa > 0):
+            a = x
+        else:
+            c = x
+        older, step = step, (p / d if d != 0.0 else math.inf)
+        if abs(step) <= _FLOAT_TOL * abs(x):
+            x -= step
+            break
+        xn = x - step
+        if not (a <= xn <= c and abs(step) <= 0.5 * abs(older)):
+            xn = _mid(a, c)
+            if not a < xn < c:
+                break
+            step = x - xn
+        x = xn
+    y = _newton_dd(b, w, x)
+    return y if lo <= y <= hi else x
+
+
+def _sturm_count(b, w0, x: float, pivmin: float) -> int:
+    """Number of eigenvalues below x: negative pivots of the LDL^T of M - xI.
+
+    ``w0`` is (0, w_0, ..., w_{n-2}); a pivot smaller than ``pivmin`` in
+    magnitude is replaced by -pivmin, as in LAPACK's dstebz.
+    """
+    count = 0
+    d = 1.0
+    for bk, wk in zip(b, w0):
+        d = (bk - x) - wk / d
+        if d < pivmin:
+            count += 1
+            if d > -pivmin:
+                d = -pivmin
+    return count
+
+
+def _sturm_path(b, w, lo: float, hi: float) -> list:
+    """Every w_n > 0: bisection on Sturm counts isolates each eigenvalue."""
+    n = len(b)
+    w0 = [0.0] + w
+    pivmin = 2.0**-1020 * max(1.0, max(w))
+    roots = []
+    stack = [(lo, 0, hi, n)]
+    while stack:
+        a, na, c, nc = stack.pop()
+        if nc - na == 1:
+            roots.append(_polish(b, w, a, c, (-1) ** (n - na), _mid(a, c)))
+            continue
+        m = _mid(a, c)
+        if not a < m < c:
+            # eigenvalues closer than float resolution: report the cluster
+            roots.extend([m] * (nc - na))
+            continue
+        nm = _sturm_count(b, w0, m, pivmin)
+        if nm > na:
+            stack.append((a, na, m, nm))
+        if nc > nm:
+            stack.append((m, nm, c, nc))
+    return sorted(roots)
+
+
+def _cp_complex(b, w, ab, aw, z: complex):
+    """(p(z), p'(z), e) up to a common positive rescale factor, where e bounds
+    the error of p (running error analysis).
+
+    ``ab`` and ``aw`` hold |b_k| and |w_k|; the bound also covers entries that
+    are themselves rounded to within a few units (see _ERR_UNITS), so it holds
+    for the matrix as given.
+    """
+    u = _ERR_UNITS * _EPS
+    p0, p1 = 1.0, z - b[0]
+    d0, d1 = 0.0, 1.0
+    a0, a1 = 1.0, abs(p1)
+    e0, e1 = 0.0, u * (a1 + ab[0])
+    for bk, wk, abk, awk in zip(b[1:], w, ab[1:], aw):
+        t = z - bk
+        at = abs(t)
+        p0, p1, d0, d1 = p1, t * p1 - wk * p0, d1, p1 + t * d1 - wk * d0
+        e0, e1 = e1, at * e1 + awk * e0 + u * ((at + abk) * a1 + awk * a0)
+        a0, a1 = a1, abs(p1)
+        m = a1 + abs(d1) + e1
+        if m > _BIG:
+            s = _DOWN
+        elif 0.0 < m < _SMALL:
+            s = _UP
+        else:
+            continue
+        p0 *= s; p1 *= s; d0 *= s; d1 *= s
+        a0 *= s; a1 *= s; e0 *= s; e1 *= s
+    return p1, d1, e1
+
+
+def _ratio(v) -> tuple:
+    """v as an exact (numerator, denominator) pair; floats, ints and Fractions
+    are exact, other types are read at their float value."""
+    try:
+        return v.as_integer_ratio()
+    except AttributeError:
+        return float(v).as_integer_ratio()
+
+
+class _ExactCharPoly:
+    """p(z) = det(zI - M) and p'(z) in exact integer arithmetic.
+
+    The entries of M are taken exactly as given and so are the float parts of
+    z: everything is scaled to integers by a common denominator S.
+    """
+
+    def __init__(self, M: BandMatrix):
+        self.M = M
+
+    @cached_property
+    def _entries(self):
+        M = self.M
+        b = [_ratio(M.entry(i, i)) for i in range(M.size)]
+        w = []
+        for i in range(M.size - 1):
+            (s, ds), (t, dt) = _ratio(M.entry(i + 1, i)), _ratio(M.entry(i, i + 1))
+            w.append((s * t, ds * dt))
+        return b, w, math.lcm(*(d for _, d in b + w))
+
+    def _eval(self, z: complex):
+        """Integers (P, D, Ti, S) with p(z) = P / S^n, p'(z) = D / S^(n-1) and
+        Im z = Ti / S; P and D are (real, imaginary) pairs."""
+        b, w, den = self._entries
+        (zr, dr), (zi, di) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+        S = math.lcm(den, dr, di)
+        S2 = S * S
+        Zr = zr * (S // dr)
+        Ti = zi * (S // di)
+        pr0, pi0, dr0, di0 = 1, 0, 0, 0
+        pr1, pi1, dr1, di1 = Zr - b[0][0] * (S // b[0][1]), Ti, 1, 0
+        for (bk, db), (wk, dw) in zip(b[1:], w):
+            Tr = Zr - bk * (S // db)
+            W = wk * (S2 // dw)
+            pr0, pi0, dr0, di0, pr1, pi1, dr1, di1 = (
+                pr1, pi1, dr1, di1,
+                Tr * pr1 - Ti * pi1 - W * pr0,
+                Tr * pi1 + Ti * pr1 - W * pi0,
+                pr1 + Tr * dr1 - Ti * di1 - W * dr0,
+                pi1 + Tr * di1 + Ti * dr1 - W * di0,
+            )
+        return (pr1, pi1), (dr1, di1), Ti, S
+
+    def sign(self, x: float) -> int:
+        """The sign of p at a real point."""
+        (pr, _), _, _, _ = self._eval(complex(x))
+        return (pr > 0) - (pr < 0)
+
+    def newton(self, z: complex):
+        """(p(z) / p'(z), the inclusion radius n |p(z) / p'(z)|, whether that
+        disc misses the real axis).  The last is decided in integers:
+        |Im z| > n |p| / |p'| iff Ti^2 |D|^2 > n^2 |P|^2."""
+        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+            return math.inf, math.inf, False
+        (pr, pi), (dr, di), ti, S = self._eval(z)
+        n = self.M.size
+        pp, dd = pr * pr + pi * pi, dr * dr + di * di
+        if dd == 0:
+            return math.inf, math.inf, False
+        certified = ti * ti * dd > n * n * pp
+        try:
+            ratio = complex((pr * dr + pi * di) / (dd * S), (pi * dr - pr * di) / (dd * S))
+            radius = n * math.sqrt(pp / (dd * S * S))
+        except OverflowError:
+            return math.inf, math.inf, certified
+        return ratio, radius, certified
+
+
+def _aberth(b, w, ab, aw, exact: _ExactCharPoly) -> list:
+    """Ehrlich-Aberth approximations to all n roots of p = det(zI - M).
+
+    A root whose float p is within its rounding bound, and whose corrections
+    stopped shrinking, moves to exact evaluation; a root freezes once its
+    correction stops moving it.  A frozen root off the real axis (and, once
+    the sweeps run out, any root off it) is tested: the disc |zeta - z| <=
+    n |p(z)| / |p'(z)| holds a root of p, so if it misses the real axis
+    (decided exactly) UnsupportedSpectrumError names it.  A root that froze
+    off the axis on float values without such a certificate (the float and
+    the exact entries can disagree) moves to exact evaluation and goes on.
+
+    Returns [(z, settled)], where settled marks roots that froze under exact
+    evaluation and so are already accurate to the last few bits.
+    """
+    n = len(b)
+    # Start on a circle about the mean eigenvalue trace(M)/n whose radius is
+    # the RMS spread, from trace(M^2) = sum b_k^2 + 2 sum w_k.
+    center = sum(b) / n
+    spread = (sum(x * x for x in b) + 2.0 * sum(w)) / n - center * center
+    radius = math.sqrt(abs(spread)) or 1.0
+    z = [center + radius * cmath.exp(2j * math.pi * (k + 0.25) / n) for k in range(n)]
+    promoted = [False] * n
+    settled = [False] * n
+    moved = [math.inf] * n  # size of each root's last correction
+    active = list(range(n))
+    for _ in range(_ABERTH_SWEEPS):
+        if not active:
+            break
+        still = []
+        for i in active:
+            zi = z[i]
+            if not promoted[i]:
+                p, d, e = _cp_complex(b, w, ab, aw, zi)
+                ratio = p / d if d != 0.0 else math.inf
+                promoted[i] = abs(p) <= e and abs(ratio) > 0.5 * moved[i]
+            if promoted[i]:
+                ratio = exact.newton(zi)[0]
+            if ratio == math.inf:
+                ratio = complex(radius)
+            s = 0j
+            for zj in z:
+                if zj != zi:
+                    s += 1.0 / (zi - zj)
+            den = 1.0 - ratio * s
+            corr = ratio / den if den != 0.0 else ratio
+            z[i] = zi - corr
+            moved[i] = abs(corr)
+            if moved[i] > 2.0 * _EPS * abs(zi):
+                still.append(i)
+                continue
+            _refuse_if_certified(exact, z[i])
+            if promoted[i] or abs(z[i].imag) <= 2.0 * _EPS * abs(z[i]):
+                settled[i] = promoted[i]
+            else:
+                # converged on float values to a point off the real axis that
+                # the exact test cannot certify: refine it exactly
+                promoted[i] = True
+                still.append(i)
+        active = still
+    for i in active:  # the sweeps ran out before these froze
+        _refuse_if_certified(exact, z[i])
+    return list(zip(z, settled))
+
+
+def _refuse_if_certified(exact: _ExactCharPoly, z: complex) -> None:
+    """Raise UnsupportedSpectrumError if the inclusion disc about z misses
+    the real axis; points on the axis to within rounding are not tested."""
+    if abs(z.imag) <= 2.0 * _EPS * abs(z):
+        return
+    _, r, certified = exact.newton(z)
+    if certified:
+        raise UnsupportedSpectrumError(
+            f"non-real eigenvalue: the disc of radius {r:.3e} about "
+            f"{z.real:.17g}{z.imag:+.17g}j holds an eigenvalue and misses the real axis"
+        )
+
+
+def _aberth_path(M: BandMatrix, b, w, lo: float, hi: float) -> list:
+    """Some w_n <= 0: certify a non-real root, or bracket n real ones."""
+    n = len(b)
+    ab = [abs(v) for v in b]
+    aw = [abs(v) for v in w]
+    exact = _ExactCharPoly(M)
+    approx = _aberth(b, w, ab, aw, exact)
+    seeds, settled = zip(*sorted((z.real, done) for z, done in approx))
+    if not all(math.isfinite(x) for x in seeds):
+        raise NumericFailureError("Ehrlich-Aberth iteration diverged")
+    cuts = [lo] + [0.5 * (x + y) for x, y in zip(seeds, seeds[1:])] + [hi]
+    signs = []
+    for x in cuts:
+        p, _, e = _cp_complex(b, w, ab, aw, complex(x))
+        signs.append(_sgn(p.real) if abs(p) > e else exact.sign(x))
+    if any(s * t >= 0 for s, t in zip(signs, signs[1:])):
+        raise NumericFailureError(f"could not bracket {n} distinct real roots by sign changes")
+    return [
+        x if done else _polish(b, w, a, c, sa, x)
+        for x, done, a, c, sa in zip(seeds, settled, cuts, cuts[1:], signs)
+    ]
 
 
 def _sgn(x: float) -> int:
     return 1 if x > 0 else (-1 if x < 0 else 0)
 
 
-def _seed_points(b, w, lo: float, hi: float) -> list:
-    n = len(b)
-    pts = set()
-    # uniform sweep of the Gershgorin hull
-    step = (hi - lo) / (8 * n)
-    pts.update(lo + i * step for i in range(8 * n + 1))
-    # logarithmic ladder toward 0 from both sides: geometric spectra pile up there
-    big = max(abs(lo), abs(hi))
-    if big > 0:
-        import math
-
-        for i in range(96):
-            g = big * math.exp(-18.420680743952367 * (1 - i / 95.0))  # down to 1e-8 * big
-            if lo <= g <= hi:
-                pts.add(g)
-            if lo <= -g <= hi:
-                pts.add(-g)
-    # neighborhoods of each diagonal Gershgorin disc
-    for i, bi in enumerate(b):
-        r = (1.0 if i > 0 else 0.0) + (abs(w[i]) if i < n - 1 else 0.0)
-        for t in (-0.5, -0.1, 0.0, 0.1, 0.5):
-            x = bi + t * max(r, 1e-6)
-            if lo <= x <= hi:
-                pts.add(x)
-    return sorted(pts)
-
-
-def _dedupe_sorted(roots: list) -> list:
-    out = []
-    for x in roots:
-        if out and abs(x - out[-1]) <= 1e-11 * max(1.0, abs(x)):
-            continue
-        out.append(x)
-    return out
-
-
 def eigenvalues(M: BandMatrix, pol: TolerancePolicy = TolerancePolicy()) -> list:
-    """All eigenvalues of a tridiagonal matrix with real simple spectrum.
+    """All eigenvalues of a tridiagonal matrix with real simple spectrum, sorted.
 
-    Characteristic-polynomial sign scan over a Gershgorin hull, bisection to
-    isolate, then a compensated Newton polish.  Raises UnsupportedSpectrumError
-    when n real roots cannot be isolated (complex pairs, repeated roots) and
-    NumericFailureError when refinement stalls.
+    The signs of w_n = M[n+1, n] * M[n, n+1] choose one of two paths:
+
+    * every w_n > 0: M is similar to a symmetric irreducible tridiagonal, so
+      its spectrum is real and simple.  Bisection on Sturm counts (LDL^T
+      inertia) over the Gershgorin hull isolates each eigenvalue;
+    * some w_n <= 0: the Ehrlich-Aberth iteration approximates every root of
+      p(z) = det(zI - M), evaluated by the three-term recurrence in complex
+      arithmetic, or exactly in integers where float rounding hides the root.
+      The disc of radius n |p(z)| / |p'(z)| about any point z holds a root of
+      p; if it misses the real axis once rounding is accounted for, M has a
+      non-real eigenvalue and UnsupportedSpectrumError names z and the
+      radius.  Otherwise the real parts are bracketed by sign changes of p;
+      NumericFailureError is raised when n distinct roots cannot be bracketed
+      (a repeated eigenvalue, say).
+
+    Each isolated root is then converged by Newton steps kept inside its
+    bracket and finished with a double-double Newton polish, except roots the
+    Aberth iteration already converged under exact evaluation.
     """
     b, w = _tridiagonal_bu(M)
     b = [float(v) for v in b]
     w = [float(v) for v in w]
     n = len(b)
-    if not all(abs(v) < float("inf") for v in b + w):
+    if not all(abs(v) < math.inf for v in b + w):
         raise InvalidParameterError("matrix entries must be finite")
     if n == 1:
         return [b[0]]
@@ -446,46 +763,6 @@ def eigenvalues(M: BandMatrix, pol: TolerancePolicy = TolerancePolicy()) -> list
     pad = 1e-9 * max(1.0, abs(lo), abs(hi))
     lo -= pad
     hi += pad
-
-    grid = _seed_points(b, w, lo, hi)
-    for _ in range(13):
-        vals = [_cp_float(b, w, x)[0] for x in grid]
-        brackets = [
-            (grid[i], grid[i + 1], vals[i], vals[i + 1])
-            for i in range(len(grid) - 1)
-            if _sgn(vals[i]) * _sgn(vals[i + 1]) < 0
-        ]
-        exact = [grid[i] for i in range(len(grid)) if vals[i] == 0.0]
-        if len(brackets) + len(exact) >= n:
-            roots = list(exact)
-            for a, c, fa, fc in brackets:
-                for _ in range(50):
-                    m = 0.5 * (a + c)
-                    fm = _cp_float(b, w, m)[0]
-                    if fm == 0.0:
-                        a = c = m
-                        break
-                    if _sgn(fa) * _sgn(fm) < 0:
-                        c, fc = m, fm
-                    else:
-                        a, fa = m, fm
-                    if c - a <= 1e-13 * max(1.0, abs(a)):
-                        break
-                roots.append(_newton_dd(b, w, 0.5 * (a + c)))
-            if not all(r == r and abs(r) < float("inf") for r in roots):
-                raise NumericFailureError("eigenvalue polish produced a non-finite value")
-            roots = _dedupe_sorted(sorted(roots))
-            if len(roots) == n:
-                return roots
-            if len(roots) > n:
-                raise NumericFailureError(
-                    f"isolated {len(roots)} distinct roots for size {n}"
-                )
-        if len(grid) > 500_000:
-            break
-        grid = sorted(
-            set(grid) | {0.5 * (grid[i] + grid[i + 1]) for i in range(len(grid) - 1)}
-        )
-    raise UnsupportedSpectrumError(
-        f"could not isolate {n} simple real eigenvalues by sign scan"
-    )
+    if all(v > 0.0 for v in w):
+        return _sturm_path(b, w, lo, hi)
+    return _aberth_path(M, b, w, lo, hi)

@@ -262,6 +262,15 @@ class TestVerifySuites:
         names = [c["name"] for c in report["checks"]]
         assert any("deviation" in n or "match" in n for n in names)
 
+    def test_aw_match_rejects_size(self, capsys):
+        argv = ["verify", "--suite", "aw-match", "--q", "0.6", "--a1", "0.9", "--a2", "0.5",
+                "--a3", "0.4", "--a4", "0.3", "--size", "99"]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error[invalid-parameter]:")
+        assert "--size" in err
+
     def test_aw_algebra_reports_orderings(self, capsys):
         argv = [
             "verify",

@@ -1,7 +1,10 @@
 """Band-matrix kernel: storage, products, residuals, similarity, eigenvalues."""
 
 import math
+import re
+from fractions import Fraction as F
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +14,7 @@ from qosc import (
     InvalidParameterError,
     NumericFailureError,
     SizeGuardError,
+    StructuredParams,
     TolerancePolicy,
     TooSmallError,
     UnsupportedSpectrumError,
@@ -21,8 +25,10 @@ from qosc import (
     band_scale,
     band_sub,
     band_tridiagonal,
+    big_q_jacobi,
     canonical_pair,
     char_poly_eval,
+    claimed_spectrum,
     diag_similarity,
     eigenvalues,
     inf_norm,
@@ -30,6 +36,7 @@ from qosc import (
     max_entry_diff,
     q_commutator_residual,
     q_hahn,
+    q_para_krawtchouk,
 )
 
 entries = st.floats(min_value=-5.0, max_value=5.0)
@@ -215,5 +222,122 @@ class TestEigenvalues:
 
     def test_complex_pair_unsupported(self):
         M = band_tridiagonal((1.0,), (0.0, 0.0), (-1.0,))  # eigenvalues +/- i
-        with pytest.raises((UnsupportedSpectrumError, NumericFailureError)):
+        with pytest.raises(UnsupportedSpectrumError) as err:
             eigenvalues(M)
+        z, r = certified_disc(err.value)
+        assert abs(abs(z.imag) - 1.0) <= 1e-12
+        assert newton_radius(M, z) <= 1.001 * r < abs(z.imag)
+
+
+def certified_disc(exc):
+    """(centre, radius) of the disc named by an UnsupportedSpectrumError; the
+    radius is printed to 4 digits."""
+    m = re.search(r"radius (\S+) about (\S+)j", str(exc))
+    assert m, str(exc)
+    return complex(m.group(2) + "j"), float(m.group(1))
+
+
+def newton_radius(M, z):
+    """n |p(z) / p'(z)| for p = det(zI - M), evaluated in 50-digit mpmath."""
+    with mpmath.workdps(50):
+        z = mpmath.mpc(z.real, z.imag)
+        b = [mpmath.mpf(M.entry(i, i)) for i in range(M.size)]
+        w = [mpmath.mpf(M.entry(i + 1, i)) * mpmath.mpf(M.entry(i, i + 1)) for i in range(M.size - 1)]
+        p0, p1, d0, d1 = 1, z - b[0], 0, 1
+        for k in range(1, M.size):
+            p0, p1, d0, d1 = p1, (z - b[k]) * p1 - w[k - 1] * p0, d1, p1 + (z - b[k]) * d1 - w[k - 1] * d0
+        return float(M.size * abs(p1 / d1))
+
+
+def symmetrized(rec):
+    u = np.sqrt(np.asarray(rec.u, dtype=float))
+    return np.diag(np.asarray(rec.b, dtype=float)) + np.diag(u, 1) + np.diag(u, -1)
+
+
+class TestSturmPath:
+    """Every w_n > 0: Sturm-count bisection, bracketed Newton, dd polish."""
+
+    @pytest.mark.parametrize("n", [16, 64, 120])
+    def test_big_q_jacobi_matches_eigvalsh(self, n):
+        rec = big_q_jacobi(StructuredParams(0.8, 0.25, 0.5, -0.25), n)
+        want = np.linalg.eigvalsh(symmetrized(rec))
+        got = np.array(eigenvalues(jacobi_matrix(rec)))
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+    def test_q_hahn_wide_entries(self):
+        # Entries span 1e9 (w_n up to 6e16): an unguarded Newton step from the
+        # isolating interval lands near 5e12, far outside the spectrum.
+        rec = q_hahn(0.3, 0.4, 0.5, 30)
+        got = eigenvalues(jacobi_matrix(rec))
+        want = sorted(0.5**-s for s in range(31))
+        assert len(got) == 31
+        assert all(abs(x - y) <= 1e-14 * y for x, y in zip(got, want))
+
+    def test_close_pairs_are_resolved(self):
+        # Wilkinson W21+: its top eigenvalues pair up within 1e-14.
+        M = band_tridiagonal((1.0,) * 20, tuple(abs(10.0 - i) for i in range(21)), (1.0,) * 20)
+        want = np.linalg.eigvalsh(np.array(M.to_dense()))
+        assert np.allclose(eigenvalues(M), want, rtol=0, atol=1e-13)
+
+
+class TestAberthPath:
+    """Some w_n <= 0: Ehrlich-Aberth, then a certificate or sign brackets."""
+
+    @pytest.mark.parametrize("n", [6, 12, 16])
+    def test_big_q_jacobi_positive_c3_refused(self, n):
+        J = jacobi_matrix(big_q_jacobi(StructuredParams(0.8, 0.25, 0.5, 0.25), n))
+        with pytest.raises(UnsupportedSpectrumError) as err:
+            eigenvalues(J)
+        z, r = certified_disc(err.value)
+        assert newton_radius(J, z) <= 1.001 * r < abs(z.imag)
+        ev = np.linalg.eigvals(np.array(J.to_dense(), dtype=float))
+        assert np.abs(ev.imag).max() > 1e-3
+
+    def test_q_para_krawtchouk_invented_roots_refused(self):
+        # A sign scan used to report 14 real eigenvalues here; the float
+        # matrix has a conjugate pair with |Im| = 0.0286.
+        J = jacobi_matrix(q_para_krawtchouk(0.2, 0.5, 13))
+        with pytest.raises(UnsupportedSpectrumError) as err:
+            eigenvalues(J)
+        z, r = certified_disc(err.value)
+        assert newton_radius(J, z) <= 1.001 * r < abs(z.imag)
+        ev = np.linalg.eigvals(np.array(J.to_dense(), dtype=float))
+        assert np.abs(ev.imag).max() > 1e-3
+
+    def test_exact_entries_are_taken_as_given(self):
+        # The same family with Fraction parameters has the real bi-lattice
+        # spectrum; its entries are not floats, so nothing is refused.
+        rec = q_para_krawtchouk(F(1, 5), F(1, 2), 13)
+        want = sorted(float(x) for x in claimed_spectrum(rec).points)
+        got = eigenvalues(jacobi_matrix(rec))
+        assert all(abs(x - y) <= 1e-15 * y for x, y in zip(got, want))
+
+    @pytest.mark.parametrize("q", [0.5, 0.9])
+    def test_q_para_krawtchouk_n21_typed_error(self, q):
+        with pytest.raises((UnsupportedSpectrumError, NumericFailureError)):
+            eigenvalues(jacobi_matrix(q_para_krawtchouk(0.2, q, 21)))
+
+    def test_agrees_with_numpy_on_random_tridiagonals(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            n = int(rng.integers(2, 12))
+            M = band_tridiagonal(
+                tuple(rng.uniform(-2, 2, n - 1)),
+                tuple(rng.uniform(-3, 3, n)),
+                tuple(rng.uniform(-2, 2, n - 1)),
+            )
+            ev = np.linalg.eigvals(np.array(M.to_dense()))
+            if np.abs(ev.imag).max() > 1e-6:
+                with pytest.raises(UnsupportedSpectrumError):
+                    eigenvalues(M)
+            else:
+                assert np.allclose(eigenvalues(M), np.sort(ev.real), rtol=1e-10, atol=1e-12)
+
+    def test_repeated_root_cannot_be_bracketed(self):
+        with pytest.raises(NumericFailureError):
+            eigenvalues(band_diagonal((1.0, 1.0, 2.0)))
+
+    def test_decoupled_diagonal(self):
+        A, _ = canonical_pair(1.0, 0.5, 8)
+        assert eigenvalues(A) == [2.0**k for k in range(8)]
