@@ -10,12 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    InvalidParameterError,
-    ResonanceError,
-    SpectrumMismatchError,
-    UnsupportedFamilyError,
-)
+from .errors import InvalidParameterError, SpectrumMismatchError, UnsupportedFamilyError
 from .numerics import LaurentPoly, TolerancePolicy, laurent_add, laurent_mul, laurent_scale
 from .opmatrix import (
     BandMatrix,
@@ -25,7 +20,7 @@ from .opmatrix import (
     eigenvalues,
     guard_size,
 )
-from .representation import StructuredParams, _check_q
+from .representation import StructuredParams, _check_q, _nonresonant
 
 
 @dataclass(frozen=True)
@@ -85,12 +80,6 @@ class QParaKrawtchoukParams:
     N: int
 
 
-def _nonresonant(value, label: str):
-    if abs(float(value)) <= 1e-10:
-        raise ResonanceError(f"denominator {label} vanishes")
-    return value
-
-
 def big_q_jacobi(p: StructuredParams, count: int) -> MonicRecurrence:
     """First ``count`` monic big q-Jacobi coefficients for parameters (c1, c2, c3).
 
@@ -104,19 +93,18 @@ def big_q_jacobi(p: StructuredParams, count: int) -> MonicRecurrence:
     guard_size(q, count)
     c12 = c1 * c2
 
+    def den(k):
+        return _nonresonant(1, c12 * q**k, f"denominator 1-c1*c2*q^{k}")
+
     def D(n):
-        den = _nonresonant(1 - c12 * q ** (2 * n + 1), f"1-c1*c2*q^{2*n+1}") * _nonresonant(
-            1 - c12 * q ** (2 * n + 2), f"1-c1*c2*q^{2*n+2}"
-        )
-        return (1 - c1 * q ** (n + 1)) * (1 - c12 * q ** (n + 1)) * (1 - c3 * q ** (n + 1)) / den
+        num = (1 - c1 * q ** (n + 1)) * (1 - c12 * q ** (n + 1)) * (1 - c3 * q ** (n + 1))
+        return num / (den(2 * n + 1) * den(2 * n + 2))
 
     def C(n):
         if n == 0:
             return 0
-        den = _nonresonant(1 - c12 * q ** (2 * n + 1), f"1-c1*c2*q^{2*n+1}") * _nonresonant(
-            1 - c12 * q ** (2 * n), f"1-c1*c2*q^{2*n}"
-        )
-        return -c1 * c3 * q ** (n + 1) * (1 - q**n) * (1 - c2 * q**n) * (1 - c12 / c3 * q**n) / den
+        num = -c1 * c3 * q ** (n + 1) * (1 - q**n) * (1 - c2 * q**n) * (1 - c12 / c3 * q**n)
+        return num / (den(2 * n + 1) * den(2 * n))
 
     Ds = [D(n) for n in range(count)]
     Cs = [C(n) for n in range(count)]
@@ -135,31 +123,30 @@ def askey_wilson(p: AWParams, count: int) -> MonicRecurrence:
     guard_size(q, count)
     g = p.g
 
+    def den(k):
+        return _nonresonant(1, g * q**k, f"denominator 1-g*q^{k}")
+
     def D(n):
-        den = a1 * _nonresonant(1 - g * q ** (2 * n - 1), f"1-g*q^{2*n-1}") * _nonresonant(
-            1 - g * q ** (2 * n), f"1-g*q^{2*n}"
-        )
+        den_n = a1 * den(2 * n - 1) * den(2 * n)
         return (
             (1 - a1 * a2 * q**n)
             * (1 - a1 * a3 * q**n)
             * (1 - a1 * a4 * q**n)
             * (1 - g * q ** (n - 1))
-            / den
+            / den_n
         )
 
     def C(n):
         if n == 0:
             return 0
-        den = _nonresonant(1 - g * q ** (2 * n - 1), f"1-g*q^{2*n-1}") * _nonresonant(
-            1 - g * q ** (2 * n - 2), f"1-g*q^{2*n-2}"
-        )
+        den_n = den(2 * n - 1) * den(2 * n - 2)
         return (
             a1
             * (1 - q**n)
             * (1 - a2 * a3 * q ** (n - 1))
             * (1 - a2 * a4 * q ** (n - 1))
             * (1 - a3 * a4 * q ** (n - 1))
-            / den
+            / den_n
         )
 
     Ds = [D(n) for n in range(count)]
@@ -193,19 +180,20 @@ def q_para_krawtchouk(c3, q, N: int) -> MonicRecurrence:
     guard_size(q, N + 1)
     half = (N - 1) // 2
 
-    def D(n):
-        den = _nonresonant(1 - q ** (2 * n - N), f"1-q^{2*n-N}") * _nonresonant(
-            1 + q ** (n - half), f"1+q^{n-half}"
+    def den(n, m):  # (1 - q^(2n-N)) * (1 + q^m)
+        k = 2 * n - N
+        return _nonresonant(1, q**k, f"denominator 1-q^{k}") * _nonresonant(
+            1, -(q**m), f"denominator 1+q^{m}"
         )
-        return (1 - q ** (n - N)) * (1 - c3 * q ** (n + 1)) / den
+
+    def D(n):
+        return (1 - q ** (n - N)) * (1 - c3 * q ** (n + 1)) / den(n, n - half)
 
     def C(n):
         if n == 0:
             return 0
-        den = _nonresonant(1 - q ** (2 * n - N), f"1-q^{2*n-N}") * _nonresonant(
-            1 + q ** (n - half - 1), f"1+q^{n-half-1}"
-        )
-        return -c3 * q ** (n - half) * (1 - q**n) * (1 - q ** (n - N - 1) / c3) / den
+        num = -c3 * q ** (n - half) * (1 - q**n) * (1 - q ** (n - N - 1) / c3)
+        return num / den(n, n - half - 1)
 
     Ds = [D(n) for n in range(N + 1)]
     Cs = [C(n) for n in range(N + 1)]
@@ -315,7 +303,7 @@ def verify_spectrum(
         ratio = abs(float(char_poly_eval(J, x))) / gap
         if ratio > worst:
             worst, loc = ratio, (s, s)
-    ev = eigenvalues(J, pol)
+    ev = eigenvalues(J)
     taken = [False] * len(pts)
     for lam in ev:
         best, best_d = None, None

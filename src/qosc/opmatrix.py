@@ -98,11 +98,37 @@ class BandMatrix:
 
     def to_dense(self) -> list:
         out = [[0] * self.size for _ in range(self.size)]
-        for k, entries in self.bands.items():
-            for t, v in enumerate(entries):
-                i = t + max(0, -k)
-                out[i][i + k] = v
+        for i, j, v in _entries(self):
+            out[i][j] = v
         return out
+
+
+def _entries(M: BandMatrix):
+    """(i, j, M_ij) of every stored entry, band by band."""
+    for k, entries in M.bands.items():
+        for i, v in enumerate(entries, max(0, -k)):
+            yield i, i + k, v
+
+
+def _worst(M: BandMatrix, rows: tuple | None = None, ref: BandMatrix | None = None):
+    """(largest |M_ij|, its (i, j)), the first in band order on ties.
+
+    Only rows lo <= i <= hi count when ``rows`` = (lo, hi) is given.  With
+    ``ref`` each |M_ij| is first divided by max(1, |ref_ij|).  A plain loop,
+    with no call per entry: every residual report runs it.
+    """
+    lo, hi = (0, M.size - 1) if rows is None else rows
+    worst, loc = 0.0, None
+    for k, entries in M.bands.items():
+        i0 = max(0, -k)  # the row of entries[0]
+        r = None if ref is None else ref.bands.get(k)
+        for t in range(max(0, lo - i0), min(len(entries), hi - i0 + 1)):
+            d = abs(float(entries[t]))
+            if r is not None:
+                d /= max(1.0, abs(float(r[t])))
+            if d > worst:
+                worst, loc = d, (i0 + t, i0 + t + k)
+    return worst, loc
 
 
 def band_identity(size: int) -> BandMatrix:
@@ -180,27 +206,14 @@ def band_mul(A: BandMatrix, B: BandMatrix) -> BandMatrix:
 def inf_norm(M: BandMatrix) -> float:
     """Max absolute row sum."""
     sums = [0.0] * M.size
-    for k, entries in M.bands.items():
-        for t, v in enumerate(entries):
-            sums[t + max(0, -k)] += abs(float(v))
-    return max(sums) if sums else 0.0
+    for i, _, v in _entries(M):
+        sums[i] += abs(float(v))
+    return max(sums)
 
 
 def max_entry_diff(A: BandMatrix, B: BandMatrix):
     """(max |A_ij - B_ij|, location); scans the union of the stored bands."""
-    size = _check_same_size(A, B)
-    worst = 0.0
-    loc = None
-    for k in sorted(set(A.bands) | set(B.bands)):
-        a = A.bands.get(k, (0,) * (size - abs(k)))
-        b = B.bands.get(k, (0,) * (size - abs(k)))
-        for t, (x, y) in enumerate(zip(a, b)):
-            d = abs(float(x - y))
-            if d > worst:
-                worst = d
-                i = t + max(0, -k)
-                loc = (i, i + k)
-    return worst, loc
+    return _worst(band_sub(A, B))
 
 
 @dataclass(frozen=True)
@@ -220,16 +233,7 @@ def residual_report(R: BandMatrix, pol: TolerancePolicy, rows: tuple, scale: flo
     lo, hi = rows
     if not (0 <= lo <= hi < R.size):
         raise InvalidParameterError("row window out of range")
-    worst = 0.0
-    loc = None
-    for k, entries in R.bands.items():
-        for t, v in enumerate(entries):
-            i = t + max(0, -k)
-            if lo <= i <= hi:
-                d = abs(float(v))
-                if d > worst:
-                    worst = d
-                    loc = (i, i + k)
+    worst, loc = _worst(R, rows)
     tol = pol.effective(scale)
     return ResidualReport(worst, loc, (lo, hi), float(scale), tol, worst <= tol)
 
@@ -270,12 +274,8 @@ def diag_similarity(M: BandMatrix, d) -> BandMatrix:
     if any(x == 0 for x in d):
         raise InvalidParameterError("similarity diagonal must be nonzero")
     out = {}
-    for k, entries in M.bands.items():
-        scaled = []
-        for t, v in enumerate(entries):
-            n = t + max(0, -k)
-            scaled.append(v * d[n + k] / d[n])
-        out[k] = tuple(scaled)
+    for i, j, v in _entries(M):
+        out.setdefault(j - i, []).append(v * d[j] / d[i])
     return BandMatrix(M.size, out)
 
 
@@ -723,8 +723,11 @@ def _sgn(x: float) -> int:
     return 1 if x > 0 else (-1 if x < 0 else 0)
 
 
-def eigenvalues(M: BandMatrix, pol: TolerancePolicy = TolerancePolicy()) -> list:
+def eigenvalues(M: BandMatrix) -> list:
     """All eigenvalues of a tridiagonal matrix with real simple spectrum, sorted.
+
+    There is no tolerance argument: both paths below work to full float
+    precision, whatever tolerance the caller later judges the result by.
 
     The signs of w_n = M[n+1, n] * M[n, n+1] choose one of two paths:
 

@@ -28,6 +28,8 @@ from .numerics import TolerancePolicy
 from .opmatrix import (
     BandMatrix,
     ResidualReport,
+    _worst,
+    band_sub,
     band_tridiagonal,
     guard_size,
     eigenvalues,
@@ -37,6 +39,17 @@ from .opmatrix import (
 # Relative floor below which a structural denominator counts as resonant and
 # a u_n counts as a vanished off-diagonal (reducible truncation).
 _DEGENERACY_RTOL = 1e-10
+
+
+def _nonresonant(a, b, label: str):
+    """a - b, refused with ResonanceError when it vanishes relative to |a| + |b|.
+
+    The test runs in floats, so exact inputs pay no big-integer arithmetic for it.
+    """
+    d = a - b
+    if abs(float(d)) <= _DEGENERACY_RTOL * (abs(float(a)) + abs(float(b))):
+        raise ResonanceError(f"{label} vanishes")
+    return d
 
 
 def _check_q(q) -> None:
@@ -108,23 +121,11 @@ def build_general(p: GeneralParams, size: int):
         raise TooSmallError("size must be >= 3")
     q, xi0, zeta0, s1, s2 = p.q, p.xi0, p.zeta0, p.s1, p.s2
     guard_size(q, size)
-    aq = abs(float(q))
-    axi, azeta = abs(float(xi0)), abs(float(zeta0))
 
     qp = {k: q**k for k in range(-size, size + 2)}
 
-    gamma = []
-    for n in range(size + 1):
-        g = xi0 * qp[-n] - zeta0 * qp[n]
-        if abs(g) <= _DEGENERACY_RTOL * (axi * aq**-n + azeta * aq**n):
-            raise ResonanceError(f"gamma_{n} vanishes")
-        gamma.append(g)
-    y = []
-    for n in range(size):
-        v = xi0 * qp[-n] - zeta0 * qp[n + 1]
-        if abs(v) <= _DEGENERACY_RTOL * (axi * aq**-n + azeta * aq ** (n + 1)):
-            raise ResonanceError(f"y_{n} vanishes")
-        y.append(v)
+    gamma = [_nonresonant(xi0 * qp[-n], zeta0 * qp[n], f"gamma_{n}") for n in range(size + 1)]
+    y = [_nonresonant(xi0 * qp[-n], zeta0 * qp[n + 1], f"y_{n}") for n in range(size)]
 
     z = [xi0 * qp[-n] + zeta0 * qp[n + 1] for n in range(size)]
     xi = [xi0 * qp[-n] for n in range(size)]
@@ -270,18 +271,8 @@ def classify(A: BandMatrix, B: BandMatrix, q, pol: TolerancePolicy = TolerancePo
     s2 = (z0 * eta[0] - (q + 1) * xi0 * zeta0 * b[0]) / q
     params = GeneralParams(q, xi0, zeta0, s1, s2)
     A2, B2, _ = build_general(params, size)
-    worst, loc = 0.0, None
-    for ref, got in ((A, A2), (B, B2)):
-        for k in sorted(set(ref.bands) | set(got.bands)):
-            width = size - abs(k)
-            rb = ref.bands.get(k, (0,) * width)
-            gb = got.bands.get(k, (0,) * width)
-            for t in range(width):
-                dev = abs(float(rb[t] - gb[t])) / max(1.0, abs(float(rb[t])))
-                if dev > worst:
-                    worst = dev
-                    i = t + max(0, -k)
-                    loc = (i, i + k)
+    (wa, la), (wb, lb) = _worst(band_sub(A, A2), ref=A), _worst(band_sub(B, B2), ref=B)
+    worst, loc = (wb, lb) if wb > wa else (wa, la)
     tol = pol.effective(1.0)
     report = ResidualReport(worst, loc, (0, size - 1), 1.0, tol, worst <= tol)
     return params, report
@@ -364,7 +355,7 @@ def decompose(A: BandMatrix, B: BandMatrix, q, pol: TolerancePolicy = ToleranceP
         raise NotAQOscillatorError(
             f"q-commutator residual {comm.max_abs:.3e} exceeds {comm.tolerance:.3e}"
         )
-    ev = eigenvalues(A, pol)
+    ev = eigenvalues(A)
     chains = _geometric_chains(ev, q)
     chains.sort(key=lambda c: min(c))
 

@@ -67,7 +67,9 @@ def general_solution(q, xi0, zeta0, s1, s2, size):
 # -- big q-Jacobi / Askey-Wilson / finite-family recurrences ----------------------
 
 
-def big_q_jacobi_bu(q, c1, c2, c3, count):
+def big_q_jacobi_DC(q, c1, c2, c3, count):
+    """The forward and backward rates ([D_n], [C_n]) for n < count."""
+
     def D(n):
         return (
             (1 - c1 * q ** (n + 1))
@@ -85,8 +87,13 @@ def big_q_jacobi_bu(q, c1, c2, c3, count):
             * (1 - c1 * c2 * q**n / c3)
         ) / ((1 - c1 * c2 * q ** (2 * n + 1)) * (1 - c1 * c2 * q ** (2 * n)))
 
-    b = [1 - D(n) - C(n) for n in range(count)]
-    u = [D(n - 1) * C(n) for n in range(1, count)]
+    return [D(n) for n in range(count)], [C(n) for n in range(count)]
+
+
+def big_q_jacobi_bu(q, c1, c2, c3, count):
+    Ds, Cs = big_q_jacobi_DC(q, c1, c2, c3, count)
+    b = [1 - Ds[n] - Cs[n] for n in range(count)]
+    u = [Ds[n - 1] * Cs[n] for n in range(1, count)]
     return b, u
 
 

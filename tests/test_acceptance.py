@@ -13,7 +13,11 @@ import sys
 import time
 from fractions import Fraction as F
 
-from exact_oracles import GENERAL_RATIONAL_FIXTURES, commutator_minus_identity
+from exact_oracles import (
+    GENERAL_RATIONAL_FIXTURES,
+    big_q_jacobi_DC,
+    commutator_minus_identity,
+)
 
 from qosc import (
     AWParams,
@@ -147,31 +151,6 @@ def test_criterion_03_big_q_jacobi_identification():
     scoreboard(3, "big q-Jacobi identification (20 draws)", ok)
 
 
-def _jacobi_DC(sp, count):
-    q, c1, c2, c3 = sp.q, sp.c1, sp.c2, sp.c3
-    c12 = c1 * c2
-    Ds, Cs = [], []
-    for n in range(count):
-        Ds.append(
-            (1 - c1 * q ** (n + 1))
-            * (1 - c12 * q ** (n + 1))
-            * (1 - c3 * q ** (n + 1))
-            / ((1 - c12 * q ** (2 * n + 1)) * (1 - c12 * q ** (2 * n + 2)))
-        )
-        Cs.append(
-            0.0
-            if n == 0
-            else -c1
-            * c3
-            * q ** (n + 1)
-            * (1 - q**n)
-            * (1 - c2 * q**n)
-            * (1 - c12 / c3 * q**n)
-            / ((1 - c12 * q ** (2 * n + 1)) * (1 - c12 * q ** (2 * n)))
-        )
-    return Ds, Cs
-
-
 def test_criterion_04_tridiagonalization_theorem():
     # Deviations are judged at each coefficient's cancellation scale: the
     # reduction multiplies O(1) recurrence data by z_n ~ q**-n factors that
@@ -193,7 +172,7 @@ def test_criterion_04_tridiagonalization_theorem():
             direct = askey_wilson(p, count)
         except (ResonanceError, NotMonicReducibleError, QoscError):
             continue
-        Ds, Cs = _jacobi_DC(sp, count)
+        Ds, Cs = big_q_jacobi_DC(sp.q, sp.c1, sp.c2, sp.c3, count)
         z = [sp.c1 * sp.c2 * sp.q ** (n + 1) + sp.q ** (-n) for n in range(count)]
         t0, t1, t2, t3 = abs(w.tau0), abs(w.tau1), abs(w.tau2), abs(w.tau3)
         for n in range(count):

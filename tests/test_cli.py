@@ -25,6 +25,9 @@ STRUCTURED = [
     "10",
 ]
 
+STRUCTURED_FILE = {"parameterization": "structured", "q": 0.5, "c1": 0.25, "c2": 0.5, "c3": 0.25,
+                   "size": 10}
+
 
 def run(capsys, argv):
     code = main(argv)
@@ -196,6 +199,27 @@ class TestParamFileAndOutputs:
         code, _, err = run(capsys, ["build", "--params", str(cfg)])
         assert code == 2
         assert "quux" in err
+
+    @pytest.mark.parametrize(
+        "argv, data, key",
+        [
+            (["build"], {**STRUCTURED_FILE, "q": "abc"}, "q"),
+            (["build"], {**STRUCTURED_FILE, "size": "ten"}, "size"),
+            (["build"], {**STRUCTURED_FILE, "parameterization": "bogus"}, "parameterization"),
+            (["spectrum", "--family", "q-hahn", "--q", "0.5", "--c1", "0.3", "--c2", "0.4",
+              "--N", "3"], {"decompose": "no"}, "decompose"),
+        ],
+        ids=["float-flag", "int-flag", "choices", "on-off-flag"],
+    )
+    def test_param_file_values_checked_like_flags(self, capsys, tmp_path, argv, data, key):
+        # A file value goes through its flag's argparse type and choices; an
+        # on/off flag takes a JSON boolean.
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(data))
+        code, out, err = run(capsys, argv + ["--params", str(cfg)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error[invalid-parameter]:") and repr(key) in err
 
     def test_csv_dir_writes_tables(self, capsys, tmp_path):
         argv = [

@@ -10,6 +10,7 @@ from exact_oracles import askey_wilson_bu, big_q_jacobi_bu, q_para_krawtchouk_bu
 
 from qosc import (
     AWParams,
+    GeneralParams,
     InvalidParameterError,
     MonicRecurrence,
     ResonanceError,
@@ -18,7 +19,9 @@ from qosc import (
     StructuredParams,
     TolerancePolicy,
     UnsupportedFamilyError,
+    askey_wilson,
     big_q_jacobi,
+    build_general,
     claimed_spectrum,
     eigenvalues,
     eval_monic,
@@ -347,3 +350,21 @@ class TestSpectrumCertification:
         short = SpectrumLattice((1.0, 2.0, 4.0), "single-exponential")
         with pytest.raises(SpectrumMismatchError):
             verify_spectrum(rec, short)
+
+
+# Each builder, given x = 1 - 2r, has one denominator 1 - x (or xi0 - zeta0 for
+# gamma_0) at relative distance |a - b| / (|a| + |b|) = r / (1 - r) from zero.
+NEAR_RESONANT = {
+    "big-q-jacobi 1-c1*c2*q": lambda x: big_q_jacobi(StructuredParams(0.5, 4 * x, 0.5, 0.3), 3),
+    "askey-wilson 1-g/q": lambda x: askey_wilson(AWParams(0.5, 0.5, 0.5, 0.5, 4 * x), 3),
+    "general gamma_0": lambda x: build_general(GeneralParams(0.5, 1.0, x, 0.1, 0.2), 4),
+    "general y_0": lambda x: build_general(GeneralParams(0.5, 1.0, 2 * x, 0.1, 0.2), 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEAR_RESONANT))
+def test_one_relative_resonance_rule(case):
+    # families and build_general share one rule: refuse at 1e-10 relative.
+    with pytest.raises(ResonanceError):
+        NEAR_RESONANT[case](1 - 2 * 1e-11)
+    NEAR_RESONANT[case](1 - 2 * 1e-9)
