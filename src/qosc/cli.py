@@ -354,9 +354,10 @@ def cmd_verify(args, pol: TolerancePolicy):
 
 
 def cmd_spectrum(args, pol: TolerancePolicy):
-    rec, params = _family(args)
-    if rec.family not in _FINITE:
+    _require(args, "family")
+    if args.family not in _FINITE:  # before its flags, which this command may not offer
         raise InvalidParameterError("spectrum requires a finite family (q-hahn or q-para-krawtchouk)")
+    rec, params = _family(args)
     lattice = claimed_spectrum(rec)
     checks = [_check_from("spectrum", verify_spectrum(rec, lattice, pol))]
 
@@ -384,7 +385,7 @@ def cmd_poly(args, pol: TolerancePolicy):
     if n_max < 1:
         raise InvalidParameterError("--n-max must be >= 1")
     rec, params = _family(args, size=n_max)
-    if rec.family in _FINITE and n_max > rec.size:
+    if n_max > rec.size:
         raise InvalidParameterError(f"--n-max {n_max} exceeds family size {rec.size}")
     raw = "0.0,0.5,1.0,2.0" if args.x_points is None else args.x_points
     try:
@@ -406,12 +407,12 @@ def cmd_poly(args, pol: TolerancePolicy):
 
 def cmd_decompose(args, pol: TolerancePolicy):
     if args.family is not None:
-        rec, params = _family(args)
-        if rec.family not in _FINITE:
+        if args.family not in _FINITE:
             raise InvalidParameterError(
                 "decompose requires a finite family (q-hahn or q-para-krawtchouk)"
                 " or general parameters"
             )
+        rec, params = _family(args)
         check, blocks = _block_check(rec, pol)
     else:
         p, params = _params(args, GeneralParams, "size")

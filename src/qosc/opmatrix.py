@@ -3,8 +3,9 @@
 The band kernel is deliberately pure Python and duck-typed: entries may be
 floats, fractions.Fraction, or any ring element supporting +, -, *.  Exact
 inputs therefore produce exact residuals through the very same code paths the
-float build uses.  numpy enters only in the eigenvector certification inside
-``decompose`` (see representation.py) and in tests.
+float build uses.  The package has no numpy: the eigenvector certification
+inside ``decompose`` (see representation.py) runs on the float banded LU
+below, and numpy enters only in tests.
 
 Truncation bookkeeping: all infinite-matrix identities checked here hold on a
 size x size truncation except for rows coupled to the cut, so residual checks
@@ -277,6 +278,85 @@ def diag_similarity(M: BandMatrix, d) -> BandMatrix:
     for i, j, v in _entries(M):
         out.setdefault(j - i, []).append(v * d[j] / d[i])
     return BandMatrix(M.size, out)
+
+
+# -- banded LU ----------------------------------------------------------------
+#
+# Gaussian elimination with partial pivoting on float rows, in the order of
+# LAPACK's gbtrf/gbtrs.  Row i holds M[i][j] at slot lo + j - i for
+# i - lo <= j <= i + lo + up: 2*lo + up + 1 slots, the last lo of them for the
+# fill that row swaps bring in.  A dense matrix is the case lo = up = size-1.
+
+
+def _band_rows(size: int, lo: int, up: int, entries) -> list:
+    """Float rows in ``_band_lu``'s layout holding the (i, j, value) entries."""
+    rows = [[0.0] * (2 * lo + up + 1) for _ in range(size)]
+    for i, j, v in entries:
+        rows[i][lo + j - i] = float(v)
+    return rows
+
+
+def _band_lu(rows: list, lo: int, up: int):
+    """Factor band rows in place: (pivots, lower, diag, upper), or None on a zero pivot.
+
+    Row k is swapped with row pivots[k] over columns k..k+lo+up only, so the
+    multipliers of column k stay where elimination left them (rows[i][lo+k-i])
+    and a solve applies the swaps as it goes.  For the solve, lower[k] lists
+    the (i, multiplier) pairs of column k and upper[k] the (j, U[k][j]) pairs
+    right of the diagonal diag[k] of U.  Only an exactly zero pivot counts as
+    singular, as in LAPACK.
+    """
+    n = len(rows)
+    piv, lower, diag, upper = [], [], [], []
+    ju = 0  # the last column that fill can have reached
+    for k, rk in enumerate(rows):
+        below = rows[k + 1:k + 1 + lo]
+        p, best = k, abs(rk[lo])
+        for d, ri in enumerate(below, 1):
+            a = abs(ri[lo - d])
+            if a > best:
+                p, best = k + d, a
+        if best == 0.0:
+            return None
+        piv.append(p)
+        if p + up > ju:
+            ju = p + up if p + up < n else n - 1
+        t = ju - k  # columns k+1..ju take part
+        if p != k:
+            rp, s = rows[p], lo + k - p
+            rk[lo:lo + t + 1], rp[s:s + t + 1] = rp[s:s + t + 1], rk[lo:lo + t + 1]
+        d = rk[lo]
+        diag.append(d)
+        r = 1.0 / d
+        tail = rk[lo + 1:lo + 1 + t]
+        upper.append(list(zip(range(k + 1, ju + 1), tail)))
+        col = []
+        for i, ri in enumerate(below, k + 1):  # plain loops: cheaper than comprehensions here
+            s = lo + k - i  # the slot of column k in row i
+            f = ri[s] = ri[s] * r
+            col.append((i, f))
+            for c, u in enumerate(tail, s + 1):
+                ri[c] -= f * u
+        lower.append(col)
+    return piv, lower, diag, upper
+
+
+def _band_solve(lu, b) -> list:
+    """x with M x = b, from the factors ``_band_lu`` returned for M."""
+    piv, lower, diag, upper = lu
+    y = list(b)
+    for k, (p, col) in enumerate(zip(piv, lower)):
+        if p != k:
+            y[k], y[p] = y[p], y[k]
+        yk = y[k]
+        for i, f in col:
+            y[i] -= f * yk
+    for k in range(len(y) - 1, -1, -1):
+        s = y[k]
+        for j, u in upper[k]:
+            s -= u * y[j]
+        y[k] = s / diag[k]
+    return y
 
 
 def _tridiagonal_bu(M: BandMatrix):

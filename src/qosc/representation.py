@@ -11,9 +11,9 @@ the spectrum of A.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import (
     InvalidNormalizationError,
@@ -28,6 +28,10 @@ from .numerics import TolerancePolicy
 from .opmatrix import (
     BandMatrix,
     ResidualReport,
+    _band_lu,
+    _band_rows,
+    _band_solve,
+    _entries,
     _worst,
     band_sub,
     band_tridiagonal,
@@ -344,11 +348,14 @@ def decompose(A: BandMatrix, B: BandMatrix, q, pol: TolerancePolicy = ToleranceP
     """Split a q-oscillator pair into irreducible blocks.
 
     Computes the spectrum of A, groups it into maximal geometric chains with
-    ratio 1/q, certifies via eigenvectors of A that B is block preserving
-    (inverse iteration + dense solve; off-block mass judged at the scale of
-    the transformed B), and returns [(ascending block spectrum, block size)]
-    ordered by smallest eigenvalue.  Raises NotDecomposableError when the
-    off-block mass exceeds tolerance.
+    ratio 1/q, certifies via eigenvectors of A that B is block preserving,
+    and returns [(ascending block spectrum, block size)] ordered by smallest
+    eigenvalue.  The certificate is pure Python: each eigenvector comes from
+    three steps of inverse iteration with a banded LU of A - lambda I (O(size)
+    per solve), and Bt = V^-1 (B V) from a dense LU of the eigenvector matrix
+    V; the off-block mass of Bt is judged at the scale of Bt.  Raises
+    NotDecomposableError when V is singular or the off-block mass exceeds
+    tolerance.
     """
     comm = q_commutator_residual(A, B, q, None, pol)
     if not comm.passed:
@@ -359,41 +366,49 @@ def decompose(A: BandMatrix, B: BandMatrix, q, pol: TolerancePolicy = ToleranceP
     chains = _geometric_chains(ev, q)
     chains.sort(key=lambda c: min(c))
 
-    ordered = [lam for chain in chains for lam in chain]
-    Ad = np.array([[float(v) for v in row] for row in A.to_dense()])
-    Bd = np.array([[float(v) for v in row] for row in B.to_dense()])
-    size = A.size
-    scale = max(1.0, float(np.abs(Ad).max()))
-    V = np.zeros((size, size))
-    for j, lam in enumerate(ordered):
-        v = np.ones(size) / np.sqrt(size)
+    size, lo, up = A.size, A.lower, A.upper
+    base = _band_rows(size, lo, up, _entries(A))
+    scale = max(1.0, _worst(A)[0])
+    V = []  # the eigenvector columns, chain by chain
+    for lam in (lam for chain in chains for lam in chain):
+        v = [1.0 / math.sqrt(size)] * size
         for shift in (0.0, 1e-15 * scale, 1e-13 * scale, 1e-11 * scale):
-            M = Ad - (lam + shift) * np.eye(size)
-            try:
-                for _ in range(3):
-                    w = np.linalg.solve(M, v)
-                    v = w / np.linalg.norm(w)
-                break
-            except np.linalg.LinAlgError:
+            rows = [r[:] for r in base]
+            for r in rows:
+                r[lo] -= lam + shift
+            lu = _band_lu(rows, lo, up)
+            if lu is None:  # an exactly singular shift: try the next one
                 continue
-        V[:, j] = v
-    try:
-        Bt = np.linalg.solve(V, Bd @ V)
-    except np.linalg.LinAlgError as exc:
-        raise NotDecomposableError(f"eigenvector matrix is singular: {exc}") from exc
+            for _ in range(3):
+                w = _band_solve(lu, v)
+                norm = math.hypot(*w)
+                v = [x / norm for x in w]
+            break
+        V.append(v)
 
-    bounds = []
-    pos = 0
-    for chain in chains:
-        bounds.append((pos, pos + len(chain)))
-        pos += len(chain)
-    off = 0.0
-    for bi, (lo1, hi1) in enumerate(bounds):
-        for bj, (lo2, hi2) in enumerate(bounds):
-            if bi != bj:
-                blockmax = float(np.abs(Bt[lo1:hi1, lo2:hi2]).max()) if hi1 > lo1 and hi2 > lo2 else 0.0
-                off = max(off, blockmax)
-    bscale = max(1.0, float(np.abs(Bt).max()))
+    lu = _band_lu(_band_rows(size, size - 1, size - 1,
+                             ((i, j, x) for j, v in enumerate(V) for i, x in enumerate(v))),
+                  size - 1, size - 1)
+    if lu is None:
+        raise NotDecomposableError("eigenvector matrix is singular")
+    bands = [(max(0, -k), k, [float(b) for b in band]) for k, band in B.bands.items()]
+    Bt = []  # the columns of V^-1 (B V)
+    for v in V:
+        bv = [0.0] * size
+        for i0, k, band in bands:
+            i1 = i0 + len(band)
+            bv[i0:i1] = map(operator.add, bv[i0:i1], map(operator.mul, band, v[i0 + k:i1 + k]))
+        Bt.append(_band_solve(lu, bv))
+
+    off = peak = 0.0
+    end = 0
+    for chain in chains:  # the columns start..end-1 form one block
+        start, end = end, end + len(chain)
+        for col in Bt[start:end]:
+            mags = [abs(x) for x in col]
+            peak = max(peak, max(mags))
+            off = max(off, max(mags[:start], default=0.0), max(mags[end:], default=0.0))
+    bscale = max(1.0, peak)
     if off > pol.effective(bscale):
         raise NotDecomposableError(
             f"off-block mass {off:.3e} exceeds {pol.effective(bscale):.3e}"

@@ -1,6 +1,7 @@
 """Report schema, determinism, exit statuses, and the fixture commands."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -430,6 +431,21 @@ class TestSpectrumAndPoly:
         for got, want in zip(p5[1:], frozen):
             assert abs(got - float(want)) <= 1e-12 * max(1.0, abs(float(want)))
 
+    def test_poly_n_max_beyond_size_names_the_flag(self, capsys):
+        # the check finite families already had, now on an infinite family
+        argv = ["poly", "--family", "big-q-jacobi", "--q", "0.5", "--c1", "0.25", "--c2", "0.5",
+                "--c3", "0.25", "--size", "4", "--n-max", "5"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == "error[invalid-parameter]: --n-max 5 exceeds family size 4\n"
+
+    @pytest.mark.parametrize("command", ["spectrum", "decompose"])
+    @pytest.mark.parametrize("family", ["askey-wilson", "big-q-jacobi"])
+    def test_infinite_family_refused_before_its_flags(self, capsys, command, family):
+        code, out, err = run(capsys, [command, "--family", family, "--q", "0.6"])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error[invalid-parameter]: {command} requires a finite family")
+
 
 class TestDecomposeCommand:
     def test_family_path_counts_blocks(self, capsys):
@@ -460,3 +476,14 @@ def test_console_script_smoke():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["command"] == "build"
+
+
+def test_import_loads_no_numpy():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import qosc, qosc.cli, sys; assert 'numpy' not in sys.modules"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr

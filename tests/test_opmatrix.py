@@ -38,6 +38,7 @@ from qosc import (
     q_hahn,
     q_para_krawtchouk,
 )
+from qosc.opmatrix import _band_lu, _band_rows, _band_solve, _entries
 
 entries = st.floats(min_value=-5.0, max_value=5.0)
 
@@ -110,6 +111,61 @@ class TestBandMul:
         A = band_tridiagonal((1.0, 1.0), (0.0,) * 3, (1.0, 1.0))
         M2 = band_mul(A, A)
         assert M2.entry(0, 2) == 1.0 and M2.entry(2, 0) == 1.0
+
+
+def band_lu_solve(M, lo, up, b):
+    lu = _band_lu(_band_rows(M.size, lo, up, _entries(M)), lo, up)
+    return None if lu is None else _band_solve(lu, b)
+
+
+class TestBandLU:
+    @pytest.mark.parametrize("n", [1, 2, 7, 21])
+    @pytest.mark.parametrize("lo", [0, 1, 2])
+    @pytest.mark.parametrize("up", [0, 1, 2])
+    @pytest.mark.parametrize("zero_lead", [False, True])
+    def test_solve_matches_numpy(self, n, lo, up, zero_lead):
+        rng = np.random.default_rng(1000 * n + 100 * lo + 10 * up + zero_lead)
+        bands = {k: list(rng.uniform(-1.0, 1.0, n - abs(k))) for k in range(-lo, up + 1) if abs(k) < n}
+        if zero_lead:
+            bands[0][0] = 0.0
+            if n > 1:
+                bands[0][1] = 0.0
+        M = BandMatrix(n, bands)
+        D = np.array(M.to_dense(), dtype=float)
+        if zero_lead and (lo == 0 or up == 0 or n == 1):  # triangular with a zero diagonal
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.solve(D, [1.0] * n)
+            assert band_lu_solve(M, lo, up, [1.0] * n) is None
+            return
+        # Otherwise the zero leading diagonal forces row swaps at the first two columns.
+        for b in (list(rng.uniform(-1.0, 1.0, n)), [1.0] * n):
+            got = np.array(band_lu_solve(M, lo, up, b))
+            want = np.linalg.solve(D, b)
+            bound = 1e-13 * np.linalg.cond(D) * np.linalg.norm(want)
+            assert np.linalg.norm(got - want) <= bound
+
+    def test_dense_bandwidth(self):
+        rng = np.random.default_rng(7)
+        D = rng.uniform(-1.0, 1.0, (9, 9))
+        D[0, 0] = 0.0
+        M = BandMatrix(9, {k: tuple(np.diagonal(D, k)) for k in range(-8, 9)})
+        b = list(rng.uniform(-1.0, 1.0, 9))
+        got = band_lu_solve(M, 8, 8, b)
+        assert np.allclose(got, np.linalg.solve(D, b), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("dense", [
+        [[1.0, 2.0], [2.0, 4.0]],  # rank one: the second pivot is exactly zero
+        [[0.0, 1.0, 0.0], [0.0, 2.0, 3.0], [0.0, 0.0, 1.0]],  # a zero column
+        [[2.0, 1.0, 0.0], [4.0, 2.0, 1.0], [0.0, 0.0, 3.0]],  # a row swap, then a zero pivot
+    ])
+    def test_singular_is_reported(self, dense):
+        n = len(dense)
+        M = BandMatrix(n, {k: tuple(dense[i][i + k] for i in range(max(0, -k), min(n, n - k)))
+                           for k in range(-(n - 1), n)})
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(np.array(dense), [1.0] * n)
+        assert band_lu_solve(M, n - 1, n - 1, [1.0] * n) is None
+        assert band_lu_solve(M, M.lower, M.upper, [1.0] * n) is None
 
 
 class TestGuardSize:
