@@ -27,12 +27,12 @@ from .numerics import TolerancePolicy
 from .opmatrix import (
     BandMatrix,
     ResidualReport,
+    _pair_scale,
     band_add,
     band_identity,
     band_mul,
     band_scale,
     band_sub,
-    inf_norm,
     residual_report,
 )
 from .representation import StructuredParams
@@ -59,12 +59,6 @@ def big_qjacobi_constants(p: StructuredParams) -> BigQJacobiConstants:
     )
 
 
-def _pair_scale(X: BandMatrix, Y: BandMatrix, pol: TolerancePolicy) -> float:
-    if pol.scale_mode == "unit":
-        return 1.0
-    return max(1.0, inf_norm(X) * inf_norm(Y))
-
-
 def _q_bracket(X: BandMatrix, Y: BandMatrix, q) -> BandMatrix:
     return band_sub(band_mul(X, Y), band_scale(q, band_mul(Y, X)))
 
@@ -87,19 +81,19 @@ def big_qjacobi_algebra_residuals(
     rows = (0, size - 2)
 
     R1 = band_sub(_q_bracket(A, B, p.q), I)
-    rep1 = residual_report(R1, pol, rows, _pair_scale(A, B, pol))
+    rep1 = residual_report(R1, pol, rows, _pair_scale(A, B))
 
     R2 = band_sub(
         _q_bracket(B, Z, p.q),
         band_add(band_scale(k.gamma1, A), band_scale(k.delta1, I)),
     )
-    rep2 = residual_report(R2, pol, rows, _pair_scale(B, Z, pol))
+    rep2 = residual_report(R2, pol, rows, _pair_scale(B, Z))
 
     R3 = band_sub(
         _q_bracket(Z, A, p.q),
         band_add(band_scale(k.gamma2, B), band_scale(k.delta2, I)),
     )
-    rep3 = residual_report(R3, pol, rows, _pair_scale(Z, A, pol))
+    rep3 = residual_report(R3, pol, rows, _pair_scale(Z, A))
     return rep1, rep2, rep3
 
 
@@ -198,13 +192,13 @@ def aw_algebra_residuals(
     R1 = band_sub(
         _q_bracket(Z, M, q), band_add(band_scale(k.sigma1, L), band_scale(k.omega1, I))
     )
-    rep1 = residual_report(R1, pol, rows1, _pair_scale(Z, M, pol))
+    rep1 = residual_report(R1, pol, rows1, _pair_scale(Z, M))
 
     rows2 = (0, size - 3)
     rhs2 = band_add(band_scale(k.sigma2, Z), band_scale(k.omega2, I))
     Rml = band_sub(_q_bracket(M, L, q), rhs2)
     Rlm = band_sub(_q_bracket(L, M, q), rhs2)
-    scale2 = _pair_scale(M, L, pol)
+    scale2 = _pair_scale(M, L)
     rep_ml = residual_report(Rml, pol, rows2, scale2)
     rep_lm = residual_report(Rlm, pol, rows2, scale2)
     if rep_ml.passed and not rep_lm.passed:

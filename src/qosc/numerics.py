@@ -26,13 +26,10 @@ class TolerancePolicy:
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-9
-    scale_mode: str = "operator-norm-product"
 
     def __post_init__(self) -> None:
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise InvalidParameterError("tolerances must be positive")
-        if self.scale_mode not in ("operator-norm-product", "unit"):
-            raise InvalidParameterError(f"unknown scale_mode {self.scale_mode!r}")
 
     def effective(self, scale: float = 1.0) -> float:
         return max(self.abs_tol, self.rel_tol * max(1.0, float(scale)))

@@ -3,9 +3,10 @@
 The band kernel is deliberately pure Python and duck-typed: entries may be
 floats, fractions.Fraction, or any ring element supporting +, -, *.  Exact
 inputs therefore produce exact residuals through the very same code paths the
-float build uses.  The package has no numpy: the eigenvector certification
-inside ``decompose`` (see representation.py) runs on the float banded LU
-below, and numpy enters only in tests.
+float build uses.  The package has no numpy: the eigenvectors behind
+``decompose`` (see representation.py) are read off the adjugate of a
+tridiagonal matrix by its minor recurrences (``_adjugate_vectors`` below), and
+numpy enters only in tests.
 
 Truncation bookkeeping: all infinite-matrix identities checked here hold on a
 size x size truncation except for rows coupled to the cut, so residual checks
@@ -212,6 +213,11 @@ def inf_norm(M: BandMatrix) -> float:
     return max(sums)
 
 
+def _pair_scale(X: BandMatrix, Y: BandMatrix) -> float:
+    """max(1, ||X||_inf ||Y||_inf): the scale of a residual built from X@Y and Y@X."""
+    return max(1.0, inf_norm(X) * inf_norm(Y))
+
+
 def max_entry_diff(A: BandMatrix, B: BandMatrix):
     """(max |A_ij - B_ij|, location); scans the union of the stored bands."""
     return _worst(band_sub(A, B))
@@ -260,11 +266,7 @@ def q_commutator_residual(
     R = band_sub(band_sub(band_mul(A, B), band_scale(q, band_mul(B, A))), rhs)
     if rows is None:
         rows = (0, size - 2)
-    if pol.scale_mode == "operator-norm-product":
-        scale = max(1.0, inf_norm(A) * inf_norm(B))
-    else:
-        scale = 1.0
-    return residual_report(R, pol, rows, scale)
+    return residual_report(R, pol, rows, _pair_scale(A, B))
 
 
 def diag_similarity(M: BandMatrix, d) -> BandMatrix:
@@ -278,85 +280,6 @@ def diag_similarity(M: BandMatrix, d) -> BandMatrix:
     for i, j, v in _entries(M):
         out.setdefault(j - i, []).append(v * d[j] / d[i])
     return BandMatrix(M.size, out)
-
-
-# -- banded LU ----------------------------------------------------------------
-#
-# Gaussian elimination with partial pivoting on float rows, in the order of
-# LAPACK's gbtrf/gbtrs.  Row i holds M[i][j] at slot lo + j - i for
-# i - lo <= j <= i + lo + up: 2*lo + up + 1 slots, the last lo of them for the
-# fill that row swaps bring in.  A dense matrix is the case lo = up = size-1.
-
-
-def _band_rows(size: int, lo: int, up: int, entries) -> list:
-    """Float rows in ``_band_lu``'s layout holding the (i, j, value) entries."""
-    rows = [[0.0] * (2 * lo + up + 1) for _ in range(size)]
-    for i, j, v in entries:
-        rows[i][lo + j - i] = float(v)
-    return rows
-
-
-def _band_lu(rows: list, lo: int, up: int):
-    """Factor band rows in place: (pivots, lower, diag, upper), or None on a zero pivot.
-
-    Row k is swapped with row pivots[k] over columns k..k+lo+up only, so the
-    multipliers of column k stay where elimination left them (rows[i][lo+k-i])
-    and a solve applies the swaps as it goes.  For the solve, lower[k] lists
-    the (i, multiplier) pairs of column k and upper[k] the (j, U[k][j]) pairs
-    right of the diagonal diag[k] of U.  Only an exactly zero pivot counts as
-    singular, as in LAPACK.
-    """
-    n = len(rows)
-    piv, lower, diag, upper = [], [], [], []
-    ju = 0  # the last column that fill can have reached
-    for k, rk in enumerate(rows):
-        below = rows[k + 1:k + 1 + lo]
-        p, best = k, abs(rk[lo])
-        for d, ri in enumerate(below, 1):
-            a = abs(ri[lo - d])
-            if a > best:
-                p, best = k + d, a
-        if best == 0.0:
-            return None
-        piv.append(p)
-        if p + up > ju:
-            ju = p + up if p + up < n else n - 1
-        t = ju - k  # columns k+1..ju take part
-        if p != k:
-            rp, s = rows[p], lo + k - p
-            rk[lo:lo + t + 1], rp[s:s + t + 1] = rp[s:s + t + 1], rk[lo:lo + t + 1]
-        d = rk[lo]
-        diag.append(d)
-        r = 1.0 / d
-        tail = rk[lo + 1:lo + 1 + t]
-        upper.append(list(zip(range(k + 1, ju + 1), tail)))
-        col = []
-        for i, ri in enumerate(below, k + 1):  # plain loops: cheaper than comprehensions here
-            s = lo + k - i  # the slot of column k in row i
-            f = ri[s] = ri[s] * r
-            col.append((i, f))
-            for c, u in enumerate(tail, s + 1):
-                ri[c] -= f * u
-        lower.append(col)
-    return piv, lower, diag, upper
-
-
-def _band_solve(lu, b) -> list:
-    """x with M x = b, from the factors ``_band_lu`` returned for M."""
-    piv, lower, diag, upper = lu
-    y = list(b)
-    for k, (p, col) in enumerate(zip(piv, lower)):
-        if p != k:
-            y[k], y[p] = y[p], y[k]
-        yk = y[k]
-        for i, f in col:
-            y[i] -= f * yk
-    for k in range(len(y) - 1, -1, -1):
-        s = y[k]
-        for j, u in upper[k]:
-            s -= u * y[j]
-        y[k] = s / diag[k]
-    return y
 
 
 def _tridiagonal_bu(M: BandMatrix):
@@ -849,3 +772,84 @@ def eigenvalues(M: BandMatrix) -> list:
     if all(v > 0.0 for v in w):
         return _sturm_path(b, w, lo, hi)
     return _aberth_path(M, b, w, lo, hi)
+
+
+# -- eigenvectors ---------------------------------------------------------------
+
+
+def _scaled_minors(d, w0) -> list:
+    """Leading principal minors 1, det T[:1, :1], ..., det T as frexp pairs.
+
+    T is tridiagonal with diagonal d and w0[k] = T[k, k-1] * T[k-1, k]
+    (w0[0] = 0).  The running pair is rescaled by powers of two, as in
+    ``_cp_float``, and each minor is stored as (mantissa, binary exponent), so
+    no minor overflows or underflows.
+    """
+    out = [(0.5, 1)]
+    p0, p1, e = 0.0, 1.0, 0
+    for dk, wk in zip(d, w0):
+        p0, p1 = p1, dk * p1 - wk * p0
+        m, x = math.frexp(p1)
+        out.append((m, x + e))
+        if not _SMALL < abs(p1) < _BIG:  # |p0| <= _BIG already: only p1 can call for a rescale
+            big = max(abs(p0), abs(p1))
+            if big > _BIG:
+                p0 *= _DOWN; p1 *= _DOWN; e += 400
+            elif 0.0 < big < _SMALL:
+                p0 *= _UP; p1 *= _UP; e -= 400
+    return out
+
+
+def _adjugate_vectors(M: BandMatrix, lam: float):
+    """(v, y): column and row j of adj(M - lam I) for tridiagonal M, in floats.
+
+    With T = M - lam I, r its superdiagonal, l its subdiagonal, theta_k its
+    leading and phi_k its trailing principal minors (theta_{-1} = phi_n = 1):
+
+        adj(T)[i, j] = (-1)^(i+j) r_i...r_{j-1} theta_{i-1} phi_{j+1}   (i <= j)
+        adj(T)[i, j] = (-1)^(i+j) l_j...l_{i-1} theta_{j-1} phi_{i+1}   (i >= j)
+
+    When lam is a simple eigenvalue, T adj(T) = adj(T) T = det(T) I = 0, so
+    column j is a right and row j a left eigenvector.  j is the twist index
+    that maximises |adj(T)[j, j]| = |theta_{j-1} phi_{j+1}|, the column least
+    spoilt by the rounding of lam (Fernando, SIAM J. Matrix Anal. Appl. 18,
+    1997).  Each vector is scaled by a power of two so that its largest entry
+    lies in [1/4, 1); it can only be zero when lam is not simple.  O(size);
+    no linear solve.
+    """
+    n = M.size
+    zeros = (0.0,) * n
+    d = [float(x) - lam for x in M.bands.get(0, zeros)]
+    r = [float(x) for x in M.bands.get(1, zeros[1:])]
+    l = [float(x) for x in M.bands.get(-1, zeros[1:])]
+    w0 = [0.0] + [a * b for a, b in zip(l, r)]
+    theta = _scaled_minors(d, w0)  # theta[k] = theta_{k-1}
+    phi = _scaled_minors(d[::-1], [0.0] + w0[:0:-1])[::-1]  # phi[k] = phi_k
+    twist = [(tm * pm, te + pe) for (tm, te), (pm, pe) in zip(theta, phi[1:])]
+    mags = _unit_scaled(twist)
+    j = mags.index(max(mags, key=abs))
+
+    def column(up, down) -> list:
+        out = [twist[j]] * n
+        m, e = phi[j + 1]
+        for i in range(j - 1, -1, -1):
+            m, x = math.frexp(-up[i] * m)
+            e += x
+            tm, te = theta[i]
+            out[i] = (m * tm, e + te)
+        m, e = theta[j]
+        for i in range(j + 1, n):
+            m, x = math.frexp(-down[i - 1] * m)
+            e += x
+            pm, pe = phi[i + 1]
+            out[i] = (m * pm, e + pe)
+        return _unit_scaled(out)
+
+    return column(r, l), column(l, r)
+
+
+def _unit_scaled(pairs) -> list:
+    """The values m * 2**e of (m, e) pairs, all scaled by the one power of two
+    that puts the largest in [1/4, 1) when every nonzero m lies in [1/4, 1)."""
+    top = max((e for m, e in pairs if m), default=0)
+    return [math.ldexp(m, e - top) for m, e in pairs]

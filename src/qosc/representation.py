@@ -28,10 +28,7 @@ from .numerics import TolerancePolicy
 from .opmatrix import (
     BandMatrix,
     ResidualReport,
-    _band_lu,
-    _band_rows,
-    _band_solve,
-    _entries,
+    _adjugate_vectors,
     _worst,
     band_sub,
     band_tridiagonal,
@@ -243,6 +240,15 @@ def xi_residuals(A: BandMatrix, B: BandMatrix, q) -> XiResiduals:
     return XiResiduals(xi1, xi2, tuple(xi3), xi4, xi5)
 
 
+def _require_q_oscillator(A: BandMatrix, B: BandMatrix, q, pol: TolerancePolicy) -> None:
+    """Raise NotAQOscillatorError unless A@B - q*B@A = I within tolerance."""
+    comm = q_commutator_residual(A, B, q, None, pol)
+    if not comm.passed:
+        raise NotAQOscillatorError(
+            f"q-commutator residual {comm.max_abs:.3e} exceeds {comm.tolerance:.3e}"
+        )
+
+
 def classify(A: BandMatrix, B: BandMatrix, q, pol: TolerancePolicy = TolerancePolicy()):
     """Recover GeneralParams from a raw pair and report the refit residual.
 
@@ -252,11 +258,7 @@ def classify(A: BandMatrix, B: BandMatrix, q, pol: TolerancePolicy = TolerancePo
     every stored band entry.  The report's max_abs is the worst deviation
     normalized by max(1, |reference entry|).
     """
-    comm = q_commutator_residual(A, B, q, None, pol)
-    if not comm.passed:
-        raise NotAQOscillatorError(
-            f"q-commutator residual {comm.max_abs:.3e} exceeds {comm.tolerance:.3e}"
-        )
+    _require_q_oscillator(A, B, q, pol)
     b, u, xi, eta, zeta = _read_tridiagonal_pair(A, B)
     size = A.size
     if xi[1] == 0 or zeta[1] == 0:
@@ -350,62 +352,42 @@ def decompose(A: BandMatrix, B: BandMatrix, q, pol: TolerancePolicy = ToleranceP
     Computes the spectrum of A, groups it into maximal geometric chains with
     ratio 1/q, certifies via eigenvectors of A that B is block preserving,
     and returns [(ascending block spectrum, block size)] ordered by smallest
-    eigenvalue.  The certificate is pure Python: each eigenvector comes from
-    three steps of inverse iteration with a banded LU of A - lambda I (O(size)
-    per solve), and Bt = V^-1 (B V) from a dense LU of the eigenvector matrix
-    V; the off-block mass of Bt is judged at the scale of Bt.  Raises
-    NotDecomposableError when V is singular or the off-block mass exceeds
+    eigenvalue.  The certificate is pure Python and needs no linear solve:
+    for each eigenvalue lambda, a column v and a row y of the adjugate of the
+    tridiagonal A - lambda I are its right and left eigenvectors, read off the
+    three-term minor recurrences in O(size).  With every v at unit 2-norm,
+    Bt = V^-1 B V has entries (y_s . B v_t) / (y_s . v_s); its off-block mass
+    is judged at the scale of Bt.  Raises NotDecomposableError when some
+    y_s . v_s vanishes (V is singular) or the off-block mass exceeds
     tolerance.
     """
-    comm = q_commutator_residual(A, B, q, None, pol)
-    if not comm.passed:
-        raise NotAQOscillatorError(
-            f"q-commutator residual {comm.max_abs:.3e} exceeds {comm.tolerance:.3e}"
-        )
+    _require_q_oscillator(A, B, q, pol)
     ev = eigenvalues(A)
     chains = _geometric_chains(ev, q)
     chains.sort(key=lambda c: min(c))
 
-    size, lo, up = A.size, A.lower, A.upper
-    base = _band_rows(size, lo, up, _entries(A))
-    scale = max(1.0, _worst(A)[0])
-    V = []  # the eigenvector columns, chain by chain
-    for lam in (lam for chain in chains for lam in chain):
-        v = [1.0 / math.sqrt(size)] * size
-        for shift in (0.0, 1e-15 * scale, 1e-13 * scale, 1e-11 * scale):
-            rows = [r[:] for r in base]
-            for r in rows:
-                r[lo] -= lam + shift
-            lu = _band_lu(rows, lo, up)
-            if lu is None:  # an exactly singular shift: try the next one
-                continue
-            for _ in range(3):
-                w = _band_solve(lu, v)
-                norm = math.hypot(*w)
-                v = [x / norm for x in w]
-            break
-        V.append(v)
-
-    lu = _band_lu(_band_rows(size, size - 1, size - 1,
-                             ((i, j, x) for j, v in enumerate(V) for i, x in enumerate(v))),
-                  size - 1, size - 1)
-    if lu is None:
-        raise NotDecomposableError("eigenvector matrix is singular")
+    size = A.size
     bands = [(max(0, -k), k, [float(b) for b in band]) for k, band in B.bands.items()]
-    Bt = []  # the columns of V^-1 (B V)
-    for v in V:
+    Y, BV = [], []  # the rows of V^-1 and the columns of B V
+    for lam in (lam for chain in chains for lam in chain):
+        v, y = _adjugate_vectors(A, lam)
+        yv = sum(map(operator.mul, y, v))
+        if yv == 0.0:
+            raise NotDecomposableError("eigenvector matrix is singular")
+        norm = math.hypot(*v)
+        Y.append([x * norm / yv for x in y])
         bv = [0.0] * size
         for i0, k, band in bands:
             i1 = i0 + len(band)
             bv[i0:i1] = map(operator.add, bv[i0:i1], map(operator.mul, band, v[i0 + k:i1 + k]))
-        Bt.append(_band_solve(lu, bv))
+        BV.append([x / norm for x in bv])
 
     off = peak = 0.0
     end = 0
     for chain in chains:  # the columns start..end-1 form one block
         start, end = end, end + len(chain)
-        for col in Bt[start:end]:
-            mags = [abs(x) for x in col]
+        for bv in BV[start:end]:
+            mags = [abs(sum(map(operator.mul, y, bv))) for y in Y]
             peak = max(peak, max(mags))
             off = max(off, max(mags[:start], default=0.0), max(mags[end:], default=0.0))
     bscale = max(1.0, peak)

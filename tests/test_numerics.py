@@ -41,10 +41,6 @@ class TestTolerancePolicy:
         with pytest.raises(InvalidParameterError):
             TolerancePolicy(rel_tol=-1e-9)
 
-    def test_rejects_unknown_scale_mode(self):
-        with pytest.raises(InvalidParameterError):
-            TolerancePolicy(scale_mode="maximal")
-
 
 class TestGeometricSeq:
     def test_doubling(self):

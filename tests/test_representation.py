@@ -13,6 +13,7 @@ from qosc import (
     InvalidNormalizationError,
     InvalidParameterError,
     NotAQOscillatorError,
+    NotDecomposableError,
     ReducibleRepresentationError,
     ResonanceError,
     SizeGuardError,
@@ -282,3 +283,53 @@ class TestDecompose:
         A, _ = canonical_pair(1.0, 0.5, 4)
         with pytest.raises(NotAQOscillatorError):
             decompose(A, A, 0.5)
+
+    @pytest.mark.parametrize("a, q, size", [(1.0, 0.5, 6), (2.0, 0.7, 10), (-0.5, 0.3, 8), (1.5, 0.9, 12)])
+    def test_canonical_pair_and_its_transpose_are_one_block(self, a, q, size):
+        # canonical_pair has diagonal A; its transpose pair (B^T, A^T) also satisfies
+        # AB - qBA = I and has lower-bidiagonal A with the spectrum a' q^n
+        A, B = canonical_pair(a, q, size)
+        [(spectrum, n)] = decompose(A, B, q)
+        assert n == size and spectrum == pytest.approx(sorted(A.bands[0]), rel=1e-14)
+        At, Bt = (BandMatrix(size, {-k: band for k, band in M.bands.items()}) for M in (A, B))
+        [(spectrum, n)] = decompose(Bt, At, q)
+        assert n == size and spectrum == pytest.approx(sorted(B.bands[0]), rel=1e-14)
+
+    def test_verdicts_match_a_numpy_similarity(self):
+        # decompose against inv(V) B V with V from numpy.linalg.eig, on the chains
+        # decompose itself uses; compared only where the oracle's off-block mass is
+        # not within a factor of 4 of its tolerance
+        import numpy as np
+
+        from qosc import companion_b, companion_params, q_para_krawtchouk
+        from qosc.representation import _geometric_chains
+
+        pol = TolerancePolicy(rel_tol=1e-8)
+        seen = {True: 0, False: 0}
+        for q in (0.5, 0.6, 0.7, 0.9):
+            for N in range(3, 16, 2):
+                for rec in (q_hahn(0.3, 0.4, q, N), q_para_krawtchouk(0.2, q, N)):
+                    A = jacobi_matrix(rec)
+                    B = companion_b(A, companion_params(rec))
+                    lam, V = np.linalg.eig(np.array(A.to_dense(), dtype=float))
+                    if lam.imag.any():
+                        continue
+                    chains = sorted(_geometric_chains(list(lam.real), q), key=min)
+                    V = V[:, [int(np.argmin(abs(lam.real - x))) for c in chains for x in c]].real
+                    Bt = np.linalg.inv(V) @ np.array(B.to_dense(), dtype=float) @ V
+                    off, end = 0.0, 0
+                    for c in chains:
+                        start, end = end, end + len(c)
+                        cols = Bt[:, start:end]
+                        off = max(off, abs(cols[:start]).max(initial=0.0), abs(cols[end:]).max(initial=0.0))
+                    ratio = off / pol.effective(max(1.0, abs(Bt).max()))
+                    if 0.25 <= ratio <= 4.0:
+                        continue
+                    want = [len(c) for c in chains] if ratio < 1.0 else None
+                    try:
+                        got = [n for _, n in decompose(A, B, q, pol)]
+                    except NotDecomposableError:
+                        got = None
+                    assert got == want, (rec.family, q, N)
+                    seen[want is None] += 1
+        assert seen[True] >= 5 and seen[False] >= 30
