@@ -113,6 +113,61 @@ class TestBandMul:
         assert M2.entry(0, 2) == 1.0 and M2.entry(2, 0) == 1.0
 
 
+# Every matrix of size <= 2 is tridiagonal, whatever bandwidths it is drawn with.
+TRIDIAGONAL_SYSTEMS = [(zero_lead, lo, up, n) for zero_lead in (False, True) for lo in (0, 1, 2)
+                       for up in (0, 1, 2) for n in (1, 2, 7, 21) if max(lo, up) <= 1 or n <= 2]
+
+
+class TestBandLU:
+    """Linear systems of the tridiagonal kernel, solved through the adjugate.
+
+    adj(M) = det(M) M^-1, so the column v and the row y that _adjugate_vectors
+    reads off adj(M - 0 I) solve M v = c e_j and y M = c e_j^T for the twist
+    index j; when M is singular (c = 0) they are null vectors instead, and zero
+    when 0 is not a simple eigenvalue.
+    """
+
+    @pytest.mark.parametrize("zero_lead, lo, up, n", TRIDIAGONAL_SYSTEMS)
+    def test_solve_matches_numpy(self, n, lo, up, zero_lead):
+        rng = np.random.default_rng(1000 * n + 100 * lo + 10 * up + zero_lead)
+        bands = {k: list(rng.uniform(-1.0, 1.0, n - abs(k))) for k in range(-lo, up + 1) if abs(k) < n}
+        if zero_lead:
+            bands[0][0] = 0.0
+            if n > 1:
+                bands[0][1] = 0.0
+        M = BandMatrix(n, bands)
+        D = np.array(M.to_dense(), dtype=float)
+        v, y = (np.array(x) for x in _adjugate_vectors(M, 0.0))
+        if zero_lead and (lo == 0 or up == 0 or n == 1):  # triangular with a zero diagonal
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.solve(D, [1.0] * n)
+            assert np.linalg.norm(D @ v) <= 1e-14 * np.linalg.norm(D) * np.linalg.norm(v)
+            assert np.linalg.norm(y @ D) <= 1e-14 * np.linalg.norm(D) * np.linalg.norm(y)
+            return
+        # Otherwise the leading minors vanish at the first column, or the second.
+        j = int(np.argmax(abs(D @ v)))
+        bound = 1e-13 * np.linalg.cond(D)
+        e_j = np.eye(n)[j]
+        assert same_direction(v, np.linalg.solve(D, e_j), bound)
+        assert same_direction(y, np.linalg.solve(D.T, e_j), bound)
+
+    @pytest.mark.parametrize("dense", [
+        [[1.0, 2.0], [2.0, 4.0]],  # rank one
+        [[0.0, 1.0, 0.0], [0.0, 2.0, 3.0], [0.0, 0.0, 1.0]],  # a zero column
+        [[2.0, 1.0, 0.0], [4.0, 2.0, 1.0], [0.0, 0.0, 3.0]],  # a zero determinant, no zero entry on the band
+    ])
+    def test_singular_is_reported(self, dense):
+        n = len(dense)
+        M = BandMatrix(n, {k: tuple(dense[i][i + k] for i in range(max(0, -k), min(n, n - k)))
+                           for k in range(-(n - 1), n)})
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(np.array(dense), [1.0] * n)
+        v, y = _adjugate_vectors(M, 0.0)
+        assert max(map(abs, v)) >= 0.25 and max(map(abs, y)) >= 0.25  # rank n - 1: adj(M) != 0
+        assert np.allclose(np.array(dense) @ v, 0.0, atol=1e-15)
+        assert np.allclose(np.array(y) @ np.array(dense), 0.0, atol=1e-15)
+
+
 class TestGuardSize:
     def test_small_ok(self):
         guardless = BandMatrix(4, {0: (1.0,) * 4})  # construction itself unguarded
