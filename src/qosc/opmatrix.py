@@ -19,7 +19,7 @@ the Ehrlich-Aberth iteration approximates every root of the characteristic
 polynomial: a Newton inclusion disc that misses the real axis, evaluated with
 a rounding bound or exactly, certifies a non-real eigenvalue
 (UnsupportedSpectrumError); else the roots are bracketed by sign changes.
-Both paths finish with a bracketed Newton iteration and a double-double polish.
+Both paths finish with bracketed Laguerre steps and a double-double polish.
 """
 
 from __future__ import annotations
@@ -308,9 +308,9 @@ def char_poly_eval(M: BandMatrix, x):
 # -- eigenvalue machinery -----------------------------------------------------
 #
 # The sign of w_n = sub_n * super_n picks the path (see eigenvalues()).  Both
-# paths end in the same bracketed float Newton iteration and double-double
-# polish; the polynomial recurrences rescale value and derivative jointly by
-# powers of two to dodge overflow/underflow.
+# paths end in the same bracketed float Laguerre iteration and double-double
+# Newton polish; the polynomial recurrences rescale value and derivatives
+# jointly by powers of two to dodge overflow/underflow.
 
 _EPS = 2.0**-53
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker splitting constant
@@ -327,38 +327,40 @@ _DOWN, _UP = 2.0**-400, 2.0**400
 _ERR_UNITS = 16.0
 _FLOAT_STEPS = 100
 _ABERTH_SWEEPS = 200
-_FLOAT_TOL = 4.0 * _EPS
+_HANDOFF = 1e-6
 
 
 def _cp_float(b, w, x: float):
-    """(p(x), p'(x)) up to a common positive rescale factor."""
+    """(p(x), p'(x), p''(x)) up to a common positive rescale factor."""
     p0, p1 = 1.0, x - b[0]
     d0, d1 = 0.0, 1.0
+    s0 = s1 = 0.0
     for bk, wk in zip(b[1:], w):
         t = x - bk
-        p0, p1, d0, d1 = p1, t * p1 - wk * p0, d1, p1 + t * d1 - wk * d0
-        m = p1 * p1 + d1 * d1
+        p0, p1, d0, d1, s0, s1 = (
+            p1, t * p1 - wk * p0, d1, p1 + t * d1 - wk * d0, s1, 2.0 * d1 + t * s1 - wk * s0
+        )
+        m = p1 * p1 + d1 * d1 + s1 * s1
         if m > _BIG2:
-            p0 *= _DOWN; p1 *= _DOWN; d0 *= _DOWN; d1 *= _DOWN
+            p0 *= _DOWN; p1 *= _DOWN; d0 *= _DOWN; d1 *= _DOWN; s0 *= _DOWN; s1 *= _DOWN
         elif 0.0 < m < _SMALL2:
-            p0 *= _UP; p1 *= _UP; d0 *= _UP; d1 *= _UP
-    return p1, d1
+            p0 *= _UP; p1 *= _UP; d0 *= _UP; d1 *= _UP; s0 *= _UP; s1 *= _UP
+    return p1, d1, s1
 
 
-def _cp_dd(b, w, x: float):
+def _cp_dd(b, ws, x: float):
     """Compensated (double-double) p(x) plus float p'(x), jointly rescaled.
 
     Each step forms (x - b_k) * P_{k-1} - w_{k-1} * P_{k-2} with the shift
     x - b_k kept exactly as a double-double, Dekker products and Knuth sums
-    written out inline.
+    written out inline.  ``ws`` holds -w_k with its Dekker split (_split_neg).
     """
     p0h, p0l = 1.0, 0.0
     p1h = x - b[0]
     bb = p1h - x
     p1l = (x - (p1h - bb)) + (-b[0] - bb)
     d0, d1 = 0.0, 1.0
-    for bk, wk in zip(b[1:], w):
-        nw = -wk
+    for bk, (nw, whi, wlo) in zip(b[1:], ws):
         # t = x - b_k = th + tl exactly
         th = x - bk
         bb = th - x
@@ -381,9 +383,6 @@ def _cp_dd(b, w, x: float):
         aa = _SPLIT * p0h
         ahi = aa - (aa - p0h)
         alo = p0h - ahi
-        tt = _SPLIT * nw
-        whi = tt - (tt - nw)
-        wlo = nw - whi
         pl = ((ahi * whi - ph) + ahi * wlo + alo * whi) + alo * wlo
         pl += p0l * nw
         bh = ph + pl
@@ -407,13 +406,20 @@ def _cp_dd(b, w, x: float):
     return p1h, p1l, d1
 
 
-def _newton_dd(b, w, x0: float) -> float:
+def _split_neg(v: float) -> tuple:
+    """(-v, hi, lo): -v and its Dekker split -v = hi + lo, as _cp_dd takes w."""
+    t = _SPLIT * -v
+    hi = t - (t - -v)
+    return -v, hi, -v - hi
+
+
+def _newton_dd(b, ws, x0: float) -> float:
     """Newton on the double-double p until the step falls to 1/4 ulp, or stops
     shrinking (rounding then dominates p)."""
     x = x0
     last = math.inf
     for _ in range(80):
-        ph, pl, d1 = _cp_dd(b, w, x)
+        ph, pl, d1 = _cp_dd(b, ws, x)
         if d1 == 0.0:
             break
         xn = x - (ph + pl) / d1
@@ -438,36 +444,48 @@ def _mid(a: float, c: float) -> float:
     return 0.5 * (a + c)
 
 
-def _polish(b, w, a: float, c: float, sa: int, x: float) -> float:
+def _polish(b, w, ws, a: float, c: float, sa: int, x: float) -> float:
     """The root of p in the bracket [a, c], where p has sign ``sa`` at a.
 
-    Newton from x, safeguarded as in rtsafe: a step that would leave the
-    bracket (which shrinks by the sign of p at every iterate), or that does
-    not halve the step before last, is replaced by a bisection.  Then the
-    double-double polish; a polish that leaves the bracket is discarded.
+    Laguerre steps from x (p is real-rooted on both paths that call this, so
+    they converge cubically), safeguarded as in rtsafe: a step that would
+    leave the bracket (which shrinks by the sign of p at every iterate), or
+    that does not halve the step before last, is replaced by a bisection.
+    Once a step falls to _HANDOFF * |x|, x is within about an ulp and the
+    double-double polish takes over; a polish that leaves the bracket is
+    discarded.  That polish, not the route to it, fixes the last bit.
     """
     lo, hi = a, c
+    n = len(b)
     step = older = c - a
     for _ in range(_FLOAT_STEPS):
-        p, d = _cp_float(b, w, x)
+        p, d, s = _cp_float(b, w, x)
         if p == 0.0:
             break
         if (p > 0.0) == (sa > 0):
             a = x
         else:
             c = x
-        older, step = step, (p / d if d != 0.0 else math.inf)
-        if abs(step) <= _FLOAT_TOL * abs(x):
-            x -= step
-            break
+        older, step = step, math.inf
+        if d != 0.0:
+            # n / (G + sgn(G) sqrt((n-1)(nH - G^2))), G = p'/p, H = G^2 - p''/p,
+            # multiplied through by h = p/p' so that nothing overflows
+            h = p / d
+            step = n * h / (1.0 + math.sqrt(max(0.0, (n - 1) * (n - 1 - n * h * s / d))))
         xn = x - step
-        if not (a <= xn <= c and abs(step) <= 0.5 * abs(older)):
-            xn = _mid(a, c)
-            if not a < xn < c:
+        if a <= xn <= c and abs(step) <= 0.5 * abs(older):
+            if abs(step) <= _HANDOFF * abs(xn):
+                x = xn
                 break
-            step = x - xn
+            if a < xn < c:  # an end can be another root (a Sturm split point)
+                x = xn
+                continue
+        xn = _mid(a, c)
+        if not a < xn < c:
+            break
+        step = x - xn
         x = xn
-    y = _newton_dd(b, w, x)
+    y = _newton_dd(b, ws, x)
     return y if lo <= y <= hi else x
 
 
@@ -488,7 +506,7 @@ def _sturm_count(b, w0, x: float, pivmin: float) -> int:
     return count
 
 
-def _sturm_path(b, w, lo: float, hi: float) -> list:
+def _sturm_path(b, w, ws, lo: float, hi: float) -> list:
     """Every w_n > 0: bisection on Sturm counts isolates each eigenvalue."""
     n = len(b)
     w0 = [0.0] + w
@@ -498,7 +516,7 @@ def _sturm_path(b, w, lo: float, hi: float) -> list:
     while stack:
         a, na, c, nc = stack.pop()
         if nc - na == 1:
-            roots.append(_polish(b, w, a, c, (-1) ** (n - na), _mid(a, c)))
+            roots.append(_polish(b, w, ws, a, c, (-1) ** (n - na), _mid(a, c)))
             continue
         m = _mid(a, c)
         if not a < m < c:
@@ -699,7 +717,7 @@ def _refuse_if_certified(exact: _ExactCharPoly, z: complex) -> None:
         )
 
 
-def _aberth_path(M: BandMatrix, b, w, lo: float, hi: float) -> list:
+def _aberth_path(M: BandMatrix, b, w, ws, lo: float, hi: float) -> list:
     """Some w_n <= 0: certify a non-real root, or bracket n real ones."""
     n = len(b)
     ab = [abs(v) for v in b]
@@ -717,7 +735,7 @@ def _aberth_path(M: BandMatrix, b, w, lo: float, hi: float) -> list:
     if any(s * t >= 0 for s, t in zip(signs, signs[1:])):
         raise NumericFailureError(f"could not bracket {n} distinct real roots by sign changes")
     return [
-        x if done else _polish(b, w, a, c, sa, x)
+        x if done else _polish(b, w, ws, a, c, sa, x)
         for x, done, a, c, sa in zip(seeds, settled, cuts, cuts[1:], signs)
     ]
 
@@ -747,7 +765,7 @@ def eigenvalues(M: BandMatrix) -> list:
       NumericFailureError is raised when n distinct roots cannot be bracketed
       (a repeated eigenvalue, say).
 
-    Each isolated root is then converged by Newton steps kept inside its
+    Each isolated root is then converged by Laguerre steps kept inside its
     bracket and finished with a double-double Newton polish, except roots the
     Aberth iteration already converged under exact evaluation.
     """
@@ -769,9 +787,10 @@ def eigenvalues(M: BandMatrix) -> list:
     pad = 1e-9 * max(1.0, abs(lo), abs(hi))
     lo -= pad
     hi += pad
+    ws = [_split_neg(v) for v in w]
     if all(v > 0.0 for v in w):
-        return _sturm_path(b, w, lo, hi)
-    return _aberth_path(M, b, w, lo, hi)
+        return _sturm_path(b, w, ws, lo, hi)
+    return _aberth_path(M, b, w, ws, lo, hi)
 
 
 # -- eigenvectors ---------------------------------------------------------------
@@ -781,9 +800,9 @@ def _scaled_minors(d, w0) -> list:
     """Leading principal minors 1, det T[:1, :1], ..., det T as frexp pairs.
 
     T is tridiagonal with diagonal d and w0[k] = T[k, k-1] * T[k-1, k]
-    (w0[0] = 0).  The running pair is rescaled by powers of two, as in
-    ``_cp_float``, and each minor is stored as (mantissa, binary exponent), so
-    no minor overflows or underflows.
+    (w0[0] = 0).  The running pair is rescaled by powers of two, as in the
+    eigenvalue recurrences, and each minor is stored as (mantissa, binary
+    exponent), so no minor overflows or underflows.
     """
     out = [(0.5, 1)]
     p0, p1, e = 0.0, 1.0, 0
