@@ -320,7 +320,8 @@ _CHAIN_RTOL = 1e-6
 
 
 def _geometric_chains(values: list, q) -> list:
-    """Partition values into maximal chains v, v/q, v/q^2, ... (|q| < 1 or > 1)."""
+    """Partition values into maximal chains v, v r, v r^2, ... from the smallest
+    |v| up, where r = 1/q for |q| < 1 and r = q for |q| > 1."""
     order = sorted(range(len(values)), key=lambda i: abs(values[i]))
     used = [False] * len(values)
     chains = []
@@ -330,7 +331,7 @@ def _geometric_chains(values: list, q) -> list:
         chain = [values[start]]
         used[start] = True
         while True:
-            target = chain[-1] / q
+            target = chain[-1] * q if abs(q) > 1 else chain[-1] / q
             best, best_err = None, None
             for j in order:
                 if used[j]:
@@ -350,16 +351,16 @@ def decompose(A: BandMatrix, B: BandMatrix, q, pol: TolerancePolicy = ToleranceP
     """Split a q-oscillator pair into irreducible blocks.
 
     Computes the spectrum of A, groups it into maximal geometric chains with
-    ratio 1/q, certifies via eigenvectors of A that B is block preserving,
-    and returns [(ascending block spectrum, block size)] ordered by smallest
-    eigenvalue.  The certificate is pure Python and needs no linear solve:
-    for each eigenvalue lambda, a column v and a row y of the adjugate of the
-    tridiagonal A - lambda I are its right and left eigenvectors, read off the
-    three-term minor recurrences in O(size).  With every v at unit 2-norm,
-    Bt = V^-1 B V has entries (y_s . B v_t) / (y_s . v_s); its off-block mass
-    is judged at the scale of Bt.  Raises NotDecomposableError when some
-    y_s . v_s vanishes (V is singular) or the off-block mass exceeds
-    tolerance.
+    ratio 1/q (q when |q| > 1), certifies via eigenvectors of A that B is
+    block preserving, and returns [(ascending block spectrum, block size)]
+    ordered by smallest eigenvalue.  The certificate is pure Python and needs
+    no linear solve: for each eigenvalue lambda, a column v and a row y of the
+    adjugate of the tridiagonal A - lambda I are its right and left
+    eigenvectors, read off the three-term minor recurrences in O(size).  With
+    every v at unit 2-norm, Bt = V^-1 B V has entries (y_s . B v_t) /
+    (y_s . v_s); its off-block mass is judged at the scale of Bt.  Raises
+    NotDecomposableError when some y_s . v_s vanishes (V is singular) or the
+    off-block mass exceeds tolerance.
     """
     _require_q_oscillator(A, B, q, pol)
     ev = eigenvalues(A)

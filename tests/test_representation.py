@@ -284,7 +284,9 @@ class TestDecompose:
         with pytest.raises(NotAQOscillatorError):
             decompose(A, A, 0.5)
 
-    @pytest.mark.parametrize("a, q, size", [(1.0, 0.5, 6), (2.0, 0.7, 10), (-0.5, 0.3, 8), (1.5, 0.9, 12)])
+    @pytest.mark.parametrize(
+        "a, q, size", [(1.0, 0.5, 6), (2.0, 0.7, 10), (-0.5, 0.3, 8), (1.5, 0.9, 12), (1.0, 2.0, 6)]
+    )
     def test_canonical_pair_and_its_transpose_are_one_block(self, a, q, size):
         # canonical_pair has diagonal A; its transpose pair (B^T, A^T) also satisfies
         # AB - qBA = I and has lower-bidiagonal A with the spectrum a' q^n
