@@ -386,8 +386,11 @@ class TestAberthPath:
 
     @pytest.mark.parametrize("q", [0.5, 0.9])
     def test_q_para_krawtchouk_n21_typed_error(self, q):
-        with pytest.raises((UnsupportedSpectrumError, NumericFailureError)):
-            eigenvalues(jacobi_matrix(q_para_krawtchouk(0.2, q, 21)))
+        J = jacobi_matrix(q_para_krawtchouk(0.2, q, 21))
+        with pytest.raises(UnsupportedSpectrumError) as err:
+            eigenvalues(J)
+        z, r = certified_disc(err.value)
+        assert newton_radius(J, z) <= 1.001 * r < abs(z.imag)
 
     def test_agrees_with_numpy_on_random_tridiagonals(self):
         rng = np.random.default_rng(11)
