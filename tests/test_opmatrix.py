@@ -345,6 +345,14 @@ class TestSturmPath:
         assert len(got) == 31
         assert all(abs(x - y) <= 1e-14 * y for x, y in zip(got, want))
 
+    def test_split_point_on_an_eigenvalue(self):
+        # Bisection splits the hull at 0, itself an eigenvalue.  A Laguerre step
+        # from 1e40 out carries an O(1e24) rounding error and can land exactly on
+        # that end of the top root's bracket, which is another root.
+        v = 1e20
+        M = band_tridiagonal((v, v), (0.0, 0.0, 0.0), (v, v))
+        assert eigenvalues(M) == pytest.approx([-math.sqrt(2.0) * v, 0.0, math.sqrt(2.0) * v], rel=1e-15)
+
     def test_close_pairs_are_resolved(self):
         # Wilkinson W21+: its top eigenvalues pair up within 1e-14.
         M = band_tridiagonal((1.0,) * 20, tuple(abs(10.0 - i) for i in range(21)), (1.0,) * 20)
