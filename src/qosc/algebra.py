@@ -20,8 +20,7 @@ passes instead of silently choosing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .errors import InvalidParameterError, TooSmallError
 from .numerics import TolerancePolicy
 from .opmatrix import (
@@ -39,7 +38,7 @@ from .representation import StructuredParams
 from .tridiagonalization import big_q_jacobi, build_Z, companion_b, jacobi_matrix
 
 
-@dataclass(frozen=True)
+@record
 class BigQJacobiConstants:
     gamma1: object
     delta1: object
@@ -97,7 +96,7 @@ def big_qjacobi_algebra_residuals(
     return rep1, rep2, rep3
 
 
-@dataclass(frozen=True)
+@record
 class AWAlgebraConstants:
     omega0: object
     sigma1: object
@@ -125,7 +124,7 @@ def aw_constants(p: StructuredParams, mu) -> AWAlgebraConstants:
     return AWAlgebraConstants(omega0, sigma1, omega1, sigma2, omega2)
 
 
-@dataclass(frozen=True)
+@record
 class AWAlgebraReport:
     """Everything aw_algebra_residuals measured.
 

@@ -15,9 +15,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields
 
 from . import __version__
+from ._record import field_names
 from .algebra import aw_algebra_residuals, big_qjacobi_algebra_residuals, big_qjacobi_constants
 from .errors import InvalidParameterError, NotDecomposableError, QoscError
 from .families import (
@@ -138,11 +138,11 @@ def _band_table(name: str, M) -> dict:
 
 
 def _field_rows(obj) -> list:
-    """One [name, value...] row per dataclass field, tuple values spread out."""
+    """One [name, value...] row per record field, tuple values spread out."""
     rows = []
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        rows.append([f.name, *value] if isinstance(value, tuple) else [f.name, value])
+    for name in field_names(obj):
+        value = getattr(obj, name)
+        rows.append([name, *value] if isinstance(value, tuple) else [name, value])
     return rows
 
 
@@ -156,7 +156,7 @@ def _blocks_table(blocks) -> dict:
 
 # The flags after --q (shared by every command) that each parameter class reads.
 _GENERAL, _STRUCTURED, _AW = (
-    tuple(f.name for f in fields(cls))[1:] for cls in (GeneralParams, StructuredParams, AWParams)
+    field_names(cls)[1:] for cls in (GeneralParams, StructuredParams, AWParams)
 )
 
 
@@ -173,7 +173,7 @@ def _params(args, cls, *extra):
     The ``extra`` flags are required first, then the fields.  params maps the
     fields and then the extras to their values: the report's key order.
     """
-    names = [f.name for f in fields(cls)]
+    names = list(field_names(cls))
     _require(args, *extra)
     _require(args, *names)
     params = {name: getattr(args, name) for name in names + list(extra)}

@@ -8,8 +8,7 @@ lattices which verify_spectrum certifies against the Jacobi matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .errors import InvalidParameterError, SpectrumMismatchError, UnsupportedFamilyError
 from .numerics import LaurentPoly, TolerancePolicy, laurent_add, laurent_mul, laurent_scale
 from .opmatrix import (
@@ -23,7 +22,7 @@ from .opmatrix import (
 from .representation import StructuredParams, _check_q, _nonresonant
 
 
-@dataclass(frozen=True)
+@record
 class MonicRecurrence:
     """Coefficients (b_n, u_n) of a monic three-term recurrence."""
 
@@ -45,7 +44,7 @@ class MonicRecurrence:
         return len(self.b)
 
 
-@dataclass(frozen=True)
+@record
 class AWParams:
     """Askey-Wilson parameters (q, a1, a2, a3, a4)."""
 
@@ -65,7 +64,7 @@ class AWParams:
         return self.a1 * self.a2 * self.a3 * self.a4
 
 
-@dataclass(frozen=True)
+@record
 class QHahnParams:
     c1: object
     c2: object
@@ -73,7 +72,7 @@ class QHahnParams:
     N: int
 
 
-@dataclass(frozen=True)
+@record
 class QParaKrawtchoukParams:
     c3: object
     q: object
@@ -243,7 +242,7 @@ def expand_monic(rec: MonicRecurrence, n: int) -> LaurentPoly:
     return p1
 
 
-@dataclass(frozen=True)
+@record
 class SpectrumLattice:
     """Finite claimed spectrum tagged 'single-exponential' or 'bi-exponential'."""
 

@@ -7,15 +7,14 @@ computations exact end to end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from ._record import record
 from .errors import InvalidParameterError, PoleError
 
 # Default absolute floor used when pruning numerically-zero Laurent coefficients.
 DEFAULT_ABS_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@record
 class TolerancePolicy:
     """How residual checks turn a raw magnitude into pass/fail.
 
@@ -49,20 +48,29 @@ def geometric_seq(base, ratio, count: int) -> list:
     return out
 
 
-@dataclass
 class LaurentPoly:
     """Sparse Laurent polynomial: maps integer degree -> coefficient.
 
     Treated as immutable by convention; arithmetic goes through the module
     functions below, which prune coefficients with |c| <= tol afterwards.
+    Compared by value, and unhashable since the dict it wraps is mutable.
     """
 
-    coeffs: dict = field(default_factory=dict)
+    __hash__ = None
 
-    def __post_init__(self) -> None:
+    def __init__(self, coeffs: dict | None = None) -> None:
+        self.coeffs = {} if coeffs is None else coeffs
         for k in self.coeffs:
             if not isinstance(k, int):
                 raise InvalidParameterError("degrees must be integers")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(coeffs={self.coeffs!r})"
 
     @property
     def min_deg(self) -> int:

@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 
+from ._record import record
 from .errors import (
     InvalidParameterError,
     NumericFailureError,
@@ -56,31 +56,39 @@ def guard_size(q, size: int) -> None:
         )
 
 
-@dataclass
 class BandMatrix:
     """Square matrix stored by diagonals.
 
     ``bands[k]`` holds the entries M[i, i+k]; index t in the stored tuple
-    corresponds to row t + max(0, -k), so t == min(row, col).
+    corresponds to row t + max(0, -k), so t == min(row, col).  Compared by
+    value, and unhashable since it is mutable.
     """
 
-    size: int
-    bands: dict = field(default_factory=dict)
+    __hash__ = None
 
-    def __post_init__(self) -> None:
-        if self.size < 1:
+    def __init__(self, size: int, bands: dict | None = None) -> None:
+        if size < 1:
             raise InvalidParameterError("size must be >= 1")
         clean = {}
-        for k, entries in self.bands.items():
-            if not isinstance(k, int) or abs(k) > self.size - 1:
+        for k, entries in (bands or {}).items():
+            if not isinstance(k, int) or abs(k) > size - 1:
                 raise InvalidParameterError(f"band offset {k!r} out of range")
             entries = tuple(entries)
-            if len(entries) != self.size - abs(k):
+            if len(entries) != size - abs(k):
                 raise InvalidParameterError(
-                    f"band {k} has {len(entries)} entries, expected {self.size - abs(k)}"
+                    f"band {k} has {len(entries)} entries, expected {size - abs(k)}"
                 )
             clean[k] = entries
+        self.size = size
         self.bands = clean
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.size, self.bands) == (other.size, other.bands)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(size={self.size!r}, bands={self.bands!r})"
 
     @property
     def lower(self) -> int:
@@ -223,7 +231,7 @@ def max_entry_diff(A: BandMatrix, B: BandMatrix):
     return _worst(band_sub(A, B))
 
 
-@dataclass(frozen=True)
+@record
 class ResidualReport:
     """Outcome of one matrix-identity check over a row window."""
 
@@ -777,13 +785,11 @@ def eigenvalues(M: BandMatrix) -> list:
         raise InvalidParameterError("matrix entries must be finite")
     if n == 1:
         return [b[0]]
-    los, his = [], []
-    for i in range(n):
-        # row-i Gershgorin disc of the monic-normalized comparison: sub weight 1
-        r = (1.0 if i > 0 else 0.0) + (abs(w[i]) if i < n - 1 else 0.0)
-        los.append(b[i] - r)
-        his.append(b[i] + r)
-    lo, hi = min(los), max(his)
+    # Gershgorin discs of the diagonally symmetrized matrix, whose off-diagonal
+    # entries in row i have moduli sqrt|w_{i-1}| and sqrt|w_i|
+    root_w = [0.0] + [math.sqrt(abs(v)) for v in w] + [0.0]
+    lo = min(b[i] - root_w[i] - root_w[i + 1] for i in range(n))
+    hi = max(b[i] + root_w[i] + root_w[i + 1] for i in range(n))
     pad = 1e-9 * max(1.0, abs(lo), abs(hi))
     lo -= pad
     hi += pad

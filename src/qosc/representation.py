@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
+from ._record import record
 from .errors import (
     InvalidNormalizationError,
     InvalidParameterError,
@@ -58,7 +58,7 @@ def _check_q(q) -> None:
         raise InvalidParameterError("q must avoid 0, 1, -1")
 
 
-@dataclass(frozen=True)
+@record
 class GeneralParams:
     """Parameters (q, xi0, zeta0, s1, s2) of the general tridiagonal pair."""
 
@@ -74,7 +74,7 @@ class GeneralParams:
             raise InvalidParameterError("xi0 and zeta0 must be nonzero")
 
 
-@dataclass(frozen=True)
+@record
 class StructuredParams:
     """Parameters (q, c1, c2, c3) of the big q-Jacobi-type operators."""
 
@@ -89,7 +89,7 @@ class StructuredParams:
             raise InvalidParameterError("c1 and c3 must be nonzero")
 
 
-@dataclass(frozen=True)
+@record
 class GeneralSolutionTrace:
     """All intermediate sequences of a build_general run.
 
@@ -197,7 +197,7 @@ def _read_tridiagonal_pair(A: BandMatrix, B: BandMatrix):
     return b, u, xi, eta, zeta
 
 
-@dataclass(frozen=True)
+@record
 class XiResiduals:
     """The five band conditions equivalent to A@B - q*B@A = I.
 

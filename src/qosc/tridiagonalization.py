@@ -11,8 +11,7 @@ q-difference realization at the bottom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .errors import InvalidParameterError, NotMonicReducibleError, ResonanceError
 from .families import MonicRecurrence, big_q_jacobi, jacobi_matrix, AWParams
 from .numerics import (
@@ -47,7 +46,7 @@ def _z_matrix(p: StructuredParams, size: int) -> BandMatrix:
     return BandMatrix(size, {0: eigenvalue_sequence(p, size)})
 
 
-@dataclass(frozen=True)
+@record
 class DiagonalOperator:
     """Diagonal matrix diag(z_0, ..., z_{n-1}) with pairwise-distinct entries."""
 
@@ -102,7 +101,7 @@ def build_B_from_A(p: StructuredParams, size: int) -> BandMatrix:
     return companion_b(A, p)
 
 
-@dataclass(frozen=True)
+@record
 class WCoeffs:
     """Coefficients of the pencil W = tau1*Z@A + tau2*A@Z + tau3*A + tau0*I."""
 
@@ -189,7 +188,7 @@ def companion_params(rec: MonicRecurrence) -> StructuredParams:
     raise UnsupportedFamilyError(f"no companion parameters for family {rec.family!r}")
 
 
-@dataclass(frozen=True)
+@record
 class PencilParams:
     mu: object
     lam: object

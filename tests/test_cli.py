@@ -479,9 +479,16 @@ def test_console_script_smoke():
 
 
 def test_import_loads_no_numpy():
+    # Each CLI call pays for every module qosc imports: numpy costs ~100 ms,
+    # dataclasses (which loads inspect) ~10 ms plus the work of its decorator.
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        "import qosc, qosc.cli, sys\n"
+        "for name in ('numpy', 'dataclasses', 'inspect'):\n"
+        "    assert name not in sys.modules, name\n"
+    )
     proc = subprocess.run(
-        [sys.executable, "-c", "import qosc, qosc.cli, sys; assert 'numpy' not in sys.modules"],
+        [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src},

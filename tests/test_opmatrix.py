@@ -277,6 +277,15 @@ class TestEigenvalues:
             got = np.array(eigenvalues(M))
             assert np.allclose(got, want, rtol=1e-8, atol=1e-10)
 
+    def test_huge_w_far_above_the_diagonal(self):
+        # w_0 ~ 1e120 with eigenvalues near 1e60: a hull of radius 1 + |w_0|
+        # left brackets 60 decades too wide for bisection and polish to cross.
+        assert eigenvalues(band_tridiagonal((1e60,), (0.0, 0.0), (1e60,))) == [-1e60, 1e60]
+        s, d = 2.2144819815501077e59, -9.138206986912898e59
+        big = (d - math.sqrt(d * d + 4 * s * s)) / 2
+        got = eigenvalues(band_tridiagonal((s,), (0.0, d), (s,)))
+        assert got == pytest.approx([big, -s * s / big], rel=1e-14)
+
     def test_complex_pair_unsupported(self):
         M = band_tridiagonal((1.0,), (0.0, 0.0), (-1.0,))  # eigenvalues +/- i
         with pytest.raises(UnsupportedSpectrumError) as err:
