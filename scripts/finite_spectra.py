@@ -3,8 +3,10 @@
 For the q-Hahn family the recurrence truncates at size N + 1 with spectrum on
 the single lattice q**-s; the q-para-Krawtchouk family lives on the bi-lattice
 q**-s union c3 * q**(s+1) and its companion pair splits into two invariant
-blocks of size (N + 1) / 2.  This script prints the computed eigenvalues next
-to the predicted lattice points and the block decomposition.
+blocks of size (N + 1) / 2.  This script prints verify_spectrum's evidence:
+each predicted lattice point in ascending order, the computed eigenvalue paired
+with it and their relative distance, and the scaled characteristic polynomial
+there; then the block decomposition.
 
 Usage:
     python scripts/finite_spectra.py --family q-para-krawtchouk --N 7 --q 0.6 --c3 0.25
@@ -18,7 +20,6 @@ from qosc import (
     companion_b,
     companion_params,
     decompose,
-    eigenvalues,
     jacobi_matrix,
     q_hahn,
     q_para_krawtchouk,
@@ -45,13 +46,12 @@ def main():
     spec = claimed_spectrum(rec)
     pol = TolerancePolicy(rel_tol=args.rel_tol)
     report = verify_spectrum(rec, spec, pol)
-    computed = eigenvalues(jacobi_matrix(rec))
-    predicted = sorted(spec.points)
 
     print(f"# {args.family}, N={args.N}, q={args.q}, size {rec.size}, kind {spec.kind}")
-    print(f"{'computed':>24}  {'predicted':>24}  {'rel dev':>10}")
-    for lam, pt in zip(computed, predicted):
-        print(f"{lam:>24.16e}  {pt:>24.16e}  {abs(lam - pt) / max(1e-300, abs(pt)):>10.2e}")
+    print(f"{'computed':>24}  {'predicted':>24}  {'rel dev':>10}  {'charpoly':>10}")
+    evidence = zip(report.eigenvalues, report.points, report.rel_distance, report.charpoly_scaled)
+    for lam, pt, rel, cp in evidence:
+        print(f"{lam:>24.16e}  {pt:>24.16e}  {rel:>10.2e}  {cp:>10.2e}")
     print(f"# pairing residual {report.max_abs:.3e}  (tol {report.tolerance:.1e})"
           f"  -> {'pass' if report.passed else 'FAIL'}")
 

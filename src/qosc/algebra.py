@@ -15,7 +15,8 @@ algebra: M = L@Z - q*Z@L - omega0*I satisfies
 
 on the truncation interior.  The reversed ordering L@M - q*M@L does not close
 with these constants; aw_algebra_residuals measures both and records which one
-passes instead of silently choosing.
+passes instead of silently choosing.  Each relation is a q-bracket identity
+X@Y - q*Y@X = rhs, measured by opmatrix.q_commutator_residual.
 """
 
 from __future__ import annotations
@@ -24,15 +25,13 @@ from ._record import record
 from .errors import InvalidParameterError, TooSmallError
 from .numerics import TolerancePolicy
 from .opmatrix import (
-    BandMatrix,
     ResidualReport,
-    _pair_scale,
+    _q_bracket,
     band_add,
     band_identity,
-    band_mul,
     band_scale,
     band_sub,
-    residual_report,
+    q_commutator_residual,
 )
 from .representation import StructuredParams
 from .tridiagonalization import big_q_jacobi, build_Z, companion_b, jacobi_matrix
@@ -58,10 +57,6 @@ def big_qjacobi_constants(p: StructuredParams) -> BigQJacobiConstants:
     )
 
 
-def _q_bracket(X: BandMatrix, Y: BandMatrix, q) -> BandMatrix:
-    return band_sub(band_mul(X, Y), band_scale(q, band_mul(Y, X)))
-
-
 def big_qjacobi_algebra_residuals(
     p: StructuredParams, size: int, pol: TolerancePolicy = TolerancePolicy()
 ):
@@ -78,21 +73,11 @@ def big_qjacobi_algebra_residuals(
     I = band_identity(size)
     k = big_qjacobi_constants(p)
     rows = (0, size - 2)
-
-    R1 = band_sub(_q_bracket(A, B, p.q), I)
-    rep1 = residual_report(R1, pol, rows, _pair_scale(A, B))
-
-    R2 = band_sub(
-        _q_bracket(B, Z, p.q),
-        band_add(band_scale(k.gamma1, A), band_scale(k.delta1, I)),
-    )
-    rep2 = residual_report(R2, pol, rows, _pair_scale(B, Z))
-
-    R3 = band_sub(
-        _q_bracket(Z, A, p.q),
-        band_add(band_scale(k.gamma2, B), band_scale(k.delta2, I)),
-    )
-    rep3 = residual_report(R3, pol, rows, _pair_scale(Z, A))
+    rep1 = q_commutator_residual(A, B, p.q, I, pol, rows)
+    rhs2 = band_add(band_scale(k.gamma1, A), band_scale(k.delta1, I))
+    rep2 = q_commutator_residual(B, Z, p.q, rhs2, pol, rows)
+    rhs3 = band_add(band_scale(k.gamma2, B), band_scale(k.delta2, I))
+    rep3 = q_commutator_residual(Z, A, p.q, rhs3, pol, rows)
     return rep1, rep2, rep3
 
 
@@ -187,34 +172,13 @@ def aw_algebra_residuals(
     tol = pol.effective(1.0)
     m_def = ResidualReport(dev, None, (0, 1), 1.0, tol, dev <= tol)
 
-    rows1 = (0, size - 2)
-    R1 = band_sub(
-        _q_bracket(Z, M, q), band_add(band_scale(k.sigma1, L), band_scale(k.omega1, I))
-    )
-    rep1 = residual_report(R1, pol, rows1, _pair_scale(Z, M))
-
-    rows2 = (0, size - 3)
+    rhs1 = band_add(band_scale(k.sigma1, L), band_scale(k.omega1, I))
+    rep1 = q_commutator_residual(Z, M, q, rhs1, pol, (0, size - 2))
     rhs2 = band_add(band_scale(k.sigma2, Z), band_scale(k.omega2, I))
-    Rml = band_sub(_q_bracket(M, L, q), rhs2)
-    Rlm = band_sub(_q_bracket(L, M, q), rhs2)
-    scale2 = _pair_scale(M, L)
-    rep_ml = residual_report(Rml, pol, rows2, scale2)
-    rep_lm = residual_report(Rlm, pol, rows2, scale2)
-    if rep_ml.passed and not rep_lm.passed:
-        passing = "ML"
-    elif rep_lm.passed and not rep_ml.passed:
-        passing = "LM"
-    elif rep_ml.passed and rep_lm.passed:
-        passing = "both"
-    else:
-        passing = "none"
-    return AWAlgebraReport(
-        constants=k,
-        m_def=m_def,
-        relation1=rep1,
-        relation2=rep_ml if variant == "ML" else rep_lm,
-        relation2_ml=rep_ml,
-        relation2_lm=rep_lm,
-        variant=variant,
-        passing_variant=passing,
+    rep_ml = q_commutator_residual(M, L, q, rhs2, pol, (0, size - 3))
+    rep_lm = q_commutator_residual(L, M, q, rhs2, pol, (0, size - 3))
+    passing = {(True, True): "both", (True, False): "ML", (False, True): "LM"}.get(
+        (rep_ml.passed, rep_lm.passed), "none"
     )
+    relation2 = rep_ml if variant == "ML" else rep_lm
+    return AWAlgebraReport(k, m_def, rep1, relation2, rep_ml, rep_lm, variant, passing)

@@ -32,8 +32,8 @@ from .families import (
     q_para_krawtchouk,
     verify_spectrum,
 )
-from .numerics import LaurentPoly, TolerancePolicy, laurent_add, laurent_mul, laurent_scale
-from .opmatrix import char_poly_eval, eigenvalues, q_commutator_residual
+from .numerics import LaurentPoly, TolerancePolicy, _max_or_nan, laurent_add, laurent_mul, laurent_scale
+from .opmatrix import q_commutator_residual
 from .representation import (
     GeneralParams,
     StructuredParams,
@@ -75,13 +75,7 @@ def _to_json(value) -> str:
 
 
 def _cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    return format(float(value), ".17g")
+    return value if isinstance(value, str) else _to_json(value)
 
 
 def _print_report(report: dict) -> None:
@@ -117,12 +111,7 @@ def _write_csv(report: dict, csv_dir: str) -> None:
 
 def _check(name: str, max_abs, tolerance, ok=None) -> dict:
     passed = (float(max_abs) <= float(tolerance)) if ok is None else bool(ok)
-    return {
-        "name": name,
-        "max_abs": float(max_abs),
-        "tolerance": float(tolerance),
-        "pass": passed,
-    }
+    return {"name": name, "max_abs": float(max_abs), "tolerance": float(tolerance), "pass": passed}
 
 
 def _check_from(name: str, rep) -> dict:
@@ -207,16 +196,30 @@ def _family(args, size=None):
     return build(*values), {"family": args.family, **dict(zip(flags, values))}
 
 
+def _blocks(A, B, q, pol: TolerancePolicy) -> list:
+    """decompose's blocks of the pair, or none when it refuses."""
+    try:
+        return decompose(A, B, q, pol)
+    except NotDecomposableError:
+        return []
+
+
 def _block_check(rec, pol: TolerancePolicy):
     """(check, blocks): a finite family's pair splits into one block (q-Hahn)
     or two (q-para-Krawtchouk); no blocks when decompose refuses."""
     expected = 1 if rec.family == "q-hahn" else 2
     J = jacobi_matrix(rec)
-    try:
-        blocks = decompose(J, companion_b(J, companion_params(rec)), rec.params.q, pol)
-    except NotDecomposableError:
-        blocks = []
+    blocks = _blocks(J, companion_b(J, companion_params(rec)), rec.params.q, pol)
     return _check("block-count", abs(len(blocks) - expected), 0.5, ok=len(blocks) == expected), blocks
+
+
+def _general_pair(p: GeneralParams, size: int, pol: TolerancePolicy):
+    """(A, B, trace, checks): build_general's pair with its q-commutator and
+    xi-conditions checks, the latter judged at the former's tolerance."""
+    A, B, trace = build_general(p, size)
+    comm = q_commutator_residual(A, B, p.q, pol=pol)
+    xi = _check("xi-conditions", xi_residuals(A, B, p.q).max_abs(), comm.tolerance)
+    return A, B, trace, [_check_from("q-commutator", comm), xi]
 
 
 # -- subcommands: each returns (params, checks, tables) ----------------------------
@@ -227,20 +230,16 @@ def cmd_build(args, pol: TolerancePolicy):
     general = args.parameterization == "general"
     p, params = _params(args, GeneralParams if general else StructuredParams, "size")
     if general:
-        A, B, trace = build_general(p, args.size)
+        A, B, trace, checks = _general_pair(p, args.size, pol)
+        extra = {"name": "trace", "rows": _field_rows(trace)}
     else:
         A = jacobi_matrix(big_q_jacobi(p, args.size))
         B = companion_b(A, p)
-    comm = q_commutator_residual(A, B, p.q, pol=pol)
-    checks = [_check_from("q-commutator", comm)]
-    tables = [_band_table("A", A), _band_table("B", B)]
-    if general:
-        checks.append(_check("xi-conditions", xi_residuals(A, B, p.q).max_abs(), comm.tolerance))
-        tables.append({"name": "trace", "rows": _field_rows(trace)})
-    else:
+        checks = [_check_from("q-commutator", q_commutator_residual(A, B, p.q, pol=pol))]
         r0, r1 = r_coefficients(p)
         rows = [["r0", r0], ["r1", r1], *_field_rows(big_qjacobi_constants(p))]
-        tables.append({"name": "constants", "rows": rows})
+        extra = {"name": "constants", "rows": rows}
+    tables = [_band_table("A", A), _band_table("B", B), extra]
     return {"parameterization": args.parameterization, **params}, checks, tables
 
 
@@ -251,10 +250,7 @@ def _suite_qosc(args, pol: TolerancePolicy):
         rep = q_commutator_residual(A, B, args.q, pol=pol, rows=(0, args.size - 1))
         return {"q": args.q, "a": args.a, "size": args.size}, [_check_from("q-commutator", rep)], []
     p, params = _params(args, GeneralParams, "size")
-    A, B, _ = build_general(p, args.size)
-    rep = q_commutator_residual(A, B, p.q, pol=pol)
-    xi = _check("xi-conditions", xi_residuals(A, B, p.q).max_abs(), rep.tolerance)
-    return params, [_check_from("q-commutator", rep), xi], []
+    return params, _general_pair(p, args.size, pol)[3], []
 
 
 def _suite_bigqjacobi_algebra(args, pol: TolerancePolicy):
@@ -269,11 +265,8 @@ def _suite_aw_algebra(args, pol: TolerancePolicy):
     p, params = _params(args, StructuredParams, "mu", "size")
     variant = args.variant or "ML"
     rep = aw_algebra_residuals(p, args.mu, args.size, pol, variant=variant)
-    checks = [
-        _check_from("m-def", rep.m_def),
-        _check_from("relation-1", rep.relation1),
-        _check_from("relation-2", rep.relation2),
-    ]
+    names = ("m-def", "relation-1", "relation-2")
+    checks = [_check_from(n, r) for n, r in zip(names, (rep.m_def, rep.relation1, rep.relation2))]
     orderings = [
         ["ordering", "max_abs", "pass"],
         ["ML", rep.relation2_ml.max_abs, rep.relation2_ml.passed],
@@ -296,26 +289,29 @@ def _suite_aw_match(args, pol: TolerancePolicy):
     direct = askey_wilson(pa, count)
     sp, w = aw_parameter_map(pa)
     rec, _ = to_monic(build_W(sp, w, count), pol)
-    dev = 0.0
+    devs = []
     rows = [["n", "b_direct", "b_pencil", "u_direct", "u_pencil"]]
     for n in range(count):
-        dev = max(dev, abs(rec.b[n] - direct.b[n]) / max(1.0, abs(direct.b[n])))
+        devs.append(abs(rec.b[n] - direct.b[n]) / max(1.0, abs(direct.b[n])))
         u_d = u_p = ""
         if n >= 1:
             u_d, u_p = direct.u[n - 1], rec.u[n - 1]
-            dev = max(dev, abs(u_p - u_d) / max(1.0, abs(u_d)))
+            devs.append(abs(u_p - u_d) / max(1.0, abs(u_d)))
         rows.append([n, direct.b[n], rec.b[n], u_d, u_p])
     tables = [{"name": "coefficients", "rows": rows}]
-    return {**params, "count": count}, [_check("aw-match", dev, pol.rel_tol)], tables
+    return {**params, "count": count}, [_check("aw-match", _max_or_nan(devs), pol.rel_tol)], tables
 
 
 def _suite_qdiff(args, pol: TolerancePolicy):
     p, params = _params(args, StructuredParams)
     kmax = 10 if args.kmax is None else args.kmax
     nmax = 8 if args.nmax is None else args.nmax
+    for flag, value in (("kmax", kmax), ("nmax", nmax)):
+        if value < 0:
+            raise InvalidParameterError(f"--{flag} must be >= 0")
     x = LaurentPoly({1: 1.0})
 
-    worst_comm = 0.0
+    comm = []
     for k in range(kmax + 1):
         f = LaurentPoly({k: 1.0})
         lhs = laurent_add(
@@ -323,18 +319,18 @@ def _suite_qdiff(args, pol: TolerancePolicy):
             laurent_scale(-p.q, qdiff_B_apply(laurent_mul(x, f), p)),
         )
         resid = laurent_add(lhs, laurent_scale(-1.0, f))
-        worst_comm = max(worst_comm, float(resid.mass()) / max(1.0, float(f.mass())))
-    checks = [_check("qdiff-commutator", worst_comm, pol.abs_tol)]
+        comm.append(float(resid.mass()) / max(1.0, float(f.mass())))
+    checks = [_check("qdiff-commutator", _max_or_nan(comm), pol.abs_tol)]
 
     rec = big_q_jacobi(p, nmax + 1)
     zs = eigenvalue_sequence(p, nmax + 1)
-    worst_eig = 0.0
+    eig = []
     for n in range(nmax + 1):
         Pn = expand_monic(rec, n)
         resid = laurent_add(qdiff_Z_apply(Pn, p), laurent_scale(-zs[n], Pn))
         scale = max(1e-300, abs(zs[n]) * float(Pn.mass()))
-        worst_eig = max(worst_eig, float(resid.mass()) / scale)
-    checks.append(_check("qdiff-eigenrelation", worst_eig, pol.rel_tol))
+        eig.append(float(resid.mass()) / scale)
+    checks.append(_check("qdiff-eigenrelation", _max_or_nan(eig), pol.rel_tol))
     return {**params, "kmax": kmax, "nmax": nmax}, checks, []
 
 
@@ -359,18 +355,13 @@ def cmd_spectrum(args, pol: TolerancePolicy):
         raise InvalidParameterError("spectrum requires a finite family (q-hahn or q-para-krawtchouk)")
     rec, params = _family(args)
     lattice = claimed_spectrum(rec)
-    checks = [_check_from("spectrum", verify_spectrum(rec, lattice, pol))]
-
-    J = jacobi_matrix(rec)
-    eigs = eigenvalues(J)
-    claimed = sorted(float(v) for v in lattice.points)
-    gaps = [math.prod(abs(x - y) for y in claimed if y != x) for x in claimed]
+    rep = verify_spectrum(rec, lattice, pol)
+    checks = [_check_from("spectrum", rep)]
+    evidence = zip(rep.eigenvalues, rep.points, rep.rel_distance, rep.charpoly_scaled)
     rows = [["n", "computed", "claimed", "rel_distance", "charpoly_scaled"]]
-    for n, (ev, xs, g) in enumerate(zip(sorted(eigs), claimed, gaps)):
-        rel = abs(ev - xs) / max(abs(xs), 1e-300)
-        rows.append([n, ev, xs, rel, abs(float(char_poly_eval(J, xs))) / g])
+    rows += [[n, *cells] for n, cells in enumerate(evidence)]
     tables = [
-        {"name": "lattice", "rows": [["kind", lattice.kind]] + [["points"] + claimed]},
+        {"name": "lattice", "rows": [["kind", lattice.kind], ["points", *rep.points]]},
         {"name": "eigenvalues", "rows": rows},
     ]
     if args.decompose:
@@ -389,14 +380,14 @@ def cmd_poly(args, pol: TolerancePolicy):
         raise InvalidParameterError(f"--n-max {n_max} exceeds family size {rec.size}")
     raw = "0.0,0.5,1.0,2.0" if args.x_points is None else args.x_points
     try:
-        xs = [float(tok) for tok in raw.split(",") if tok.strip() != ""]
-    except ValueError as exc:
+        xs = [_finite_float(tok) for tok in raw.split(",") if tok.strip() != ""]
+    except argparse.ArgumentTypeError as exc:
         raise InvalidParameterError(f"bad --x-points {raw!r}") from exc
     if not xs:
         raise InvalidParameterError("--x-points must name at least one point")
 
-    p0_dev = max(abs(eval_monic(rec, 0, x) - 1.0) for x in xs)
-    p1_dev = max(abs(eval_monic(rec, 1, x) - (x - rec.b[0])) for x in xs)
+    p0_dev = _max_or_nan(abs(eval_monic(rec, 0, x) - 1.0) for x in xs)
+    p1_dev = _max_or_nan(abs(eval_monic(rec, 1, x) - (x - rec.b[0])) for x in xs)
     checks = [
         _check("p0-is-one", p0_dev, pol.abs_tol),
         _check("p1-is-x-minus-b0", p1_dev, pol.abs_tol),
@@ -417,11 +408,8 @@ def cmd_decompose(args, pol: TolerancePolicy):
     else:
         p, params = _params(args, GeneralParams, "size")
         A, B, _ = build_general(p, args.size)
-        try:
-            blocks, ok = decompose(A, B, p.q, pol), True
-        except NotDecomposableError:
-            blocks, ok = [], False
-        check = _check("decomposed", 0.0 if ok else 1.0, 0.5, ok=ok)
+        blocks = _blocks(A, B, p.q, pol)
+        check = _check("decomposed", 0.0 if blocks else 1.0, 0.5)
     return params, [check], [_blocks_table(blocks)]
 
 
@@ -437,6 +425,17 @@ _COMMANDS = {
 # -- argument parsing ------------------------------------------------------------
 
 
+def _finite_float(text: str) -> float:
+    """The type of every float flag: float(text), refusing nan and inf."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def _add(parser, kind, *names) -> None:
     for name in names:
         parser.add_argument("--" + name, type=kind, default=None)
@@ -445,9 +444,9 @@ def _add(parser, kind, *names) -> None:
 def _build_parser():
     """The parser and its subcommand parsers by name."""
     common = argparse.ArgumentParser(add_help=False)
-    _add(common, float, "q")
+    _add(common, _finite_float, "q")
     _add(common, int, "size")
-    _add(common, float, "abs-tol", "rel-tol")
+    _add(common, _finite_float, "abs-tol", "rel-tol")
     common.add_argument("--params", default=None, metavar="PATH")
     common.add_argument("--csv-dir", default=None, metavar="PATH")
     common.add_argument(
@@ -461,11 +460,11 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     sp = sub.add_parser("build", parents=[common])
     sp.add_argument("--parameterization", choices=["general", "structured"], default=None)
-    _add(sp, float, *_GENERAL, *_STRUCTURED)
+    _add(sp, _finite_float, *_GENERAL, *_STRUCTURED)
     for name in ("verify", "algebra"):
         sp = sub.add_parser(name, parents=[common])
         sp.add_argument("--suite", choices=sorted(_SUITES), default=None)
-        _add(sp, float, *_GENERAL, *_STRUCTURED, *_AW, "mu", "a")
+        _add(sp, _finite_float, *_GENERAL, *_STRUCTURED, *_AW, "mu", "a")
         _add(sp, int, "count", "kmax", "nmax")
         sp.add_argument("--variant", choices=["ML", "LM"], default=None)
     for name, floats in (
@@ -476,7 +475,7 @@ def _build_parser():
         sp = sub.add_parser(name, parents=[common])
         sp.add_argument("--family", choices=list(_FAMILIES), default=None)
         _add(sp, int, "N")
-        _add(sp, float, *floats)
+        _add(sp, _finite_float, *floats)
     commands = sub.choices
     commands["spectrum"].add_argument("--decompose", action="store_const", const=True, default=None)
     _add(commands["poly"], int, "n-max")
@@ -510,7 +509,7 @@ def _merge_param_file(args, parser) -> None:
             try:
                 value = (action.type or str)(str(value))
                 ok = action.choices is None or value in action.choices
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
                 ok = False
         if not ok:
             raise InvalidParameterError(f"bad value {data[key]!r} for {key!r} in --params file")

@@ -8,12 +8,13 @@ lattices which verify_spectrum certifies against the Jacobi matrix.
 
 from __future__ import annotations
 
+import math
+
 from ._record import record
 from .errors import InvalidParameterError, SpectrumMismatchError, UnsupportedFamilyError
 from .numerics import LaurentPoly, TolerancePolicy, laurent_add, laurent_mul, laurent_scale
 from .opmatrix import (
     BandMatrix,
-    ResidualReport,
     band_tridiagonal,
     char_poly_eval,
     eigenvalues,
@@ -275,48 +276,61 @@ def claimed_spectrum(rec: MonicRecurrence) -> SpectrumLattice:
     raise UnsupportedFamilyError(f"no closed-form spectrum for family {rec.family!r}")
 
 
+@record
+class SpectrumReport:
+    """verify_spectrum's verdict and the per-point evidence behind it.
+
+    The first six fields are those of ResidualReport.  The four tuples run
+    over the lattice points in ascending order: each point, the computed
+    eigenvalue paired with it, their relative distance, and the point's
+    |charpoly| scaled by its product of gaps.
+    """
+
+    max_abs: float
+    location: tuple | None
+    rows: tuple
+    scale: float
+    tolerance: float
+    passed: bool
+    points: tuple
+    eigenvalues: tuple
+    rel_distance: tuple
+    charpoly_scaled: tuple
+
+
 def verify_spectrum(
     rec: MonicRecurrence, lattice: SpectrumLattice, pol: TolerancePolicy = TolerancePolicy()
-) -> ResidualReport:
+) -> SpectrumReport:
     """Certify that the Jacobi matrix spectrum equals the claimed lattice.
 
-    Two checks share one report: (i) |charpoly(x_s)| scaled by the product of
-    gaps prod_{t != s} |x_s - x_t| must stay within tolerance, and (ii) computed
-    eigenvalues pair off with lattice points injectively at relative tolerance.
-    The report's max_abs is the worst normalized quantity from either check.
-    Raises SpectrumMismatchError when counts differ or pairing collides.
+    Two checks run at each lattice point x_s, taken in ascending order:
+    (i) charpoly_scaled, |charpoly(x_s)| over the product of gaps
+    prod_{t != s} |x_s - x_t|, and (ii) rel_distance, the relative distance
+    from x_s to the computed eigenvalue paired with it, each eigenvalue going
+    to its nearest point.  The report keeps both per point; max_abs is the
+    worst of either (a NaN counts as worst) and location = (s, s) indexes the
+    ascending points.  Raises SpectrumMismatchError when counts differ or two
+    eigenvalues pair with one point.
     """
     if len(lattice.points) != rec.size:
-        raise SpectrumMismatchError(
-            f"lattice has {len(lattice.points)} points for size {rec.size}"
-        )
+        raise SpectrumMismatchError(f"lattice has {len(lattice.points)} points for size {rec.size}")
     J = jacobi_matrix(rec)
-    pts = [float(x) for x in lattice.points]
-    worst = 0.0
-    loc = None
-    for s, x in enumerate(pts):
-        gap = 1.0
-        for t, y in enumerate(pts):
-            if t != s:
-                gap *= abs(x - y)
-        ratio = abs(float(char_poly_eval(J, x))) / gap
-        if ratio > worst:
-            worst, loc = ratio, (s, s)
-    ev = eigenvalues(J)
-    taken = [False] * len(pts)
-    for lam in ev:
-        best, best_d = None, None
-        for s, x in enumerate(pts):
-            d = abs(lam - x)
-            if best is None or d < best_d:
-                best, best_d = s, d
-        if taken[best]:
-            raise SpectrumMismatchError(
-                f"eigenvalue pairing is not injective at lattice point {pts[best]!r}"
-            )
-        taken[best] = True
-        rel = best_d / max(abs(pts[best]), 1e-300)
-        if rel > worst:
-            worst, loc = rel, (best, best)
+    pts = tuple(sorted(float(x) for x in lattice.points))
+    gaps = [math.prod(abs(x - y) for y in pts if y != x) for x in pts]
+    scaled = tuple(abs(float(char_poly_eval(J, x))) / g for x, g in zip(pts, gaps))
+    paired = [None] * len(pts)
+    for lam in eigenvalues(J):
+        s = min(range(len(pts)), key=lambda t: abs(lam - pts[t]))
+        if paired[s] is not None:
+            msg = f"eigenvalue pairing is not injective at lattice point {pts[s]!r}"
+            raise SpectrumMismatchError(msg)
+        paired[s] = lam
+    rel = tuple(abs(lam - x) / max(abs(x), 1e-300) for lam, x in zip(paired, pts))
+    worst, loc = 0.0, None
+    for s, pair in enumerate(zip(scaled, rel)):
+        for d in pair:
+            if d > worst or d != d:  # a NaN counts as worst and stays so
+                worst, loc = d, (s, s)
     tol = pol.effective(1.0)
-    return ResidualReport(worst, loc, (0, rec.size - 1), 1.0, tol, worst <= tol)
+    verdict = (worst, loc, (0, rec.size - 1), 1.0, tol, worst <= tol)
+    return SpectrumReport(*verdict, pts, tuple(paired), rel, scaled)

@@ -7,6 +7,8 @@ computations exact end to end.
 
 from __future__ import annotations
 
+import math
+
 from ._record import record
 from .errors import InvalidParameterError, PoleError
 
@@ -29,9 +31,18 @@ class TolerancePolicy:
     def __post_init__(self) -> None:
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise InvalidParameterError("tolerances must be positive")
+        if not (self.abs_tol < math.inf and self.rel_tol < math.inf):  # NaN fails too
+            raise InvalidParameterError("tolerances must be finite")
 
     def effective(self, scale: float = 1.0) -> float:
         return max(self.abs_tol, self.rel_tol * max(1.0, float(scale)))
+
+
+def _max_or_nan(values) -> float:
+    """max(values, default=0.0), but NaN when any value is NaN (max() may drop
+    it), so a check judged on the result fails."""
+    values = list(values)
+    return math.nan if any(v != v for v in values) else max(values, default=0.0)
 
 
 def geometric_seq(base, ratio, count: int) -> list:

@@ -123,9 +123,10 @@ def _entries(M: BandMatrix):
 def _worst(M: BandMatrix, rows: tuple | None = None, ref: BandMatrix | None = None):
     """(largest |M_ij|, its (i, j)), the first in band order on ties.
 
-    Only rows lo <= i <= hi count when ``rows`` = (lo, hi) is given.  With
-    ``ref`` each |M_ij| is first divided by max(1, |ref_ij|).  A plain loop,
-    with no call per entry: every residual report runs it.
+    A NaN entry counts as the largest, so a report over it fails.  Only rows
+    lo <= i <= hi count when ``rows`` = (lo, hi) is given.  With ``ref`` each
+    |M_ij| is first divided by max(1, |ref_ij|).  A plain loop, with no call
+    per entry: every residual report runs it.
     """
     lo, hi = (0, M.size - 1) if rows is None else rows
     worst, loc = 0.0, None
@@ -136,8 +137,10 @@ def _worst(M: BandMatrix, rows: tuple | None = None, ref: BandMatrix | None = No
             d = abs(float(entries[t]))
             if r is not None:
                 d /= max(1.0, abs(float(r[t])))
-            if d > worst:
+            if not d <= worst:  # true for d > worst and for NaN
                 worst, loc = d, (i0 + t, i0 + t + k)
+                if d != d:
+                    return worst, loc
     return worst, loc
 
 
@@ -221,11 +224,6 @@ def inf_norm(M: BandMatrix) -> float:
     return max(sums)
 
 
-def _pair_scale(X: BandMatrix, Y: BandMatrix) -> float:
-    """max(1, ||X||_inf ||Y||_inf): the scale of a residual built from X@Y and Y@X."""
-    return max(1.0, inf_norm(X) * inf_norm(Y))
-
-
 def max_entry_diff(A: BandMatrix, B: BandMatrix):
     """(max |A_ij - B_ij|, location); scans the union of the stored bands."""
     return _worst(band_sub(A, B))
@@ -253,6 +251,12 @@ def residual_report(R: BandMatrix, pol: TolerancePolicy, rows: tuple, scale: flo
     return ResidualReport(worst, loc, (lo, hi), float(scale), tol, worst <= tol)
 
 
+def _q_bracket(X: BandMatrix, Y: BandMatrix, q) -> BandMatrix:
+    """X@Y - q*Y@X; every q-bracket in the package is built here (the residuals,
+    the algebra's M and T, companion_b), so their band operations agree."""
+    return band_sub(band_mul(X, Y), band_scale(q, band_mul(Y, X)))
+
+
 def q_commutator_residual(
     A: BandMatrix,
     B: BandMatrix,
@@ -261,20 +265,23 @@ def q_commutator_residual(
     pol: TolerancePolicy = TolerancePolicy(),
     rows: tuple | None = None,
 ) -> ResidualReport:
-    """Residual of A@B - q*B@A - rhs over interior rows (default 0..size-2).
+    """Residual of the q-bracket identity A@B - q*B@A = rhs (default I).
 
-    The last row of the truncation is corrupted by the cut and is excluded by
-    default; pass rows explicitly to override.
+    Every q-bracket identity in the package is measured here: the q-oscillator
+    relation, and the algebra relations of algebra.py with their own ``rhs``.
+    Max |A@B - q*B@A - rhs| over the row window (default 0..size-2, since the
+    last truncation row is corrupted by the cut) is judged at the pair scale
+    max(1, ||A||_inf ||B||_inf).
     """
     size = _check_same_size(A, B)
     if size < 3:
         raise TooSmallError("q-commutator check needs size >= 3")
     if rhs is None:
         rhs = band_identity(size)
-    R = band_sub(band_sub(band_mul(A, B), band_scale(q, band_mul(B, A))), rhs)
+    R = band_sub(_q_bracket(A, B, q), rhs)
     if rows is None:
         rows = (0, size - 2)
-    return residual_report(R, pol, rows, _pair_scale(A, B))
+    return residual_report(R, pol, rows, max(1.0, inf_norm(A) * inf_norm(B)))
 
 
 def diag_similarity(M: BandMatrix, d) -> BandMatrix:

@@ -24,7 +24,7 @@ from .errors import (
     ResonanceError,
     TooSmallError,
 )
-from .numerics import TolerancePolicy
+from .numerics import TolerancePolicy, _max_or_nan
 from .opmatrix import (
     BandMatrix,
     ResidualReport,
@@ -212,8 +212,9 @@ class XiResiduals:
     xi5: tuple
 
     def max_abs(self) -> float:
-        vals = [abs(float(v)) for seq in (self.xi1, self.xi2, self.xi3, self.xi4, self.xi5) for v in seq]
-        return max(vals) if vals else 0.0
+        """The largest |residual|, or NaN when any residual is NaN."""
+        seqs = (self.xi1, self.xi2, self.xi3, self.xi4, self.xi5)
+        return _max_or_nan(abs(float(v)) for seq in seqs for v in seq)
 
 
 def xi_residuals(A: BandMatrix, B: BandMatrix, q) -> XiResiduals:

@@ -25,11 +25,11 @@ from .numerics import (
 )
 from .opmatrix import (
     BandMatrix,
+    _q_bracket,
     band_add,
     band_identity,
     band_mul,
     band_scale,
-    band_sub,
     guard_size,
 )
 from .representation import StructuredParams
@@ -91,8 +91,7 @@ def companion_b(A: BandMatrix, p: StructuredParams) -> BandMatrix:
     """B = r1*(Z@A - q*A@Z) + r0*I for a given realization A of multiplication by x."""
     Z = _z_matrix(p, A.size)
     r0, r1 = r_coefficients(p)
-    ZA_qAZ = band_sub(band_mul(Z, A), band_scale(p.q, band_mul(A, Z)))
-    return band_add(band_scale(r1, ZA_qAZ), band_scale(r0, band_identity(A.size)))
+    return band_add(band_scale(r1, _q_bracket(Z, A, p.q)), band_scale(r0, band_identity(A.size)))
 
 
 def build_B_from_A(p: StructuredParams, size: int) -> BandMatrix:

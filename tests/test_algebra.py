@@ -58,6 +58,11 @@ class TestBigQJacobiResiduals:
             assert rep.passed
             assert rep.rows == (0, 8)
 
+    def test_nan_parameter_fails_every_relation(self):
+        p = StructuredParams(float("nan"), 0.25, 0.5, 0.25)
+        for rep in big_qjacobi_algebra_residuals(p, 6):
+            assert rep.max_abs != rep.max_abs and not rep.passed
+
     def test_interior_rows_exact_in_rationals(self):
         size = 8
         A = jacobi_matrix(big_q_jacobi(EXACT_P, size))

@@ -171,6 +171,27 @@ class TestDeterminismAndExitCodes:
             main(["build", "--no-such-flag", "1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--q", "nan"), ("--c1", "inf"), ("--abs-tol", "inf"), ("--rel-tol", "nan"),
+         ("--c3", "-inf")],
+    )
+    def test_non_finite_float_flag_is_argparse_error(self, capsys, flag, value):
+        # a NaN input would otherwise give NaN residuals and "nan" tokens in
+        # the JSON, and an infinite tolerance would pass every check
+        with pytest.raises(SystemExit) as exc:
+            main(STRUCTURED + [f"{flag}={value}"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument {flag}: {value!r} is not a finite number" in err
+
+    def test_bad_float_flag_keeps_argparse_wording(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["build", "--q", "abc"])
+        assert exc.value.code == 2
+        assert "argument --q: invalid float value: 'abc'" in capsys.readouterr().err
+
 
 class TestParamFileAndOutputs:
     def test_params_file_with_flag_precedence(self, capsys, tmp_path):
@@ -205,12 +226,14 @@ class TestParamFileAndOutputs:
         "argv, data, key",
         [
             (["build"], {**STRUCTURED_FILE, "q": "abc"}, "q"),
+            (["build"], {**STRUCTURED_FILE, "c2": float("nan")}, "c2"),
+            (["build"], {**STRUCTURED_FILE, "rel_tol": float("inf")}, "rel_tol"),
             (["build"], {**STRUCTURED_FILE, "size": "ten"}, "size"),
             (["build"], {**STRUCTURED_FILE, "parameterization": "bogus"}, "parameterization"),
             (["spectrum", "--family", "q-hahn", "--q", "0.5", "--c1", "0.3", "--c2", "0.4",
               "--N", "3"], {"decompose": "no"}, "decompose"),
         ],
-        ids=["float-flag", "int-flag", "choices", "on-off-flag"],
+        ids=["float-flag", "nan-float-flag", "inf-tolerance", "int-flag", "choices", "on-off-flag"],
     )
     def test_param_file_values_checked_like_flags(self, capsys, tmp_path, argv, data, key):
         # A file value goes through its flag's argparse type and choices; an
@@ -362,6 +385,23 @@ class TestVerifySuites:
         report = json.loads(out)
         assert all(c["pass"] for c in report["checks"])
 
+    def test_aw_match_nan_deviation_fails(self, capsys):
+        # a4 = 1e300 overflows the direct recurrence to NaN; max() used to drop it
+        argv = ["verify", "--suite", "aw-match", "--q", "0.6", "--a1", "0.9", "--a2", "0.5",
+                "--a3", "0.4", "--a4", "1e300", "--count", "5"]
+        code, out, _ = run(capsys, argv)
+        assert code == 1
+        assert '"name": "aw-match", "max_abs": nan' in out and '"pass": false' in out
+
+    @pytest.mark.parametrize("flag", ["--kmax", "--nmax"])
+    def test_qdiff_negative_count_names_the_flag(self, capsys, flag):
+        # --kmax -1 used to check no monomial at all and pass
+        argv = ["verify", "--suite", "qdiff", "--q", "0.5", "--c1", "0.25", "--c2", "0.5",
+                "--c3", "0.25", flag, "-1"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == f"error[invalid-parameter]: {flag} must be >= 0\n"
+
 
 class TestSpectrumAndPoly:
     def test_q_hahn_spectrum_table(self, capsys):
@@ -430,6 +470,46 @@ class TestSpectrumAndPoly:
         ]
         for got, want in zip(p5[1:], frozen):
             assert abs(got - float(want)) <= 1e-12 * max(1.0, abs(float(want)))
+
+    @pytest.mark.parametrize("decompose, solves", [([], 1), (["--decompose"], 2)])
+    def test_spectrum_solves_once(self, capsys, monkeypatch, decompose, solves):
+        # the table renders verify_spectrum's evidence; only decompose solves again
+        import qosc.opmatrix
+
+        calls = []
+        original = qosc.opmatrix.eigenvalues
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "qosc" and getattr(module, "eigenvalues", None) is original:
+                monkeypatch.setattr(module, "eigenvalues", counted)
+        argv = ["spectrum", "--family", "q-para-krawtchouk", "--q", "0.5", "--c3", "0.2", "--N", "3"]
+        code, _, _ = run(capsys, argv + decompose)
+        assert code == 0
+        assert len(calls) == solves
+
+    def test_spectrum_table_pairs_each_point_with_its_eigenvalue(self, capsys):
+        argv = ["spectrum", "--family", "q-para-krawtchouk", "--q", "0.6", "--c3", "0.25", "--N", "7",
+                "--rel-tol", "1e-8"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        report = json.loads(out)
+        rows = table(report, "eigenvalues")["rows"]
+        assert rows[0] == ["n", "computed", "claimed", "rel_distance", "charpoly_scaled"]
+        claimed = [r[2] for r in rows[1:]]
+        assert claimed == sorted(claimed) == row(table(report, "lattice"), "points")[1:]
+        worst = max(max(r[3], r[4]) for r in rows[1:])
+        assert report["checks"][0]["max_abs"] == worst
+
+    def test_poly_non_finite_x_point_refused(self, capsys):
+        argv = ["poly", "--family", "big-q-jacobi", "--q", "0.5", "--c1", "0.25", "--c2", "0.5",
+                "--c3", "0.25", "--size", "8", "--x-points", "0.5,nan"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == "error[invalid-parameter]: bad --x-points '0.5,nan'\n"
 
     def test_poly_n_max_beyond_size_names_the_flag(self, capsys):
         # the check finite families already had, now on an infinite family

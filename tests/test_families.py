@@ -344,6 +344,32 @@ class TestSpectrumCertification:
         rep = verify_spectrum(rec, SpectrumLattice(pts, "single-exponential"))
         assert not rep.passed
         assert rep.max_abs > rep.tolerance
+        # the evidence singles out the moved point, and only it
+        assert rep.points[1] == pts[1] and rep.location == (1, 1)
+        for s in (0, 2, 3):
+            assert rep.rel_distance[s] <= rep.tolerance
+            assert rep.charpoly_scaled[s] <= rep.tolerance
+        assert rep.rel_distance[1] > rep.tolerance and rep.charpoly_scaled[1] > rep.tolerance
+
+    @pytest.mark.parametrize(
+        "rec", [q_hahn(0.3, 0.4, 0.7, 5), q_para_krawtchouk(0.25, 0.6, 7), q_hahn(0.3, 0.4, 1.6, 4)],
+        ids=["q-hahn", "q-para-krawtchouk", "q-hahn-q>1"],
+    )
+    def test_report_carries_the_evidence(self, rec):
+        lattice = claimed_spectrum(rec)
+        rep = verify_spectrum(rec, lattice, TolerancePolicy(rel_tol=1e-8))
+        assert rep.passed
+        n = rec.size
+        assert list(rep.points) == sorted(float(x) for x in lattice.points)
+        assert len(rep.eigenvalues) == len(rep.rel_distance) == len(rep.charpoly_scaled) == n
+        assert sorted(rep.eigenvalues) == sorted(eigenvalues(jacobi_matrix(rec)))
+        for lam, x, rel in zip(rep.eigenvalues, rep.points, rep.rel_distance):
+            assert rel == abs(lam - x) / abs(x) <= rep.tolerance
+        assert rep.max_abs == max(rep.rel_distance + rep.charpoly_scaled)
+        s = rep.location[0]
+        assert rep.location == (s, s)
+        assert rep.max_abs in (rep.rel_distance[s], rep.charpoly_scaled[s])
+        assert rep.rows == (0, n - 1) and rep.scale == 1.0
 
     def test_count_mismatch_raises(self):
         rec = q_hahn(0.3, 0.4, 0.5, 3)

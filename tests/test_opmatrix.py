@@ -228,6 +228,17 @@ class TestQCommutatorResidual:
         rep = q_commutator_residual(A, B, 0.5)
         assert rep.rows == (0, 3)
 
+    def test_nan_entry_is_the_worst(self):
+        # a NaN must not be skipped by the comparison, whatever follows it
+        M = BandMatrix(3, {0: (1.0, math.nan, 7.0), 1: (9.0, 2.0)})
+        worst, loc = max_entry_diff(M, BandMatrix(3))
+        assert math.isnan(worst) and loc == (1, 1)
+
+    def test_nan_residual_fails(self):
+        A, B = canonical_pair(2.0, 0.5, 5)
+        rep = q_commutator_residual(A, B, math.nan)
+        assert math.isnan(rep.max_abs) and not rep.passed
+
     def test_custom_rhs(self):
         A, B = canonical_pair(2.0, 0.5, 4)
         rhs = band_scale(1.0, band_identity(4))

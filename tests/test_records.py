@@ -39,6 +39,12 @@ RECORDS = {
     "QHahnParams": (("c1", F(3, 10)), ("c2", F(2, 5)), ("q", F(1, 2)), ("N", 3)),
     "QParaKrawtchoukParams": (("c3", 0.2), ("q", 0.5), ("N", 5)),
     "SpectrumLattice": (("points", (1.0, 2.0, 4.0)), ("kind", "single-exponential")),
+    "SpectrumReport": (
+        ("max_abs", 1e-12), ("location", (1, 1)), ("rows", (0, 2)), ("scale", 1.0),
+        ("tolerance", 1e-9), ("passed", True), ("points", (1.0, 2.0, 4.0)),
+        ("eigenvalues", (1.0, 2.0, 4.0)), ("rel_distance", (0.0, 0.0, 0.0)),
+        ("charpoly_scaled", (0.0, 1e-12, 0.0)),
+    ),
     "BigQJacobiConstants": (("gamma1", 1.0), ("delta1", 2.0), ("gamma2", 3.0), ("delta2", 4.0)),
     "AWAlgebraConstants": (
         ("omega0", 1), ("sigma1", 2), ("omega1", 3), ("sigma2", 4), ("omega2", 5),
@@ -158,6 +164,10 @@ def test_bad_calls_raise_type_error():
     [
         (lambda: TolerancePolicy(abs_tol=0), InvalidParameterError, "tolerances must be positive"),
         (lambda: TolerancePolicy(1e-12, -1), InvalidParameterError, "tolerances must be positive"),
+        (lambda: TolerancePolicy(abs_tol=float("inf")), InvalidParameterError,
+         "tolerances must be finite"),
+        (lambda: TolerancePolicy(1e-12, float("nan")), InvalidParameterError,
+         "tolerances must be finite"),
         (lambda: MonicRecurrence((), ()), InvalidParameterError, "recurrence needs at least b_0"),
         (lambda: MonicRecurrence(b=(1, 2), u=()), InvalidParameterError,
          "u must have one entry fewer than b"),

@@ -1,5 +1,6 @@
 """General tridiagonal solution, classification, canonical form, decomposition."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -20,6 +21,7 @@ from qosc import (
     StructuredParams,
     TolerancePolicy,
     TooSmallError,
+    XiResiduals,
     band_mul,
     build_general,
     canonical_pair,
@@ -178,6 +180,12 @@ class TestXiResiduals:
         A, B, _ = build_general(GeneralParams(**SAFE), 10)
         assert xi_residuals(A, B, SAFE["q"]).max_abs() < 1e-12
 
+    def test_nan_is_the_max_wherever_it_sits(self):
+        r = XiResiduals((), (0.0,), (float("nan"),), (1.0,), ())
+        assert math.isnan(r.max_abs())
+        A, B, _ = build_general(GeneralParams(**{**SAFE, "s1": float("nan")}), 6)
+        assert math.isnan(xi_residuals(A, B, SAFE["q"]).max_abs())
+
     def test_perturbation_localizes(self):
         # bumping B[2,1] = xi_2 must light up exactly the conditions that read it
         p = GeneralParams(**SAFE)
@@ -218,6 +226,11 @@ class TestClassify:
         Ap = BandMatrix(6, {-1: A.bands[-1], 0: tuple(diag), 1: A.bands[1]})
         with pytest.raises(NotAQOscillatorError):
             classify(Ap, B, SAFE["q"])
+
+    def test_rejects_nan_pair(self):
+        A, B, _ = build_general(GeneralParams(**{**SAFE, "s1": float("nan")}), 6)
+        with pytest.raises(NotAQOscillatorError):
+            classify(A, B, SAFE["q"])
 
     def test_rejects_non_monic(self):
         A, B, _ = build_general(GeneralParams(**SAFE), 6)
