@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from ._record import record
 from .errors import InvalidParameterError, TooSmallError
-from .numerics import TolerancePolicy
+from .numerics import TolerancePolicy, _worst_of
 from .opmatrix import (
     ResidualReport,
     _q_bracket,
@@ -165,10 +165,10 @@ def aw_algebra_residuals(
     t00, t11 = T.entry(0, 0), T.entry(1, 1)
     w0 = (t11 - t00) / ((q - 1) * (z0 - z1))
     w1 = (q - 1) * z0 * w0 + t00
-    dev = max(
+    dev, _ = _worst_of((
         abs(float(k.omega0 - w0)) / max(1.0, abs(float(w0))),
         abs(float(k.omega1 - w1)) / max(1.0, abs(float(w1))),
-    )
+    ))
     tol = pol.effective(1.0)
     m_def = ResidualReport(dev, None, (0, 1), 1.0, tol, dev <= tol)
 

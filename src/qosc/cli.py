@@ -2,9 +2,9 @@
 
 Each run prints a single JSON report to stdout with top-level fields
 {command, params, checks, tables, version}.  Numbers are serialized as
-decimals with 17 significant digits, so a rerun with the same inputs is
-byte-identical.  Exit status: 0 when every check passes, 1 when some check
-fails, 2 on a parameter error.
+decimals with 17 significant digits (null when not finite), so a rerun with
+the same inputs is byte-identical.  Exit status: 0 when every check passes, 1
+when some check fails, 2 on a parameter error or a float overflow.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from .families import (
     q_para_krawtchouk,
     verify_spectrum,
 )
-from .numerics import LaurentPoly, TolerancePolicy, _max_or_nan, laurent_add, laurent_mul, laurent_scale
-from .opmatrix import q_commutator_residual
+from .numerics import LaurentPoly, TolerancePolicy, _worst_of, laurent_add, laurent_mul, laurent_scale
+from .opmatrix import _worst, band_sub, q_commutator_residual
 from .representation import (
     GeneralParams,
     StructuredParams,
@@ -71,7 +71,8 @@ def _to_json(value) -> str:
         return "{" + inner + "}"
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_to_json(v) for v in value) + "]"
-    return format(float(value), ".17g")
+    value = float(value)
+    return format(value, ".17g") if math.isfinite(value) else "null"
 
 
 def _cell(value) -> str:
@@ -109,13 +110,13 @@ def _write_csv(report: dict, csv_dir: str) -> None:
 # -- report assembly -------------------------------------------------------------
 
 
-def _check(name: str, max_abs, tolerance, ok=None) -> dict:
-    passed = (float(max_abs) <= float(tolerance)) if ok is None else bool(ok)
-    return {"name": name, "max_abs": float(max_abs), "tolerance": float(tolerance), "pass": passed}
+def _check(name: str, max_abs, tolerance) -> dict:
+    max_abs, tolerance = float(max_abs), float(tolerance)
+    return {"name": name, "max_abs": max_abs, "tolerance": tolerance, "pass": max_abs <= tolerance}
 
 
 def _check_from(name: str, rep) -> dict:
-    return _check(name, rep.max_abs, rep.tolerance, ok=rep.passed)
+    return _check(name, rep.max_abs, rep.tolerance)
 
 
 def _band_table(name: str, M) -> dict:
@@ -210,7 +211,7 @@ def _block_check(rec, pol: TolerancePolicy):
     expected = 1 if rec.family == "q-hahn" else 2
     J = jacobi_matrix(rec)
     blocks = _blocks(J, companion_b(J, companion_params(rec)), rec.params.q, pol)
-    return _check("block-count", abs(len(blocks) - expected), 0.5, ok=len(blocks) == expected), blocks
+    return _check("block-count", abs(len(blocks) - expected), 0.5), blocks
 
 
 def _general_pair(p: GeneralParams, size: int, pol: TolerancePolicy):
@@ -289,17 +290,12 @@ def _suite_aw_match(args, pol: TolerancePolicy):
     direct = askey_wilson(pa, count)
     sp, w = aw_parameter_map(pa)
     rec, _ = to_monic(build_W(sp, w, count), pol)
-    devs = []
+    J = jacobi_matrix(direct)
+    dev, _ = _worst(band_sub(jacobi_matrix(rec), J), ref=J)  # |pencil - direct| / max(1, |direct|)
     rows = [["n", "b_direct", "b_pencil", "u_direct", "u_pencil"]]
-    for n in range(count):
-        devs.append(abs(rec.b[n] - direct.b[n]) / max(1.0, abs(direct.b[n])))
-        u_d = u_p = ""
-        if n >= 1:
-            u_d, u_p = direct.u[n - 1], rec.u[n - 1]
-            devs.append(abs(u_p - u_d) / max(1.0, abs(u_d)))
-        rows.append([n, direct.b[n], rec.b[n], u_d, u_p])
+    rows += map(list, zip(range(count), direct.b, rec.b, ("", *direct.u), ("", *rec.u)))
     tables = [{"name": "coefficients", "rows": rows}]
-    return {**params, "count": count}, [_check("aw-match", _max_or_nan(devs), pol.rel_tol)], tables
+    return {**params, "count": count}, [_check("aw-match", dev, pol.rel_tol)], tables
 
 
 def _suite_qdiff(args, pol: TolerancePolicy):
@@ -320,7 +316,7 @@ def _suite_qdiff(args, pol: TolerancePolicy):
         )
         resid = laurent_add(lhs, laurent_scale(-1.0, f))
         comm.append(float(resid.mass()) / max(1.0, float(f.mass())))
-    checks = [_check("qdiff-commutator", _max_or_nan(comm), pol.abs_tol)]
+    checks = [_check("qdiff-commutator", _worst_of(comm)[0], pol.abs_tol)]
 
     rec = big_q_jacobi(p, nmax + 1)
     zs = eigenvalue_sequence(p, nmax + 1)
@@ -330,7 +326,7 @@ def _suite_qdiff(args, pol: TolerancePolicy):
         resid = laurent_add(qdiff_Z_apply(Pn, p), laurent_scale(-zs[n], Pn))
         scale = max(1e-300, abs(zs[n]) * float(Pn.mass()))
         eig.append(float(resid.mass()) / scale)
-    checks.append(_check("qdiff-eigenrelation", _max_or_nan(eig), pol.rel_tol))
+    checks.append(_check("qdiff-eigenrelation", _worst_of(eig)[0], pol.rel_tol))
     return {**params, "kmax": kmax, "nmax": nmax}, checks, []
 
 
@@ -386,8 +382,8 @@ def cmd_poly(args, pol: TolerancePolicy):
     if not xs:
         raise InvalidParameterError("--x-points must name at least one point")
 
-    p0_dev = _max_or_nan(abs(eval_monic(rec, 0, x) - 1.0) for x in xs)
-    p1_dev = _max_or_nan(abs(eval_monic(rec, 1, x) - (x - rec.b[0])) for x in xs)
+    p0_dev, _ = _worst_of(abs(eval_monic(rec, 0, x) - 1.0) for x in xs)
+    p1_dev, _ = _worst_of(abs(eval_monic(rec, 1, x) - (x - rec.b[0])) for x in xs)
     checks = [
         _check("p0-is-one", p0_dev, pol.abs_tol),
         _check("p1-is-x-minus-b0", p1_dev, pol.abs_tol),
@@ -532,6 +528,9 @@ def main(argv=None) -> int:
         params, checks, tables = _COMMANDS[args.command](args, pol)
     except QoscError as exc:
         sys.stderr.write(f"error[{exc.kind}]: {exc}\n")
+        return 2
+    except OverflowError as exc:  # float ** overflows where * would give inf
+        sys.stderr.write(f"error[overflow]: the inputs overflow float arithmetic ({exc.args[-1]})\n")
         return 2
     except (OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error[io]: {exc}\n")

@@ -12,7 +12,7 @@ import math
 
 from ._record import record
 from .errors import InvalidParameterError, SpectrumMismatchError, UnsupportedFamilyError
-from .numerics import LaurentPoly, TolerancePolicy, laurent_add, laurent_mul, laurent_scale
+from .numerics import LaurentPoly, TolerancePolicy, _worst_of, laurent_add, laurent_mul, laurent_scale
 from .opmatrix import (
     BandMatrix,
     band_tridiagonal,
@@ -326,11 +326,8 @@ def verify_spectrum(
             raise SpectrumMismatchError(msg)
         paired[s] = lam
     rel = tuple(abs(lam - x) / max(abs(x), 1e-300) for lam, x in zip(paired, pts))
-    worst, loc = 0.0, None
-    for s, pair in enumerate(zip(scaled, rel)):
-        for d in pair:
-            if d > worst or d != d:  # a NaN counts as worst and stays so
-                worst, loc = d, (s, s)
+    worst, i = _worst_of(d for pair in zip(scaled, rel) for d in pair)
+    loc = None if i is None else (i // 2, i // 2)
     tol = pol.effective(1.0)
     verdict = (worst, loc, (0, rec.size - 1), 1.0, tol, worst <= tol)
     return SpectrumReport(*verdict, pts, tuple(paired), rel, scaled)

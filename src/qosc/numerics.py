@@ -38,11 +38,17 @@ class TolerancePolicy:
         return max(self.abs_tol, self.rel_tol * max(1.0, float(scale)))
 
 
-def _max_or_nan(values) -> float:
-    """max(values, default=0.0), but NaN when any value is NaN (max() may drop
-    it), so a check judged on the result fails."""
-    values = list(values)
-    return math.nan if any(v != v for v in values) else max(values, default=0.0)
+def _worst_of(values) -> tuple:
+    """(largest value, its index), the first on ties: the sequence twin of
+    opmatrix._worst.  The first NaN counts as the largest (max() may drop it),
+    so a check judged on it fails; (0.0, None) when no value exceeds 0."""
+    worst, loc = 0.0, None
+    for i, v in enumerate(values):
+        if not v <= worst:  # true for v > worst and for NaN
+            worst, loc = v, i
+            if v != v:
+                break
+    return worst, loc
 
 
 def geometric_seq(base, ratio, count: int) -> list:

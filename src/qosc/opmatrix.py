@@ -8,6 +8,9 @@ float build uses.  The package has no numpy: the eigenvectors behind
 tridiagonal matrix by its minor recurrences (``_adjugate_vectors`` below), and
 numpy enters only in tests.
 
+Every reader of a tridiagonal matrix's three bands goes through
+``_tridiagonal``, which refuses a matrix storing any wider band.
+
 Truncation bookkeeping: all infinite-matrix identities checked here hold on a
 size x size truncation except for rows coupled to the cut, so residual checks
 take an explicit row window and default to rows 0..size-2.
@@ -297,14 +300,13 @@ def diag_similarity(M: BandMatrix, d) -> BandMatrix:
     return BandMatrix(M.size, out)
 
 
-def _tridiagonal_bu(M: BandMatrix):
-    """(diag, sub*super products) of a tridiagonal matrix, for minor recurrences."""
+def _tridiagonal(M: BandMatrix):
+    """(sub, diag, super) of a tridiagonal matrix, a band not stored reading as
+    zeros; InvalidParameterError when a band beyond +-1 is stored."""
     if M.lower > 1 or M.upper > 1:
         raise InvalidParameterError("matrix is not tridiagonal")
-    size = M.size
-    b = [M.entry(i, i) for i in range(size)]
-    w = [M.entry(i + 1, i) * M.entry(i, i + 1) for i in range(size - 1)]
-    return b, w
+    zeros = (0,) * M.size
+    return M.bands.get(-1, zeros[1:]), M.bands.get(0, zeros), M.bands.get(1, zeros[1:])
 
 
 def char_poly_eval(M: BandMatrix, x):
@@ -313,10 +315,10 @@ def char_poly_eval(M: BandMatrix, x):
     Duck-typed and unscaled: exact for exact inputs, may overflow for large
     sizes with wide entry ranges (eigenvalues() uses a rescaled variant).
     """
-    b, w = _tridiagonal_bu(M)
+    sub, b, sup = _tridiagonal(M)
     p0, p1 = 1, x - b[0]
-    for k in range(1, len(b)):
-        p0, p1 = p1, (x - b[k]) * p1 - w[k - 1] * p0
+    for bk, s, t in zip(b[1:], sub, sup):
+        p0, p1 = p1, (x - bk) * p1 - s * t * p0
     return p1
 
 
@@ -598,12 +600,9 @@ class _ExactCharPoly:
 
     @cached_property
     def _entries(self):
-        M = self.M
-        b = [_ratio(M.entry(i, i)) for i in range(M.size)]
-        w = []
-        for i in range(M.size - 1):
-            (s, ds), (t, dt) = _ratio(M.entry(i + 1, i)), _ratio(M.entry(i, i + 1))
-            w.append((s * t, ds * dt))
+        sub, diag, sup = _tridiagonal(self.M)
+        b = [_ratio(v) for v in diag]
+        w = [(s * t, ds * dt) for (s, ds), (t, dt) in zip(map(_ratio, sub), map(_ratio, sup))]
         return b, w, math.lcm(*(d for _, d in b + w))
 
     def _eval(self, z: complex):
@@ -784,9 +783,9 @@ def eigenvalues(M: BandMatrix) -> list:
     bracket and finished with a double-double Newton polish, except roots the
     Aberth iteration already converged under exact evaluation.
     """
-    b, w = _tridiagonal_bu(M)
+    sub, b, sup = _tridiagonal(M)
     b = [float(v) for v in b]
-    w = [float(v) for v in w]
+    w = [float(s * t) for s, t in zip(sub, sup)]
     n = len(b)
     if not all(abs(v) < math.inf for v in b + w):
         raise InvalidParameterError("matrix entries must be finite")
@@ -850,10 +849,8 @@ def _adjugate_vectors(M: BandMatrix, lam: float):
     no linear solve.
     """
     n = M.size
-    zeros = (0.0,) * n
-    d = [float(x) - lam for x in M.bands.get(0, zeros)]
-    r = [float(x) for x in M.bands.get(1, zeros[1:])]
-    l = [float(x) for x in M.bands.get(-1, zeros[1:])]
+    l, d, r = ([float(x) for x in band] for band in _tridiagonal(M))
+    d = [x - lam for x in d]
     w0 = [0.0] + [a * b for a, b in zip(l, r)]
     theta = _scaled_minors(d, w0)  # theta[k] = theta_{k-1}
     phi = _scaled_minors(d[::-1], [0.0] + w0[:0:-1])[::-1]  # phi[k] = phi_k

@@ -24,11 +24,12 @@ from .errors import (
     ResonanceError,
     TooSmallError,
 )
-from .numerics import TolerancePolicy, _max_or_nan
+from .numerics import TolerancePolicy, _worst_of
 from .opmatrix import (
     BandMatrix,
     ResidualReport,
     _adjugate_vectors,
+    _tridiagonal,
     _worst,
     band_sub,
     band_tridiagonal,
@@ -181,20 +182,15 @@ def _read_tridiagonal_pair(A: BandMatrix, B: BandMatrix):
     size = A.size
     if size < 3:
         raise TooSmallError("band sequences need size >= 3")
-    if A.lower > 1 or A.upper > 1 or B.lower > 1 or B.upper > 1:
-        raise InvalidParameterError("pair must be tridiagonal")
-    for n in range(size - 1):
-        if abs(A.entry(n + 1, n) - 1) > 1e-12:
-            raise InvalidNormalizationError("A must have unit subdiagonal")
-    b = [A.entry(n, n) for n in range(size)]
-    u = [0] + [A.entry(n - 1, n) for n in range(1, size)]
+    (ones, b, u), (xi, eta, zu) = _tridiagonal(A), _tridiagonal(B)
+    if any(abs(s - 1) > 1e-12 for s in ones):
+        raise InvalidNormalizationError("A must have unit subdiagonal")
+    u = [0, *u]
     for n in range(1, size):
         if u[n] == 0:
             raise ReducibleRepresentationError(f"u_{n} = 0: pair is not irreducible")
-    xi = [None] + [B.entry(n, n - 1) for n in range(1, size)]
-    eta = [B.entry(n, n) for n in range(size)]
-    zeta = [None] + [B.entry(n - 1, n) / u[n] for n in range(1, size)]
-    return b, u, xi, eta, zeta
+    zeta = [None] + [z / un for z, un in zip(zu, u[1:])]
+    return b, u, [None, *xi], eta, zeta
 
 
 @record
@@ -214,7 +210,7 @@ class XiResiduals:
     def max_abs(self) -> float:
         """The largest |residual|, or NaN when any residual is NaN."""
         seqs = (self.xi1, self.xi2, self.xi3, self.xi4, self.xi5)
-        return _max_or_nan(abs(float(v)) for seq in seqs for v in seq)
+        return _worst_of(abs(float(v)) for seq in seqs for v in seq)[0]
 
 
 def xi_residuals(A: BandMatrix, B: BandMatrix, q) -> XiResiduals:
@@ -278,8 +274,9 @@ def classify(A: BandMatrix, B: BandMatrix, q, pol: TolerancePolicy = TolerancePo
     s2 = (z0 * eta[0] - (q + 1) * xi0 * zeta0 * b[0]) / q
     params = GeneralParams(q, xi0, zeta0, s1, s2)
     A2, B2, _ = build_general(params, size)
-    (wa, la), (wb, lb) = _worst(band_sub(A, A2), ref=A), _worst(band_sub(B, B2), ref=B)
-    worst, loc = (wb, lb) if wb > wa else (wa, la)
+    scans = (_worst(band_sub(A, A2), ref=A), _worst(band_sub(B, B2), ref=B))
+    worst, i = _worst_of(w for w, _ in scans)
+    loc = None if i is None else scans[i][1]
     tol = pol.effective(1.0)
     report = ResidualReport(worst, loc, (0, size - 1), 1.0, tol, worst <= tol)
     return params, report

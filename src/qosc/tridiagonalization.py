@@ -26,6 +26,7 @@ from .numerics import (
 from .opmatrix import (
     BandMatrix,
     _q_bracket,
+    _tridiagonal,
     band_add,
     band_identity,
     band_mul,
@@ -128,18 +129,13 @@ def to_monic(W: BandMatrix, pol: TolerancePolicy = TolerancePolicy()):
     b_n = W[n, n] and u_n = W[n, n-1] * W[n-1, n].  A vanishing subdiagonal
     entry (|.| <= abs_tol) admits no such reduction: NotMonicReducibleError.
     """
-    if W.lower > 1 or W.upper > 1:
-        raise InvalidParameterError("W must be tridiagonal")
-    size = W.size
+    sub, b, sup = _tridiagonal(W)
     d = [1]
-    for n in range(size - 1):
-        s = W.entry(n + 1, n)
+    for n, s in enumerate(sub):
         if abs(float(s)) <= pol.abs_tol:
             raise NotMonicReducibleError(f"subdiagonal entry ({n + 1},{n}) vanishes")
         d.append(d[-1] * s)
-    b = tuple(W.entry(n, n) for n in range(size))
-    u = tuple(W.entry(n, n - 1) * W.entry(n - 1, n) for n in range(1, size))
-    return MonicRecurrence(b, u), tuple(d)
+    return MonicRecurrence(b, tuple(s * t for s, t in zip(sub, sup))), tuple(d)
 
 
 def aw_parameter_map(p: AWParams):

@@ -2,12 +2,14 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
 
 import pytest
 
+from qosc import AWParams, askey_wilson, aw_parameter_map, build_W, to_monic
 from qosc.cli import main
 
 STRUCTURED = [
@@ -191,6 +193,55 @@ class TestDeterminismAndExitCodes:
             main(["build", "--q", "abc"])
         assert exc.value.code == 2
         assert "argument --q: invalid float value: 'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "aw-algebra", "--q", "0.5", "--c1", "0.25", "--c2", "0.5",
+         "--c3", "0.25", "--mu", "1e300", "--size", "12"],
+        ["build", "--parameterization", "general", "--q", "0.5", "--xi0", "1e300", "--zeta0",
+         "-0.3", "--s1", "0.4", "--s2", "0.1", "--size", "8"],
+        ["verify", "--suite", "qosc", "--q", "0.5", "--xi0", "1e200", "--zeta0", "-0.3",
+         "--s1", "0.4", "--s2", "0.1", "--size", "8"],
+        ["decompose", "--q", "0.5", "--xi0", "1e300", "--zeta0", "-0.3", "--s1", "0.4",
+         "--s2", "0.1", "--size", "8"],
+    ])
+    def test_exit_two_on_float_overflow(self, capsys, argv):
+        # finite flags whose powers overflow: float ** raises where * gives inf
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error[overflow]: ") and err.count("\n") == 1
+
+
+def _no_constant(token):
+    raise AssertionError(f"{token} is not JSON")
+
+
+class TestNonFiniteOutput:
+    """Numbers that overflow to inf or NaN are written as null."""
+
+    @pytest.mark.parametrize("argv, status", [
+        (["verify", "--suite", "aw-match", "--q", "0.6", "--a1", "0.9", "--a2", "0.5", "--a3",
+          "0.4", "--a4", "1e300", "--count", "5"], 1),
+        (["poly", "--family", "big-q-jacobi", "--q", "0.5", "--c1", "0.25", "--c2", "0.5",
+          "--c3", "0.25", "--size", "8", "--x-points", "1e300"], 0),
+        (["build", "--parameterization", "structured", "--q", "0.5", "--c1", "1e200", "--c2",
+          "1e-200", "--c3", "1e300", "--size", "5"], 1),
+    ])
+    def test_stdout_is_json(self, capsys, argv, status):
+        code, out, _ = run(capsys, argv)
+        assert code == status
+        report = json.loads(out, parse_constant=_no_constant)
+        assert None in [v for t in report["tables"] for r in t["rows"] for v in r]
+
+    def test_text_and_csv_write_null(self, capsys, tmp_path):
+        argv = ["verify", "--suite", "aw-match", "--q", "0.6", "--a1", "0.9", "--a2", "0.5",
+                "--a3", "0.4", "--a4", "1e300", "--count", "3", "--no-json", "--csv-dir",
+                str(tmp_path)]
+        code, out, _ = run(capsys, argv)
+        assert code == 1
+        assert "aw-match: max_abs=null tolerance=1.0000000000000001e-09 FAIL\n" in out
+        assert (tmp_path / "verify-coefficients.csv").read_text().splitlines()[-1] == (
+            "2,null,null,null,null"
+        )
 
 
 class TestParamFileAndOutputs:
@@ -391,7 +442,25 @@ class TestVerifySuites:
                 "--a3", "0.4", "--a4", "1e300", "--count", "5"]
         code, out, _ = run(capsys, argv)
         assert code == 1
-        assert '"name": "aw-match", "max_abs": nan' in out and '"pass": false' in out
+        assert '"name": "aw-match", "max_abs": null' in out and '"pass": false' in out
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_aw_match_max_abs_is_the_per_coefficient_rule(self, capsys, seed):
+        rng = random.Random(seed)
+        q = rng.uniform(0.3, 0.9)
+        a = [rng.uniform(0.1, 0.95) for _ in range(4)]
+        count = rng.randint(2, 30)
+        argv = ["verify", "--suite", "aw-match", "--q", repr(q), "--count", str(count)]
+        argv += [x for k, v in enumerate(a, 1) for x in (f"--a{k}", repr(v))]
+        _, out, _ = run(capsys, argv)
+        # the rule the suite applied coefficient by coefficient before it
+        # scanned the two Jacobi matrices: |pencil - direct| / max(1, |direct|)
+        pa = AWParams(q, *a)
+        direct = askey_wilson(pa, count)
+        rec, _ = to_monic(build_W(*aw_parameter_map(pa), count))
+        devs = [abs(p - d) / max(1.0, abs(d)) for p, d in zip(rec.b + rec.u, direct.b + direct.u)]
+        [check] = json.loads(out)["checks"]
+        assert check["max_abs"].hex() == max(devs).hex()
 
     @pytest.mark.parametrize("flag", ["--kmax", "--nmax"])
     def test_qdiff_negative_count_names_the_flag(self, capsys, flag):

@@ -1,5 +1,7 @@
-"""Tolerance policy, geometric sequences, Laurent-polynomial ring."""
+"""Tolerance policy, the worst value of a sequence, geometric sequences,
+Laurent-polynomial ring."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -18,6 +20,7 @@ from qosc import (
     laurent_scale,
     laurent_scale_arg,
 )
+from qosc.numerics import _worst_of
 
 # coefficient values that stay well away from the pruning threshold
 coeffs = st.floats(min_value=-8.0, max_value=8.0).filter(lambda c: c == 0.0 or abs(c) > 1e-6)
@@ -40,6 +43,26 @@ class TestTolerancePolicy:
             TolerancePolicy(abs_tol=0.0)
         with pytest.raises(InvalidParameterError):
             TolerancePolicy(rel_tol=-1e-9)
+
+
+class TestWorstOf:
+    def test_empty_and_nonpositive_have_no_index(self):
+        assert _worst_of([]) == (0.0, None)
+        assert _worst_of(iter(())) == (0.0, None)
+        assert _worst_of([0.0, 0.0]) == (0.0, None)
+
+    def test_largest_and_first_index_on_ties(self):
+        assert _worst_of([1.0, 3.0, 2.0, 3.0]) == (3.0, 1)
+        assert _worst_of(x for x in (0.0, 5.0, 5.0)) == (5.0, 1)
+
+    @pytest.mark.parametrize("values, index", [
+        ([1.0, math.inf, math.nan, 2.0], 2),  # a NaN after an inf still wins
+        ([math.nan, math.inf, 3.0], 0),  # a NaN first stays
+        ([0.5, math.nan, 9.0, math.nan], 1),  # the first of two NaNs
+    ])
+    def test_first_nan_is_the_worst(self, values, index):
+        worst, loc = _worst_of(values)
+        assert math.isnan(worst) and loc == index
 
 
 class TestGeometricSeq:

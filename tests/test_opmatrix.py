@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from qosc import (
     BandMatrix,
     InvalidParameterError,
+    NotMonicReducibleError,
     NumericFailureError,
     SizeGuardError,
     StructuredParams,
@@ -37,6 +38,8 @@ from qosc import (
     q_commutator_residual,
     q_hahn,
     q_para_krawtchouk,
+    to_monic,
+    xi_residuals,
 )
 from qosc import opmatrix
 from qosc.opmatrix import _adjugate_vectors
@@ -160,7 +163,7 @@ class TestBandLU:
     def test_singular_is_reported(self, dense):
         n = len(dense)
         M = BandMatrix(n, {k: tuple(dense[i][i + k] for i in range(max(0, -k), min(n, n - k)))
-                           for k in range(-(n - 1), n)})
+                           for k in (-1, 0, 1)})
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(np.array(dense), [1.0] * n)
         v, y = _adjugate_vectors(M, 0.0)
@@ -210,6 +213,40 @@ class TestCharPolyAndSimilarity:
             x = -4.0 + 0.5 * i
             scale = max(1.0, abs(char_poly_eval(M, x)))
             assert abs(char_poly_eval(W, x) - char_poly_eval(M, x)) <= 1e-9 * scale
+
+
+class TestTridiagonalRead:
+    """Every reader of the three bands takes a band that is not stored as zeros
+    and refuses a matrix that stores a wider band."""
+
+    @pytest.mark.parametrize("diag", [(3.0, 1.0, 2.0), (F(1, 3), F(2), F(-1, 2))])
+    def test_diagonal_only(self, diag):
+        M = band_diagonal(diag)
+        assert eigenvalues(M) == sorted(float(x) for x in diag)
+        assert char_poly_eval(M, 0.5) == math.prod(0.5 - x for x in diag)
+        b, w, _ = opmatrix._ExactCharPoly(M)._entries
+        assert b == [x.as_integer_ratio() for x in diag] and w == [(0, 1), (0, 1)]
+        with pytest.raises(NotMonicReducibleError, match=r"\(1,0\) vanishes"):
+            to_monic(M)
+
+    @pytest.mark.parametrize("bands, value", [({0: (2.5,)}, 2.5), ({}, 0)])
+    def test_one_by_one(self, bands, value):
+        M = BandMatrix(1, bands)
+        assert eigenvalues(M) == [value]
+        assert char_poly_eval(M, 0.5) == 0.5 - value
+        exact = opmatrix._ExactCharPoly(M)
+        assert exact._entries == ([value.as_integer_ratio()], [], value.as_integer_ratio()[1])
+        assert exact.sign(value + 1.0) == 1 and exact.sign(value - 1.0) == -1
+        rec, d = to_monic(M)
+        assert (rec.b, rec.u, d) == ((value,), (), (1,))
+
+    def test_wider_band_refused_even_when_zero(self):
+        M = BandMatrix(4, {-1: (1.0,) * 3, 0: (1.0, 2.0, 3.0, 4.0), 1: (0.5,) * 3, 2: (0.0, 0.0)})
+        readers = [eigenvalues, lambda M: char_poly_eval(M, 0.5), to_monic,
+                   lambda M: _adjugate_vectors(M, 1.0), lambda M: xi_residuals(M, M, 0.5)]
+        for read in readers:
+            with pytest.raises(InvalidParameterError, match="matrix is not tridiagonal"):
+                read(M)
 
 
 class TestQCommutatorResidual:
