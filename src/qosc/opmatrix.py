@@ -1,9 +1,14 @@
 """Banded operator matrices and residual checks.
 
-The band kernel is deliberately pure Python and duck-typed: entries may be
-floats, fractions.Fraction, or any ring element supporting +, -, *.  Exact
-inputs therefore produce exact residuals through the very same code paths the
-float build uses.  The package has no numpy: the eigenvectors behind
+The band kernel is pure Python and duck-typed: entries may be floats,
+fractions.Fraction, or any ring element supporting +, -, *.  Exact inputs
+therefore produce exact residuals through the very same code paths the float
+build uses.  Products, sums, scalings and row sums walk each band as a slice
+under a C-level ``map`` rather than one Python statement per entry; the
+operand order and the order of every sum are those of per-entry loops, so the
+results are the same bit for bit.  The residual scan ``_worst`` stays a loop:
+a max() over a mapped list measured slower than the interpreter's specialized
+float compare.  The package has no numpy: the eigenvectors behind
 ``decompose`` (see representation.py) are read off the adjugate of a
 tridiagonal matrix by its minor recurrences (``_adjugate_vectors`` below), and
 numpy enters only in tests.
@@ -29,7 +34,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from functools import cached_property
+from itertools import repeat
 
 from ._record import record
 from .errors import (
@@ -188,12 +195,14 @@ def band_add(A: BandMatrix, B: BandMatrix) -> BandMatrix:
         elif b is None:
             out[k] = a
         else:
-            out[k] = tuple(x + y for x, y in zip(a, b))
+            out[k] = tuple(map(operator.add, a, b))
     return BandMatrix(size, out)
 
 
 def band_scale(c, A: BandMatrix) -> BandMatrix:
-    return BandMatrix(A.size, {k: tuple(c * v for v in band) for k, band in A.bands.items()})
+    """c * A, each entry formed as c * v: mixed scalar types may tell it from v * c."""
+    scaled = {k: tuple(map(operator.mul, repeat(c), band)) for k, band in A.bands.items()}
+    return BandMatrix(A.size, scaled)
 
 
 def band_sub(A: BandMatrix, B: BandMatrix) -> BandMatrix:
@@ -201,7 +210,12 @@ def band_sub(A: BandMatrix, B: BandMatrix) -> BandMatrix:
 
 
 def band_mul(A: BandMatrix, B: BandMatrix) -> BandMatrix:
-    """Exact banded product; output bandwidth is the sum of input bandwidths."""
+    """Exact banded product; output bandwidth is the sum of input bandwidths.
+
+    Band pair (ka, kb) adds a_i * b_i into output band ka + kb over the rows
+    i_lo .. i_lo + n - 1 it reaches, as one map over three aligned slices.
+    Each output entry starts at int 0 and takes its terms in band-pair order.
+    """
     size = _check_same_size(A, B)
     out: dict = {}
     for ka, banda in A.bands.items():
@@ -210,20 +224,21 @@ def band_mul(A: BandMatrix, B: BandMatrix) -> BandMatrix:
             if abs(k) > size - 1:
                 continue
             acc = out.setdefault(k, [0] * (size - abs(k)))
-            i_lo = max(0, -ka, -ka - kb)
-            i_hi = size - 1 - max(0, ka, ka + kb)
-            for i in range(i_lo, i_hi + 1):
-                a = banda[i + min(0, ka)]
-                b = bandb[i + ka + min(0, kb)]
-                acc[i + min(0, k)] += a * b
+            i_lo = max(0, -ka, -k)
+            n = size - max(0, ka, k) - i_lo
+            a0, b0, o = i_lo + min(0, ka), i_lo + ka + min(0, kb), i_lo + min(0, k)
+            acc[o:o + n] = map(operator.add, acc[o:o + n],
+                               map(operator.mul, banda[a0:a0 + n], bandb[b0:b0 + n]))
     return BandMatrix(size, {k: tuple(v) for k, v in out.items()})
 
 
 def inf_norm(M: BandMatrix) -> float:
-    """Max absolute row sum."""
+    """Max absolute row sum; each row sums its bands in band order."""
     sums = [0.0] * M.size
-    for i, _, v in _entries(M):
-        sums[i] += abs(float(v))
+    for k, entries in M.bands.items():
+        i0 = max(0, -k)  # the row of entries[0]
+        i1 = i0 + len(entries)
+        sums[i0:i1] = map(operator.add, sums[i0:i1], map(abs, map(float, entries)))
     return max(sums)
 
 
@@ -245,13 +260,19 @@ class ResidualReport:
 
 
 def residual_report(R: BandMatrix, pol: TolerancePolicy, rows: tuple, scale: float) -> ResidualReport:
-    """Max |R_ij| over rows[0] <= i <= rows[1], judged at the given scale."""
+    """Max |R_ij| over rows[0] <= i <= rows[1], judged at the given scale.
+
+    It passes when max_abs <= tolerance and both the scale and the tolerance
+    are finite; a NaN in either, or in the residual, fails.
+    """
     lo, hi = rows
     if not (0 <= lo <= hi < R.size):
         raise InvalidParameterError("row window out of range")
     worst, loc = _worst(R, rows)
     tol = pol.effective(scale)
-    return ResidualReport(worst, loc, (lo, hi), float(scale), tol, worst <= tol)
+    # an overflowed scale must not pass: inf <= inf holds, and max(1, NaN) is 1
+    passed = worst <= tol and math.isfinite(tol) and math.isfinite(float(scale))
+    return ResidualReport(worst, loc, (lo, hi), float(scale), tol, passed)
 
 
 def _q_bracket(X: BandMatrix, Y: BandMatrix, q) -> BandMatrix:

@@ -49,13 +49,23 @@ def _z_matrix(p: StructuredParams, size: int) -> BandMatrix:
 
 @record
 class DiagonalOperator:
-    """Diagonal matrix diag(z_0, ..., z_{n-1}) with pairwise-distinct entries."""
+    """Diagonal matrix diag(z_0, ..., z_{n-1}) with pairwise-distinct entries.
+
+    z_i and z_j coincide when |z_i - z_j| <= 1e-12 * max(1, |z_i|, |z_j|).  When
+    every gap between neighbours in sorted order exceeds twice that, no pair
+    can coincide and the check ends in O(n log n).  Otherwise (a NaN or an inf
+    fails that test too) every pair is compared, so the first coinciding
+    (i, j) is the one named.
+    """
 
     z: tuple
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "z", tuple(self.z))
         zf = [float(v) for v in self.z]
+        s = sorted(zf)
+        if all(b - a > 2e-12 * max(1.0, abs(a), abs(b)) for a, b in zip(s, s[1:])):
+            return
         for i in range(len(zf)):
             for j in range(i + 1, len(zf)):
                 if abs(zf[i] - zf[j]) <= 1e-12 * max(1.0, abs(zf[i]), abs(zf[j])):

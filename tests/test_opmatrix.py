@@ -38,6 +38,7 @@ from qosc import (
     q_commutator_residual,
     q_hahn,
     q_para_krawtchouk,
+    residual_report,
     to_monic,
     xi_residuals,
 )
@@ -115,6 +116,141 @@ class TestBandMul:
         A = band_tridiagonal((1.0, 1.0), (0.0,) * 3, (1.0, 1.0))
         M2 = band_mul(A, A)
         assert M2.entry(0, 2) == 1.0 and M2.entry(2, 0) == 1.0
+
+
+# Reference loops, one Python statement per entry: the slice-and-map kernel
+# must match them bit for bit, entry types included.
+def loop_band_mul(A, B):
+    size = A.size
+    out = {}
+    for ka, banda in A.bands.items():
+        for kb, bandb in B.bands.items():
+            k = ka + kb
+            if abs(k) > size - 1:
+                continue
+            acc = out.setdefault(k, [0] * (size - abs(k)))
+            i_lo = max(0, -ka, -ka - kb)
+            i_hi = size - 1 - max(0, ka, ka + kb)
+            for i in range(i_lo, i_hi + 1):
+                a = banda[i + min(0, ka)]
+                b = bandb[i + ka + min(0, kb)]
+                acc[i + min(0, k)] += a * b
+    return BandMatrix(size, {k: tuple(v) for k, v in out.items()})
+
+
+def loop_band_add(A, B):
+    out = {}
+    for k in sorted(set(A.bands) | set(B.bands)):
+        a = A.bands.get(k)
+        b = B.bands.get(k)
+        if a is None:
+            out[k] = b
+        elif b is None:
+            out[k] = a
+        else:
+            out[k] = tuple(x + y for x, y in zip(a, b))
+    return BandMatrix(A.size, out)
+
+
+def loop_band_scale(c, A):
+    return BandMatrix(A.size, {k: tuple(c * v for v in band) for k, band in A.bands.items()})
+
+
+def loop_inf_norm(M):
+    sums = [0.0] * M.size
+    for k, band in M.bands.items():
+        for i, v in enumerate(band, max(0, -k)):
+            sums[i] += abs(float(v))
+    return max(sums)
+
+
+def exactly(x):
+    """A key equal for two values only when they have the same type and the same
+    value, floats compared by float.hex (so -0.0 differs from 0.0).  A NaN's sign
+    bit is not compared: the interpreter's specialized float add may take it from
+    the other operand than the generic add does, so the loops do not fix it."""
+    if isinstance(x, float):
+        return float, float.hex(x)
+    if isinstance(x, BandMatrix):
+        return x.size, {k: tuple(map(exactly, band)) for k, band in x.bands.items()}
+    if isinstance(x, tuple):
+        return tuple(map(exactly, x))
+    return type(x), x
+
+
+def outcome(f, *args):
+    try:
+        return exactly(f(*args))
+    except (ArithmeticError, ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+SPECIALS = (math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 0, 1, -1)
+mixed_scalars = st.one_of(
+    st.floats(width=64),
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=50),
+    st.sampled_from(SPECIALS),
+)
+
+
+@st.composite
+def typed_band_matrices(draw, size=None):
+    """Banded matrices whose bands are all float, all int, all Fraction or mixed."""
+    if size is None:
+        size = draw(st.integers(min_value=1, max_value=9))
+    kind = draw(st.sampled_from(("float", "int", "fraction", "mixed")))
+    scalar = {
+        "float": st.one_of(st.floats(width=64), st.sampled_from((math.nan, math.inf, -0.0))),
+        "int": st.integers(min_value=-10**6, max_value=10**6),
+        "fraction": st.fractions(min_value=-1000, max_value=1000, max_denominator=50),
+        "mixed": mixed_scalars,
+    }[kind]
+    offsets = draw(st.lists(st.integers(min_value=1 - size, max_value=size - 1),
+                            unique=True, max_size=5))
+    return BandMatrix(size, {k: tuple(draw(scalar) for _ in range(size - abs(k))) for k in offsets})
+
+
+class TestKernelMatchesEntryLoops:
+    """The slice-and-map kernel against the per-entry loops above, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_band_mul(self, data):
+        A = data.draw(typed_band_matrices())
+        B = data.draw(typed_band_matrices(A.size))
+        assert outcome(band_mul, A, B) == outcome(loop_band_mul, A, B)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_band_add_and_sub(self, data):
+        A = data.draw(typed_band_matrices())
+        B = data.draw(typed_band_matrices(A.size))
+        assert outcome(band_add, A, B) == outcome(loop_band_add, A, B)
+        assert outcome(band_sub, A, B) == outcome(
+            lambda X, Y: loop_band_add(X, loop_band_scale(-1, Y)), A, B)
+
+    @settings(max_examples=60, deadline=None)
+    @given(c=mixed_scalars, A=typed_band_matrices())
+    def test_band_scale_mixed_scalars(self, c, A):
+        assert outcome(band_scale, c, A) == outcome(loop_band_scale, c, A)
+
+    @settings(max_examples=60, deadline=None)
+    @given(M=typed_band_matrices())
+    def test_inf_norm(self, M):
+        assert outcome(inf_norm, M) == outcome(loop_inf_norm, M)
+
+    def test_every_product_range_is_nonempty(self):
+        # each band pair whose sum lands inside the matrix reaches at least one row
+        for size in range(1, 7):
+            for ka in range(1 - size, size):
+                for kb in range(1 - size, size):
+                    A = BandMatrix(size, {ka: (F(1),) * (size - abs(ka))})
+                    B = BandMatrix(size, {kb: (F(1),) * (size - abs(kb))})
+                    assert exactly(band_mul(A, B)) == exactly(loop_band_mul(A, B))
+                    k = ka + kb
+                    if abs(k) < size:
+                        assert any(band_mul(A, B).bands[k])
 
 
 # Every matrix of size <= 2 is tridiagonal, whatever bandwidths it is drawn with.
@@ -275,6 +411,19 @@ class TestQCommutatorResidual:
         A, B = canonical_pair(2.0, 0.5, 5)
         rep = q_commutator_residual(A, B, math.nan)
         assert math.isnan(rep.max_abs) and not rep.passed
+
+    def test_overflowed_scale_fails(self):
+        # ||A|| ||B|| = 1e400 overflows: tolerance inf, and inf <= inf must not pass
+        A = band_diagonal((1e200,) * 4)
+        rep = q_commutator_residual(A, A, -0.5)
+        assert rep.scale == rep.tolerance == rep.max_abs == math.inf and not rep.passed
+
+    @pytest.mark.parametrize("scale", [math.inf, math.nan])
+    def test_non_finite_scale_fails_a_zero_residual(self, scale):
+        # max(1, NaN) is 1, so a NaN scale leaves the tolerance finite: the scale is checked too
+        rep = residual_report(BandMatrix(3), TolerancePolicy(), (0, 2), scale)
+        assert rep.max_abs == 0.0 and not rep.passed
+        assert residual_report(BandMatrix(3), TolerancePolicy(), (0, 2), 1e300).passed
 
     def test_custom_rhs(self):
         A, B = canonical_pair(2.0, 0.5, 4)

@@ -4,6 +4,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exact_oracles import askey_wilson_bu, big_q_jacobi_bu, dense, mat_mul
 
@@ -79,6 +80,59 @@ class TestZOperator:
     def test_diagonal_operator_distinctness_guard(self):
         with pytest.raises(ResonanceError):
             DiagonalOperator((1.0, 2.0, 1.0 + 1e-15))
+
+
+def pairwise_verdict(z):
+    """The all-pairs distinctness rule: the message naming the first coinciding
+    (i, j), or None when every pair is apart."""
+    zf = [float(v) for v in z]
+    for i in range(len(zf)):
+        for j in range(i + 1, len(zf)):
+            if abs(zf[i] - zf[j]) <= 1e-12 * max(1.0, abs(zf[i]), abs(zf[j])):
+                return f"z_{i} and z_{j} coincide"
+    return None
+
+
+def verdict(z):
+    try:
+        DiagonalOperator(z)
+    except ResonanceError as exc:
+        return str(exc)
+    return None
+
+
+class TestDistinctnessMatchesPairwiseRule:
+    """The sorted-gap shortcut accepts only what the all-pairs rule accepts, and
+    every refusal names the same first pair."""
+
+    @pytest.mark.parametrize("gap", [0.5e-12, 1e-12, 2e-12, 3e-12])
+    @pytest.mark.parametrize("x", [0.25, 1.0, 7.0, -3e5, 1e12, -1e-300])
+    def test_relative_gaps_at_the_threshold(self, gap, x):
+        spread = [x + 10.0 * n * max(1.0, abs(x)) for n in range(1, 6)]
+        for near in (x + gap * max(1.0, abs(x)), x * (1 + gap), x - gap * max(1.0, abs(x))):
+            for z in ([x, near], spread[:2] + [x] + spread[2:] + [near], [near] + spread + [x]):
+                assert verdict(z) == pairwise_verdict(z), z
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nan_and_inf_entries(self, bad):
+        for z in ([bad, 1.0, 2.0], [1.0, bad, 2.0, bad], [bad, bad], [1.0, 2.0, 1.0, bad],
+                  [bad, 3.0, 3.0 + 1e-15, -bad]):
+            assert verdict(z) == pairwise_verdict(z), z
+
+    def test_exact_and_int_entries(self):
+        for z in ([F(1, 3), F(2, 3), 1], [F(1, 3), 0.3333333333333333, 2], [0, -0.0], [5, 4, 3, 5]):
+            assert verdict(z) == pairwise_verdict(z), z
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(st.floats(width=64), st.sampled_from((0.0, -0.0, 1.0, 1.0 + 2e-12))),
+                    max_size=12))
+    def test_random_values(self, z):
+        assert verdict(z) == pairwise_verdict(z)
+
+    @pytest.mark.parametrize("size", [32, 120])
+    def test_big_q_jacobi_sequences(self, size):
+        z = eigenvalue_sequence(StructuredParams(0.8, 0.3, 0.4, 0.2), size)
+        assert verdict(z) is None and pairwise_verdict(z) is None
 
 
 class TestCompanion:
