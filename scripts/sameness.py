@@ -1,10 +1,14 @@
-"""Sameness sweep: a digest of every output of the band kernel and the checks on it.
+"""Sameness sweep: a digest of every output of the band kernel, the checks on it and the CLI.
 
 Records, for one source tree, a sha256 per input of what the band kernel
 (band_mul, band_add, band_sub, band_scale, inf_norm, _worst), DiagonalOperator
 and the certificates built on them (q_commutator_residual, xi_residuals,
 classify, both algebra residual suites, companion_b, build_W -> to_monic)
-return on seeded random inputs; a second mode compares two such records.  The
+return on seeded random inputs, and of the exit status, stdout and stderr of
+``qosc.cli.main`` run in-process on seeded argvs: every subcommand and suite,
+some with --no-json or a tolerance flag, and some with a flag value that
+overflows or underflows (1e300, 1e-300), which drives reports to inf and NaN.
+A second mode compares two such records.  The
 digested text is the output with every float written by float.hex and every
 other value by repr, or the error's type and message.  A NaN's sign is not
 part of it: the interpreter may take it from either operand of a float add.
@@ -22,7 +26,9 @@ agree and a planted mismatch is found.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -63,6 +69,23 @@ RANGES = {
     "mu": [-0.5, 0.5],
     "tau": [-2.0, 2.0],
     "exact_share": 0.2,
+    "cli_extreme": ["1e300", "-1e300", "1e-300", "1e307", "1e150", "-1e150"],
+    "cli_overflow_decades": [-1.0, 1.0],
+    "cli_extreme_share": 0.08,
+    "cli_no_json_share": 0.25,
+    "cli_tolerance_share": 0.15,
+    "cli_tolerance": [1e-14, 1e-6],
+    "cli_general_size": [1, 24],
+    "cli_structured_size": [1, 32],
+    "aw_q": [0.3, 0.8],
+    "aw_a": [[0.1, 0.95], [-0.95, -0.1]],
+    "aw_count": [0, 45],
+    "qdiff_k": [-1, 12],
+    "finite_N": [0, 13],
+    "odd_N_share": 0.9,
+    "poly_n_max": [0, 8],
+    "poly_x": [-2.0, 2.0],
+    "poly_points": [1, 4],
 }
 
 
@@ -242,6 +265,136 @@ def cases(Q):
     ]
 
 
+def _value(rng, lo, hi) -> str:
+    """A float flag's text: uniform in [lo, hi], or now and then an extreme value."""
+    if rng.random() < RANGES["cli_extreme_share"]:
+        return rng.choice(RANGES["cli_extreme"])
+    return repr(round(rng.uniform(lo, hi), 4))
+
+
+def _flags(rng, **ranges) -> list:
+    """--name=value for each name: value in [lo, hi], or drawn from one of a list of ranges."""
+    argv = []
+    for name, span in ranges.items():
+        lo, hi = rng.choice(span) if isinstance(span[0], list) else span
+        argv.append(f"--{name.replace('_', '-')}={_value(rng, lo, hi)}")
+    return argv
+
+
+def _general_flags(rng):
+    return _flags(rng, q=RANGES["general_q"], xi0=RANGES["general_xi0"],
+                  zeta0=RANGES["general_zeta0"], s1=RANGES["general_s"], s2=RANGES["general_s"])
+
+
+def _structured_flags(rng):
+    c = RANGES["structured_c"]
+    return _flags(rng, q=RANGES["structured_q"], c1=c, c2=c, c3=c)
+
+
+def _int(rng, name, key) -> list:
+    return [f"--{name}", str(rng.randint(*RANGES[key]))]
+
+
+def _cli_argvs():
+    """(case name, draw(rng) -> argv) of every subcommand and suite."""
+    aw = dict(q=RANGES["aw_q"], a1=RANGES["aw_a"], a2=RANGES["aw_a"], a3=RANGES["aw_a"],
+              a4=RANGES["aw_a"])
+
+    def finite(rng):
+        c = RANGES["structured_c"]
+        N = rng.randint(*RANGES["finite_N"])
+        if rng.random() < 0.5:
+            return ["--family", "q-hahn", *_flags(rng, q=RANGES["structured_q"], c1=c, c2=c),
+                    "--N", str(N)]
+        if rng.random() < RANGES["odd_N_share"]:  # q-para-Krawtchouk needs an odd N
+            N |= 1
+        return ["--family", "q-para-krawtchouk", *_flags(rng, q=RANGES["structured_q"], c3=c),
+                "--N", str(N)]
+
+    def poly(rng):
+        family = rng.choice(("big-q-jacobi", "askey-wilson", "q-hahn", "q-para-krawtchouk"))
+        if family == "big-q-jacobi":
+            argv = ["--family", family, *_structured_flags(rng), *_int(rng, "size", "aw_size")]
+        elif family == "askey-wilson":
+            argv = ["--family", family, *_flags(rng, **aw), *_int(rng, "size", "aw_size")]
+        else:
+            argv = finite(rng)
+        xs = [_value(rng, *RANGES["poly_x"]) for _ in range(rng.randint(*RANGES["poly_points"]))]
+        return ["poly", *argv, *_int(rng, "n-max", "poly_n_max"), "--x-points=" + ",".join(xs)]
+
+    def qosc(rng):
+        if rng.random() < 0.3:
+            flags = _flags(rng, q=RANGES["residual_q"], a=RANGES["general_xi0"])
+        else:
+            flags = _general_flags(rng)
+        return ["verify", "--suite", "qosc", *flags, *_int(rng, "size", "cli_general_size")]
+
+    def qosc_overflow(rng):
+        """A canonical pair whose largest entry of A, a * max(1, |q|**(1 - size)),
+        lies within a decade of the largest float, on either side."""
+        q = rng.uniform(*rng.choice(RANGES["residual_q"]))
+        size = rng.randint(*RANGES["residual_size"])
+        a = sys.float_info.max * min(1.0, abs(q) ** (size - 1))
+        a *= 10 ** rng.uniform(*RANGES["cli_overflow_decades"])
+        return ["verify", "--suite", "qosc", f"--q={q!r}", f"--a={a!r}", "--size", str(size)]
+
+    def aw_algebra(rng):
+        return ["verify", "--suite", "aw-algebra", *_structured_flags(rng),
+                *_flags(rng, mu=RANGES["mu"]), *_int(rng, "size", "aw_size"),
+                "--variant", rng.choice(("ML", "LM"))]
+
+    def decompose(rng):
+        if rng.random() < 0.5:
+            return ["decompose", *finite(rng)]
+        return ["decompose", *_general_flags(rng), *_int(rng, "size", "cli_general_size")]
+
+    return [
+        ("cli_build_general", lambda rng: ["build", "--parameterization", "general",
+                                           *_general_flags(rng),
+                                           *_int(rng, "size", "cli_general_size")]),
+        ("cli_build_structured", lambda rng: ["build", "--parameterization", "structured",
+                                              *_structured_flags(rng),
+                                              *_int(rng, "size", "cli_structured_size")]),
+        ("cli_verify_qosc", qosc),
+        ("cli_verify_qosc_overflow", qosc_overflow),
+        ("cli_verify_bigqjacobi_algebra", lambda rng: [
+            "verify", "--suite", "bigqjacobi-algebra", *_structured_flags(rng),
+            *_int(rng, "size", "aw_size")]),
+        ("cli_algebra", lambda rng: ["algebra", *_structured_flags(rng), *_int(rng, "size", "aw_size")]),
+        ("cli_verify_aw_algebra", aw_algebra),
+        ("cli_verify_aw_match", lambda rng: ["verify", "--suite", "aw-match", *_flags(rng, **aw),
+                                             *_int(rng, "count", "aw_count")]),
+        ("cli_verify_qdiff", lambda rng: ["verify", "--suite", "qdiff", *_structured_flags(rng),
+                                          *_int(rng, "kmax", "qdiff_k"), *_int(rng, "nmax", "qdiff_k")]),
+        ("cli_spectrum", lambda rng: ["spectrum", *finite(rng)]
+         + (["--decompose"] if rng.random() < 0.5 else [])),
+        ("cli_poly", poly),
+        ("cli_decompose", decompose),
+    ]
+
+
+def cli_cases(main):
+    """(name, draw(rng) -> argv, run(argv) -> (exit status, stdout, stderr)) of the CLI."""
+
+    def options(rng):
+        argv = ["--no-json"] if rng.random() < RANGES["cli_no_json_share"] else []
+        for flag in ("--rel-tol", "--abs-tol"):
+            if rng.random() < RANGES["cli_tolerance_share"]:
+                argv.append(f"{flag}={rng.uniform(*RANGES['cli_tolerance'])!r}")
+        return argv
+
+    def run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses the argv
+                code = exc.code
+        return code, out.getvalue(), err.getvalue()
+
+    return [(name, lambda rng, draw=draw: draw(rng) + options(rng), run) for name, draw in _cli_argvs()]
+
+
 def record(src: str, seed: int, count: int) -> dict:
     src = os.path.abspath(src)
     sys.path.insert(0, src)
@@ -250,9 +403,12 @@ def record(src: str, seed: int, count: int) -> dict:
     if not os.path.abspath(Q.__file__).startswith(src + os.sep):
         raise SystemExit(f"qosc was imported from {Q.__file__}, not from {src}")
 
+    from qosc.cli import main
+
+    os.environ["COLUMNS"] = "80"  # argparse wraps its usage lines at the terminal width
     errors = (Q.QoscError, ArithmeticError, ValueError, TypeError)
     digests = {}
-    for name, draw, run in cases(Q):
+    for name, draw, run in cases(Q) + cli_cases(main):
         for i in range(count):
             x = draw(random.Random(f"{name}/{seed}/{i}"))
             digests[f"{name}/{i}"] = digest(lambda: run(x), errors)

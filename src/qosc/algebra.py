@@ -26,6 +26,7 @@ from .errors import InvalidParameterError, TooSmallError
 from .numerics import TolerancePolicy, _worst_of
 from .opmatrix import (
     ResidualReport,
+    _judge,
     _q_bracket,
     band_add,
     band_identity,
@@ -169,8 +170,7 @@ def aw_algebra_residuals(
         abs(float(k.omega0 - w0)) / max(1.0, abs(float(w0))),
         abs(float(k.omega1 - w1)) / max(1.0, abs(float(w1))),
     ))
-    tol = pol.effective(1.0)
-    m_def = ResidualReport(dev, None, (0, 1), 1.0, tol, dev <= tol)
+    m_def = _judge(dev, None, (0, 1), 1.0, pol.effective(1.0))
 
     rhs1 = band_add(band_scale(k.sigma1, L), band_scale(k.omega1, I))
     rep1 = q_commutator_residual(Z, M, q, rhs1, pol, (0, size - 2))

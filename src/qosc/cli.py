@@ -3,8 +3,10 @@
 Each run prints a single JSON report to stdout with top-level fields
 {command, params, checks, tables, version}.  Numbers are serialized as
 decimals with 17 significant digits (null when not finite), so a rerun with
-the same inputs is byte-identical.  Exit status: 0 when every check passes, 1
-when some check fails, 2 on a parameter error or a float overflow.
+the same inputs is byte-identical.  The CLI decides no verdict: each check
+copies max_abs, tolerance and pass from a library report.  Exit status: 0 when
+every check passes, 1 when some check fails, 2 on a parameter error or a float
+overflow.
 """
 
 from __future__ import annotations
@@ -26,14 +28,13 @@ from .families import (
     big_q_jacobi,
     claimed_spectrum,
     eval_monic,
-    expand_monic,
     jacobi_matrix,
     q_hahn,
     q_para_krawtchouk,
     verify_spectrum,
 )
-from .numerics import LaurentPoly, TolerancePolicy, _worst_of, laurent_add, laurent_mul, laurent_scale
-from .opmatrix import _worst, band_sub, q_commutator_residual
+from .numerics import TolerancePolicy, _worst_of
+from .opmatrix import _judge, q_commutator_residual
 from .representation import (
     GeneralParams,
     StructuredParams,
@@ -43,15 +44,11 @@ from .representation import (
     xi_residuals,
 )
 from .tridiagonalization import (
-    aw_parameter_map,
-    build_W,
+    aw_match_residual,
     companion_b,
     companion_params,
-    eigenvalue_sequence,
-    qdiff_B_apply,
-    qdiff_Z_apply,
+    qdiff_residuals,
     r_coefficients,
-    to_monic,
 )
 
 # -- deterministic JSON/CSV rendering -------------------------------------------
@@ -110,13 +107,9 @@ def _write_csv(report: dict, csv_dir: str) -> None:
 # -- report assembly -------------------------------------------------------------
 
 
-def _check(name: str, max_abs, tolerance) -> dict:
-    max_abs, tolerance = float(max_abs), float(tolerance)
-    return {"name": name, "max_abs": max_abs, "tolerance": tolerance, "pass": max_abs <= tolerance}
-
-
-def _check_from(name: str, rep) -> dict:
-    return _check(name, rep.max_abs, rep.tolerance)
+def _check(name: str, rep) -> dict:
+    """The report's verdict under ``name``; the CLI judges nothing itself."""
+    return {"name": name, "max_abs": rep.max_abs, "tolerance": rep.tolerance, "pass": rep.passed}
 
 
 def _band_table(name: str, M) -> dict:
@@ -211,16 +204,16 @@ def _block_check(rec, pol: TolerancePolicy):
     expected = 1 if rec.family == "q-hahn" else 2
     J = jacobi_matrix(rec)
     blocks = _blocks(J, companion_b(J, companion_params(rec)), rec.params.q, pol)
-    return _check("block-count", abs(len(blocks) - expected), 0.5), blocks
+    return _check("block-count", _judge(abs(len(blocks) - expected), None, None, 1.0, 0.5)), blocks
 
 
 def _general_pair(p: GeneralParams, size: int, pol: TolerancePolicy):
     """(A, B, trace, checks): build_general's pair with its q-commutator and
-    xi-conditions checks, the latter judged at the former's tolerance."""
+    xi-conditions checks, the latter judged at the former's scale and tolerance."""
     A, B, trace = build_general(p, size)
     comm = q_commutator_residual(A, B, p.q, pol=pol)
-    xi = _check("xi-conditions", xi_residuals(A, B, p.q).max_abs(), comm.tolerance)
-    return A, B, trace, [_check_from("q-commutator", comm), xi]
+    xi = _judge(xi_residuals(A, B, p.q).max_abs(), None, None, comm.scale, comm.tolerance)
+    return A, B, trace, [_check("q-commutator", comm), _check("xi-conditions", xi)]
 
 
 # -- subcommands: each returns (params, checks, tables) ----------------------------
@@ -236,7 +229,7 @@ def cmd_build(args, pol: TolerancePolicy):
     else:
         A = jacobi_matrix(big_q_jacobi(p, args.size))
         B = companion_b(A, p)
-        checks = [_check_from("q-commutator", q_commutator_residual(A, B, p.q, pol=pol))]
+        checks = [_check("q-commutator", q_commutator_residual(A, B, p.q, pol=pol))]
         r0, r1 = r_coefficients(p)
         rows = [["r0", r0], ["r1", r1], *_field_rows(big_qjacobi_constants(p))]
         extra = {"name": "constants", "rows": rows}
@@ -249,7 +242,7 @@ def _suite_qosc(args, pol: TolerancePolicy):
         _require(args, "q", "size")
         A, B = canonical_pair(args.a, args.q, args.size)
         rep = q_commutator_residual(A, B, args.q, pol=pol, rows=(0, args.size - 1))
-        return {"q": args.q, "a": args.a, "size": args.size}, [_check_from("q-commutator", rep)], []
+        return {"q": args.q, "a": args.a, "size": args.size}, [_check("q-commutator", rep)], []
     p, params = _params(args, GeneralParams, "size")
     return params, _general_pair(p, args.size, pol)[3], []
 
@@ -257,7 +250,7 @@ def _suite_qosc(args, pol: TolerancePolicy):
 def _suite_bigqjacobi_algebra(args, pol: TolerancePolicy):
     p, params = _params(args, StructuredParams, "size")
     reps = big_qjacobi_algebra_residuals(p, args.size, pol)
-    checks = [_check_from(n, r) for n, r in zip(("q-oscillator", "bz-bracket", "za-bracket"), reps)]
+    checks = [_check(n, r) for n, r in zip(("q-oscillator", "bz-bracket", "za-bracket"), reps)]
     return params, checks, [{"name": "constants", "rows": _field_rows(big_qjacobi_constants(p))}]
 
 
@@ -267,7 +260,7 @@ def _suite_aw_algebra(args, pol: TolerancePolicy):
     variant = args.variant or "ML"
     rep = aw_algebra_residuals(p, args.mu, args.size, pol, variant=variant)
     names = ("m-def", "relation-1", "relation-2")
-    checks = [_check_from(n, r) for n, r in zip(names, (rep.m_def, rep.relation1, rep.relation2))]
+    checks = [_check(n, r) for n, r in zip(names, (rep.m_def, rep.relation1, rep.relation2))]
     orderings = [
         ["ordering", "max_abs", "pass"],
         ["ML", rep.relation2_ml.max_abs, rep.relation2_ml.passed],
@@ -287,15 +280,11 @@ def _suite_aw_match(args, pol: TolerancePolicy):
         raise InvalidParameterError("--size is not used by --suite aw-match; pass --count")
     pa, params = _params(args, AWParams)
     count = 21 if args.count is None else args.count
-    direct = askey_wilson(pa, count)
-    sp, w = aw_parameter_map(pa)
-    rec, _ = to_monic(build_W(sp, w, count), pol)
-    J = jacobi_matrix(direct)
-    dev, _ = _worst(band_sub(jacobi_matrix(rec), J), ref=J)  # |pencil - direct| / max(1, |direct|)
+    rep, direct, rec = aw_match_residual(pa, count, pol)
     rows = [["n", "b_direct", "b_pencil", "u_direct", "u_pencil"]]
     rows += map(list, zip(range(count), direct.b, rec.b, ("", *direct.u), ("", *rec.u)))
     tables = [{"name": "coefficients", "rows": rows}]
-    return {**params, "count": count}, [_check("aw-match", dev, pol.rel_tol)], tables
+    return {**params, "count": count}, [_check("aw-match", rep)], tables
 
 
 def _suite_qdiff(args, pol: TolerancePolicy):
@@ -305,28 +294,8 @@ def _suite_qdiff(args, pol: TolerancePolicy):
     for flag, value in (("kmax", kmax), ("nmax", nmax)):
         if value < 0:
             raise InvalidParameterError(f"--{flag} must be >= 0")
-    x = LaurentPoly({1: 1.0})
-
-    comm = []
-    for k in range(kmax + 1):
-        f = LaurentPoly({k: 1.0})
-        lhs = laurent_add(
-            laurent_mul(x, qdiff_B_apply(f, p)),
-            laurent_scale(-p.q, qdiff_B_apply(laurent_mul(x, f), p)),
-        )
-        resid = laurent_add(lhs, laurent_scale(-1.0, f))
-        comm.append(float(resid.mass()) / max(1.0, float(f.mass())))
-    checks = [_check("qdiff-commutator", _worst_of(comm)[0], pol.abs_tol)]
-
-    rec = big_q_jacobi(p, nmax + 1)
-    zs = eigenvalue_sequence(p, nmax + 1)
-    eig = []
-    for n in range(nmax + 1):
-        Pn = expand_monic(rec, n)
-        resid = laurent_add(qdiff_Z_apply(Pn, p), laurent_scale(-zs[n], Pn))
-        scale = max(1e-300, abs(zs[n]) * float(Pn.mass()))
-        eig.append(float(resid.mass()) / scale)
-    checks.append(_check("qdiff-eigenrelation", _worst_of(eig)[0], pol.rel_tol))
+    reps = qdiff_residuals(p, kmax, nmax, pol)
+    checks = [_check(n, r) for n, r in zip(("qdiff-commutator", "qdiff-eigenrelation"), reps)]
     return {**params, "kmax": kmax, "nmax": nmax}, checks, []
 
 
@@ -352,7 +321,7 @@ def cmd_spectrum(args, pol: TolerancePolicy):
     rec, params = _family(args)
     lattice = claimed_spectrum(rec)
     rep = verify_spectrum(rec, lattice, pol)
-    checks = [_check_from("spectrum", rep)]
+    checks = [_check("spectrum", rep)]
     evidence = zip(rep.eigenvalues, rep.points, rep.rel_distance, rep.charpoly_scaled)
     rows = [["n", "computed", "claimed", "rel_distance", "charpoly_scaled"]]
     rows += [[n, *cells] for n, cells in enumerate(evidence)]
@@ -385,8 +354,8 @@ def cmd_poly(args, pol: TolerancePolicy):
     p0_dev, _ = _worst_of(abs(eval_monic(rec, 0, x) - 1.0) for x in xs)
     p1_dev, _ = _worst_of(abs(eval_monic(rec, 1, x) - (x - rec.b[0])) for x in xs)
     checks = [
-        _check("p0-is-one", p0_dev, pol.abs_tol),
-        _check("p1-is-x-minus-b0", p1_dev, pol.abs_tol),
+        _check("p0-is-one", _judge(p0_dev, None, None, 1.0, pol.abs_tol)),
+        _check("p1-is-x-minus-b0", _judge(p1_dev, None, None, 1.0, pol.abs_tol)),
     ]
     rows = [["n", *xs]] + [[n] + [eval_monic(rec, n, x) for x in xs] for n in range(n_max + 1)]
     return {**params, "n_max": n_max, "x_points": xs}, checks, [{"name": "values", "rows": rows}]
@@ -405,7 +374,7 @@ def cmd_decompose(args, pol: TolerancePolicy):
         p, params = _params(args, GeneralParams, "size")
         A, B, _ = build_general(p, args.size)
         blocks = _blocks(A, B, p.q, pol)
-        check = _check("decomposed", 0.0 if blocks else 1.0, 0.5)
+        check = _check("decomposed", _judge(0.0 if blocks else 1.0, None, None, 1.0, 0.5))
     return params, [check], [_blocks_table(blocks)]
 
 

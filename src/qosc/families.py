@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 
-from ._record import record
+from ._record import field_names, record
 from .errors import InvalidParameterError, SpectrumMismatchError, UnsupportedFamilyError
 from .numerics import LaurentPoly, TolerancePolicy, _worst_of, laurent_add, laurent_mul, laurent_scale
 from .opmatrix import (
     BandMatrix,
+    _judge,
     band_tridiagonal,
     char_poly_eval,
     eigenvalues,
@@ -328,6 +329,6 @@ def verify_spectrum(
     rel = tuple(abs(lam - x) / max(abs(x), 1e-300) for lam, x in zip(paired, pts))
     worst, i = _worst_of(d for pair in zip(scaled, rel) for d in pair)
     loc = None if i is None else (i // 2, i // 2)
-    tol = pol.effective(1.0)
-    verdict = (worst, loc, (0, rec.size - 1), 1.0, tol, worst <= tol)
-    return SpectrumReport(*verdict, pts, tuple(paired), rel, scaled)
+    verdict = _judge(worst, loc, (0, rec.size - 1), 1.0, pol.effective(1.0))
+    six = (getattr(verdict, name) for name in field_names(verdict))
+    return SpectrumReport(*six, pts, tuple(paired), rel, scaled)

@@ -22,7 +22,8 @@ class TolerancePolicy:
 
     The effective tolerance for a comparison made at magnitude ``scale`` is
     ``max(abs_tol, rel_tol * max(1, scale))``: the scale never tightens a check
-    below its absolute floor, and scales below 1 do not shrink it either.
+    below its absolute floor, and scales below 1 do not shrink it either.  A NaN
+    scale gives a NaN tolerance, which fails every check judged at it.
     """
 
     abs_tol: float = 1e-12
@@ -35,7 +36,7 @@ class TolerancePolicy:
             raise InvalidParameterError("tolerances must be finite")
 
     def effective(self, scale: float = 1.0) -> float:
-        return max(self.abs_tol, self.rel_tol * max(1.0, float(scale)))
+        return max(self.rel_tol * max(float(scale), 1.0), self.abs_tol)
 
 
 def _worst_of(values) -> tuple:

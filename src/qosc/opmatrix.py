@@ -239,7 +239,8 @@ def inf_norm(M: BandMatrix) -> float:
         i0 = max(0, -k)  # the row of entries[0]
         i1 = i0 + len(entries)
         sums[i0:i1] = map(operator.add, sums[i0:i1], map(abs, map(float, entries)))
-    return max(sums)
+    total = sum(sums)  # NaN when any row sum is, where max() keeps a NaN only in front
+    return total if total != total else max(sums)
 
 
 def max_entry_diff(A: BandMatrix, B: BandMatrix):
@@ -259,20 +260,22 @@ class ResidualReport:
     passed: bool
 
 
-def residual_report(R: BandMatrix, pol: TolerancePolicy, rows: tuple, scale: float) -> ResidualReport:
-    """Max |R_ij| over rows[0] <= i <= rows[1], judged at the given scale.
+def _judge(worst, loc, rows, scale, tol) -> ResidualReport:
+    """The one pass/fail rule of every check: worst <= tol, the scale and the
+    tolerance finite.  So a NaN anywhere fails, and an overflowed scale too."""
+    scale, tol = float(scale), float(tol)
+    passed = worst <= tol and math.isfinite(tol) and math.isfinite(scale)
+    return ResidualReport(float(worst), loc, rows, scale, tol, passed)
 
-    It passes when max_abs <= tolerance and both the scale and the tolerance
-    are finite; a NaN in either, or in the residual, fails.
-    """
+
+def residual_report(R: BandMatrix, pol: TolerancePolicy, rows: tuple, scale: float) -> ResidualReport:
+    """Max |R_ij| over rows[0] <= i <= rows[1], judged by ``_judge`` at the
+    tolerance ``pol.effective(scale)``."""
     lo, hi = rows
     if not (0 <= lo <= hi < R.size):
         raise InvalidParameterError("row window out of range")
     worst, loc = _worst(R, rows)
-    tol = pol.effective(scale)
-    # an overflowed scale must not pass: inf <= inf holds, and max(1, NaN) is 1
-    passed = worst <= tol and math.isfinite(tol) and math.isfinite(float(scale))
-    return ResidualReport(worst, loc, (lo, hi), float(scale), tol, passed)
+    return _judge(worst, loc, (lo, hi), scale, pol.effective(scale))
 
 
 def _q_bracket(X: BandMatrix, Y: BandMatrix, q) -> BandMatrix:
@@ -295,7 +298,7 @@ def q_commutator_residual(
     relation, and the algebra relations of algebra.py with their own ``rhs``.
     Max |A@B - q*B@A - rhs| over the row window (default 0..size-2, since the
     last truncation row is corrupted by the cut) is judged at the pair scale
-    max(1, ||A||_inf ||B||_inf).
+    max(1, ||A||_inf ||B||_inf), NaN when a norm is NaN.
     """
     size = _check_same_size(A, B)
     if size < 3:
@@ -305,7 +308,7 @@ def q_commutator_residual(
     R = band_sub(_q_bracket(A, B, q), rhs)
     if rows is None:
         rows = (0, size - 2)
-    return residual_report(R, pol, rows, max(1.0, inf_norm(A) * inf_norm(B)))
+    return residual_report(R, pol, rows, max(inf_norm(A) * inf_norm(B), 1.0))  # keeps a NaN
 
 
 def diag_similarity(M: BandMatrix, d) -> BandMatrix:

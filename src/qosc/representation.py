@@ -27,8 +27,8 @@ from .errors import (
 from .numerics import TolerancePolicy, _worst_of
 from .opmatrix import (
     BandMatrix,
-    ResidualReport,
     _adjugate_vectors,
+    _judge,
     _tridiagonal,
     _worst,
     band_sub,
@@ -277,9 +277,7 @@ def classify(A: BandMatrix, B: BandMatrix, q, pol: TolerancePolicy = TolerancePo
     scans = (_worst(band_sub(A, A2), ref=A), _worst(band_sub(B, B2), ref=B))
     worst, i = _worst_of(w for w, _ in scans)
     loc = None if i is None else scans[i][1]
-    tol = pol.effective(1.0)
-    report = ResidualReport(worst, loc, (0, size - 1), 1.0, tol, worst <= tol)
-    return params, report
+    return params, _judge(worst, loc, (0, size - 1), 1.0, pol.effective(1.0))
 
 
 def canonical_pair(a, q, size: int):
@@ -358,7 +356,7 @@ def decompose(A: BandMatrix, B: BandMatrix, q, pol: TolerancePolicy = ToleranceP
     every v at unit 2-norm, Bt = V^-1 B V has entries (y_s . B v_t) /
     (y_s . v_s); its off-block mass is judged at the scale of Bt.  Raises
     NotDecomposableError when some y_s . v_s vanishes (V is singular) or the
-    off-block mass exceeds tolerance.
+    off-block mass fails at that scale (a NaN in Bt fails).
     """
     _require_q_oscillator(A, B, q, pol)
     ev = eigenvalues(A)
@@ -387,11 +385,10 @@ def decompose(A: BandMatrix, B: BandMatrix, q, pol: TolerancePolicy = ToleranceP
         start, end = end, end + len(chain)
         for bv in BV[start:end]:
             mags = [abs(sum(map(operator.mul, y, bv))) for y in Y]
-            peak = max(peak, max(mags))
-            off = max(off, max(mags[:start], default=0.0), max(mags[end:], default=0.0))
-    bscale = max(1.0, peak)
-    if off > pol.effective(bscale):
-        raise NotDecomposableError(
-            f"off-block mass {off:.3e} exceeds {pol.effective(bscale):.3e}"
-        )
+            peak = _worst_of((peak, *mags))[0]  # a NaN stays, where max() may drop it
+            off = _worst_of((off, *mags[:start], *mags[end:]))[0]
+    bscale = max(peak, 1.0)  # max() keeps its first argument unless a later one is larger
+    tol = pol.effective(bscale)
+    if not _judge(off, None, (0, size - 1), bscale, tol).passed:
+        raise NotDecomposableError(f"off-block mass {off:.3e} exceeds {tol:.3e}")
     return [(tuple(sorted(chain)), len(chain)) for chain in chains]

@@ -5,19 +5,21 @@ polynomial eigenbasis; the companion operator B = r1*(Z@A - q*A@Z) + r0*I
 completes A (multiplication by x) to a q-oscillator pair.  General pencils
 W = tau1*Z@A + tau2*A@Z + tau3*A + tau0*I reduce to monic form by a diagonal
 similarity; the Askey-Wilson parameter map lands exactly on the Askey-Wilson
-recurrence.  The same operators act on Laurent polynomials through the
-q-difference realization at the bottom.
+recurrence (``aw_match_residual``).  The same operators act on Laurent
+polynomials through the q-difference realization at the bottom, whose
+identities ``qdiff_residuals`` reports.
 """
 
 from __future__ import annotations
 
 from ._record import record
 from .errors import InvalidParameterError, NotMonicReducibleError, ResonanceError
-from .families import MonicRecurrence, big_q_jacobi, jacobi_matrix, AWParams
+from .families import AWParams, MonicRecurrence, askey_wilson, big_q_jacobi, expand_monic, jacobi_matrix
 from .numerics import (
     DEFAULT_ABS_TOL,
     LaurentPoly,
     TolerancePolicy,
+    _worst_of,
     laurent_add,
     laurent_mul,
     laurent_scale,
@@ -25,12 +27,15 @@ from .numerics import (
 )
 from .opmatrix import (
     BandMatrix,
+    _judge,
     _q_bracket,
     _tridiagonal,
+    _worst,
     band_add,
     band_identity,
     band_mul,
     band_scale,
+    band_sub,
     guard_size,
 )
 from .representation import StructuredParams
@@ -171,6 +176,20 @@ def aw_parameter_map(p: AWParams):
     return sp, w
 
 
+def aw_match_residual(p: AWParams, count: int, pol: TolerancePolicy = TolerancePolicy()):
+    """(report, direct, pencil): the Askey-Wilson recurrence of ``count``
+    coefficients and the monic reduction of build_W under aw_parameter_map.
+
+    max_abs is the largest |pencil - direct| / max(1, |direct|) over the
+    entries of their Jacobi matrices, judged at ``pol.rel_tol``.
+    """
+    direct = askey_wilson(p, count)
+    rec, _ = to_monic(build_W(*aw_parameter_map(p), count), pol)
+    J = jacobi_matrix(direct)
+    dev, loc = _worst(band_sub(jacobi_matrix(rec), J), ref=J)
+    return _judge(dev, loc, (0, count - 1), 1.0, pol.rel_tol), direct, rec
+
+
 def companion_params(rec: MonicRecurrence) -> StructuredParams:
     """StructuredParams under which companion_b completes this family's Jacobi
     matrix to a q-oscillator pair.
@@ -262,3 +281,34 @@ def qdiff_B_apply(f: LaurentPoly, p: StructuredParams) -> LaurentPoly:
     out = laurent_mul(G, laurent_scale_arg(f, 1 / q), tol=0.0)
     tail = laurent_mul(LaurentPoly({-1: 1 / (1 - q)}), f, tol=0.0)
     return laurent_add(out, tail, tol=tol)
+
+
+def _sequence_report(values: list, tol: float):
+    worst, i = _worst_of(values)
+    return _judge(worst, None if i is None else (i, i), (0, len(values) - 1), 1.0, tol)
+
+
+def qdiff_residuals(p: StructuredParams, kmax: int, nmax: int, pol: TolerancePolicy = TolerancePolicy()):
+    """(commutator, eigenrelation) reports of the q-difference realization.
+
+    commutator: the l1 mass of x B f - q B(x f) - f for f = x**k, k = 0..kmax,
+    judged at ``pol.abs_tol``.  eigenrelation: the mass of Z P_n - z_n P_n
+    over |z_n| times the mass of P_n, for the monic big q-Jacobi P_n,
+    n = 0..nmax, judged at ``pol.rel_tol``.  location = (k, k) or (n, n).
+    """
+    if kmax < 0 or nmax < 0:
+        raise InvalidParameterError("kmax and nmax must be >= 0")
+    x = LaurentPoly({1: 1.0})
+    comm = []
+    for k in range(kmax + 1):
+        f = LaurentPoly({k: 1.0})
+        lhs = laurent_add(laurent_mul(x, qdiff_B_apply(f, p)),
+                          laurent_scale(-p.q, qdiff_B_apply(laurent_mul(x, f), p)))
+        comm.append(float(laurent_add(lhs, laurent_scale(-1.0, f)).mass()))  # f has mass 1
+    rec = big_q_jacobi(p, nmax + 1)
+    eig = []
+    for n, z in enumerate(eigenvalue_sequence(p, nmax + 1)):
+        Pn = expand_monic(rec, n)
+        resid = laurent_add(qdiff_Z_apply(Pn, p), laurent_scale(-z, Pn))
+        eig.append(float(resid.mass()) / max(1e-300, abs(z) * float(Pn.mass())))
+    return _sequence_report(comm, pol.abs_tol), _sequence_report(eig, pol.rel_tol)

@@ -143,7 +143,8 @@ class TestDeterminismAndExitCodes:
         assert err.startswith("error[overflow-guard]:")
 
     def test_exit_two_on_missing_parameters(self, capsys):
-        code, _, err = run(capsys, ["build", "--parameterization", "general", "--q", "0.7", "--size", "8"])
+        argv = ["build", "--parameterization", "general", "--q", "0.7", "--size", "8"]
+        code, _, err = run(capsys, argv)
         assert code == 2
         assert err.startswith("error[invalid-parameter]:")
         assert "--xi0" in err and "--s2" in err
@@ -231,6 +232,24 @@ class TestNonFiniteOutput:
         assert code == status
         report = json.loads(out, parse_constant=_no_constant)
         assert None in [v for t in report["tables"] for r in t["rows"] for v in r]
+
+    def test_overflowed_scale_fails(self, capsys):
+        # the pair scale overflows: max_abs and tolerance are both inf, and the
+        # library's report fails, so the CLI's verdict must too
+        argv = ["verify", "--suite", "qosc", "--q", "-0.5", "--a", "1e307", "--size", "6"]
+        code, out, _ = run(capsys, argv)
+        assert code == 1
+        assert '"max_abs": null, "tolerance": null, "pass": false' in out
+
+    def test_xi_conditions_judged_at_the_commutator_scale(self, capsys):
+        # s2 = 1e150 overflows the pair scale; the xi residual 2.8e283 is finite
+        argv = ["verify", "--suite", "qosc", "--q", "0.5", "--xi0", "1.0", "--zeta0=-0.3",
+                "--s1", "0.4", "--s2", "1e150", "--size", "6"]
+        code, out, _ = run(capsys, argv)
+        xi = json.loads(out)["checks"][1]
+        assert code == 1
+        assert xi["name"] == "xi-conditions" and 1e283 < xi["max_abs"] < 1e284
+        assert xi["tolerance"] is None and xi["pass"] is False
 
     def test_text_and_csv_write_null(self, capsys, tmp_path):
         argv = ["verify", "--suite", "aw-match", "--q", "0.6", "--a1", "0.9", "--a2", "0.5",

@@ -76,7 +76,8 @@ def record_inputs():
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
     cases = []
     for label, M in record_inputs():
-        bands = {k: [float(v).hex() for v in M.bands[b]] for k, b in (("sub", -1), ("diag", 0), ("sup", 1))}
+        bands = {k: [float(v).hex() for v in M.bands[b]]
+                 for k, b in (("sub", -1), ("diag", 0), ("sup", 1))}
         cases.append({"label": label, **bands, "eigenvalues": [x.hex() for x in eigenvalues(M)]})
     with open(DATA, "w") as fh:
         json.dump({"cases": cases}, fh, indent=1)

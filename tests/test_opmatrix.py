@@ -1,6 +1,8 @@
 """Band-matrix kernel: storage, products, residuals, similarity, eigenvalues."""
 
+import inspect
 import math
+import os
 import re
 from fractions import Fraction as F
 
@@ -90,6 +92,12 @@ class TestBandMatrix:
         diff, _ = max_entry_diff(M, M)
         assert diff == 0.0
 
+    @pytest.mark.parametrize("diag", [(1.0, math.nan), (math.nan, 1.0), (3.0, math.nan, 2.0)])
+    def test_norm_of_a_nan_row_is_nan(self, diag):
+        # max() keeps a NaN only when it comes first
+        assert math.isnan(inf_norm(band_diagonal(diag)))
+        assert inf_norm(band_diagonal((1.0, math.inf))) == math.inf
+
     def test_add_sub_scale(self):
         A = band_diagonal((1.0, 2.0))
         B = band_tridiagonal((4.0,), (0.0, 0.0), (0.0,))
@@ -161,7 +169,7 @@ def loop_inf_norm(M):
     for k, band in M.bands.items():
         for i, v in enumerate(band, max(0, -k)):
             sums[i] += abs(float(v))
-    return max(sums)
+    return math.nan if any(s != s for s in sums) else max(sums)  # any NaN row sum
 
 
 def exactly(x):
@@ -294,7 +302,8 @@ class TestBandLU:
     @pytest.mark.parametrize("dense", [
         [[1.0, 2.0], [2.0, 4.0]],  # rank one
         [[0.0, 1.0, 0.0], [0.0, 2.0, 3.0], [0.0, 0.0, 1.0]],  # a zero column
-        [[2.0, 1.0, 0.0], [4.0, 2.0, 1.0], [0.0, 0.0, 3.0]],  # a zero determinant, no zero entry on the band
+        # a zero determinant, no zero entry on the band
+        [[2.0, 1.0, 0.0], [4.0, 2.0, 1.0], [0.0, 0.0, 3.0]],
     ])
     def test_singular_is_reported(self, dense):
         n = len(dense)
@@ -385,6 +394,45 @@ class TestTridiagonalRead:
                 read(M)
 
 
+class TestJudge:
+    """opmatrix._judge is the one pass/fail rule of every report."""
+
+    def test_passes_within_tolerance(self):
+        rep = opmatrix._judge(1e-10, (1, 2), (0, 4), 3.0, 1e-9)
+        assert rep == opmatrix.ResidualReport(1e-10, (1, 2), (0, 4), 3.0, 1e-9, True)
+        assert opmatrix._judge(1e-9, None, None, 1.0, 1e-9).passed  # the bound itself passes
+        assert not opmatrix._judge(2e-9, None, None, 1.0, 1e-9).passed
+
+    @pytest.mark.parametrize("worst, scale, tol", [
+        (math.nan, 1.0, 1e-9),  # a NaN residual
+        (0.0, 1.0, math.inf),  # an infinite tolerance
+        (math.inf, math.inf, math.inf),  # inf <= inf holds, yet the scale overflowed
+        (0.0, math.nan, 1e-9),  # a NaN scale
+        (0.0, math.inf, 1e-9),
+        (0.0, 1.0, math.nan),
+    ])
+    def test_anything_not_finite_fails(self, worst, scale, tol):
+        rep = opmatrix._judge(worst, None, (0, 2), scale, tol)
+        assert rep.passed is False
+
+    def test_numbers_become_floats(self):
+        rep = opmatrix._judge(1, None, None, F(3, 2), 1)
+        assert [type(v) for v in (rep.max_abs, rep.scale, rep.tolerance)] == [float] * 3
+        assert (rep.max_abs, rep.scale, rep.tolerance, rep.passed) == (1.0, 1.5, 1.0, True)
+
+    def test_no_other_code_builds_a_report(self):
+        # every ResidualReport, and so every verdict, comes out of _judge
+        src = os.path.dirname(opmatrix.__file__)
+        calls = []
+        for name in sorted(os.listdir(src)):
+            if name.endswith(".py"):
+                with open(os.path.join(src, name)) as fh:
+                    text = fh.read()
+                calls += [name] * text.count("ResidualReport(")
+        assert calls == ["opmatrix.py"]
+        assert "ResidualReport(" in inspect.getsource(opmatrix._judge)
+
+
 class TestQCommutatorResidual:
     def test_canonical_pair_exact(self):
         A, B = canonical_pair(1.0, 0.5, 6)
@@ -424,6 +472,15 @@ class TestQCommutatorResidual:
         rep = residual_report(BandMatrix(3), TolerancePolicy(), (0, 2), scale)
         assert rep.max_abs == 0.0 and not rep.passed
         assert residual_report(BandMatrix(3), TolerancePolicy(), (0, 2), 1e300).passed
+
+    @pytest.mark.parametrize("size", [3, 5])
+    def test_nan_outside_the_row_window_fails(self, size):
+        # B's last diagonal entry touches only the last residual row, which the
+        # window leaves out; the NaN pair scale still fails the check
+        A, B = canonical_pair(1.0, 0.5, size)
+        B = BandMatrix(size, {**B.bands, 0: B.bands[0][:-1] + (math.nan,)})
+        rep = q_commutator_residual(A, B, 0.5)
+        assert rep.max_abs == 0.0 and math.isnan(rep.scale) and not rep.passed
 
     def test_custom_rhs(self):
         A, B = canonical_pair(2.0, 0.5, 4)
@@ -508,7 +565,8 @@ def newton_radius(M, z):
         w = [mpmath.mpf(M.entry(i + 1, i)) * mpmath.mpf(M.entry(i, i + 1)) for i in range(M.size - 1)]
         p0, p1, d0, d1 = 1, z - b[0], 0, 1
         for k in range(1, M.size):
-            p0, p1, d0, d1 = p1, (z - b[k]) * p1 - w[k - 1] * p0, d1, p1 + (z - b[k]) * d1 - w[k - 1] * d0
+            p0, p1, d0, d1 = (p1, (z - b[k]) * p1 - w[k - 1] * p0,
+                              d1, p1 + (z - b[k]) * d1 - w[k - 1] * d0)
         return float(M.size * abs(p1 / d1))
 
 

@@ -284,6 +284,34 @@ class TestDecompose:
         blocks = decompose(A, B, q)
         assert [(tuple(v), s) for v, s in blocks] == [((1.0, 2.0), 2), ((5.0, 10.0), 2)]
 
+    def test_nan_entry_refused(self):
+        # two canonical blocks with NaN as B's last entry: only the last residual
+        # row sees it, outside the window, but the pair scale is NaN
+        q = 0.5
+        (A1, B1), (A3, B3) = canonical_pair(1.0, q, 3), canonical_pair(3.0, q, 3)
+        A = BandMatrix(6, {0: A1.bands[0] + A3.bands[0]})
+        B = BandMatrix(6, {0: B1.bands[0] + B3.bands[0][:2] + (math.nan,),
+                           1: B1.bands[1] + (0.0,) + B3.bands[1]})
+        with pytest.raises(NotAQOscillatorError, match="exceeds nan"):
+            decompose(A, B, q)
+
+    @pytest.mark.parametrize("column", [0, 3])
+    def test_nan_in_the_similarity_refused(self, monkeypatch, column):
+        # a NaN in one eigenvector makes Bt = V^-1 B V NaN: max() would drop it
+        from qosc import representation
+
+        A, B = canonical_pair(1.0, 0.5, 4)
+        lams = sorted(representation.eigenvalues(A))
+        real = representation._adjugate_vectors
+
+        def nan_vector(M, lam):
+            v, y = real(M, lam)
+            return ([math.nan] + list(v[1:]) if lam == lams[column] else v), y
+
+        monkeypatch.setattr(representation, "_adjugate_vectors", nan_vector)
+        with pytest.raises(NotDecomposableError, match="exceeds nan"):
+            decompose(A, B, 0.5)
+
     def test_qhahn_is_irreducible(self):
         from qosc import companion_b, companion_params
 
@@ -336,7 +364,8 @@ class TestDecompose:
                     for c in chains:
                         start, end = end, end + len(c)
                         cols = Bt[:, start:end]
-                        off = max(off, abs(cols[:start]).max(initial=0.0), abs(cols[end:]).max(initial=0.0))
+                        off = max(off, abs(cols[:start]).max(initial=0.0),
+                                  abs(cols[end:]).max(initial=0.0))
                     ratio = off / pol.effective(max(1.0, abs(Bt).max()))
                     if 0.25 <= ratio <= 4.0:
                         continue

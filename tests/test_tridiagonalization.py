@@ -1,6 +1,8 @@
 """Z-pencil constructions, monic reduction, parameter maps, q-difference picture."""
 
+import json
 import math
+import os
 from fractions import Fraction as F
 
 import pytest
@@ -19,6 +21,8 @@ from qosc import (
     ResonanceError,
     StructuredParams,
     WCoeffs,
+    TolerancePolicy,
+    aw_match_residual,
     aw_parameter_map,
     askey_wilson,
     big_q_jacobi,
@@ -42,6 +46,7 @@ from qosc import (
     q_para_krawtchouk,
     qdiff_B_apply,
     qdiff_Z_apply,
+    qdiff_residuals,
     r_coefficients,
     to_monic,
 )
@@ -433,3 +438,74 @@ class TestQDifference:
             qdiff_Z_apply(LaurentPoly({}), self.P)
         with pytest.raises(InvalidParameterError):
             qdiff_B_apply(LaurentPoly({}), self.P)
+
+
+def golden_suite_cases():
+    """The recorded CLI cases of the aw-match and qdiff suites that print JSON checks."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "cli_golden.json")
+    with open(path) as fh:
+        cases = json.load(fh)["cases"]
+    out = []
+    for case in cases:
+        argv = case["argv"]
+        if argv[:2] != ["verify", "--suite"] or argv[2] not in ("aw-match", "qdiff"):
+            continue
+        if case["exit"] in (0, 1) and "--no-json" not in argv:
+            flags = dict(zip(argv[3::2], argv[4::2]))
+            out.append(pytest.param(argv[2], flags, json.loads(case["stdout"])["checks"],
+                                    id=case["label"]))
+    return out
+
+
+class TestSuiteReports:
+    """aw_match_residual and qdiff_residuals are the reports the CLI prints."""
+
+    @pytest.mark.parametrize("suite, flags, checks", golden_suite_cases())
+    def test_reports_match_the_golden_cli_checks(self, suite, flags, checks):
+        fl = {k.lstrip("-"): float(v) for k, v in flags.items()}
+        if suite == "aw-match":
+            p = AWParams(fl["q"], fl["a1"], fl["a2"], fl["a3"], fl["a4"])
+            reps = [aw_match_residual(p, int(fl.get("count", 21)), TolerancePolicy())[0]]
+        else:
+            p = StructuredParams(fl["q"], fl["c1"], fl["c2"], fl["c3"])
+            reps = qdiff_residuals(p, int(fl.get("kmax", 10)), int(fl.get("nmax", 8)))
+        assert len(reps) == len(checks)
+        for rep, check in zip(reps, checks):
+            assert float.hex(rep.max_abs) == float.hex(float(check["max_abs"]))
+            assert float.hex(rep.tolerance) == float.hex(float(check["tolerance"]))
+            assert rep.passed is check["pass"]
+
+    def test_golden_cases_cover_both_suites(self):
+        suites = [c.values[0] for c in golden_suite_cases()]
+        assert suites.count("qdiff") >= 2 and suites.count("aw-match") >= 2
+
+    def test_aw_match_returns_both_recurrences(self):
+        p = AWParams(0.6, 0.9, 0.5, 0.4, 0.3)
+        rep, direct, rec = aw_match_residual(p, 21)
+        assert direct == askey_wilson(p, 21)
+        assert rec == to_monic(build_W(*aw_parameter_map(p), 21))[0]
+        assert rep.rows == (0, 20) and rep.tolerance == TolerancePolicy().rel_tol
+
+    def test_aw_match_fails_at_count_41(self):
+        # q**(-2n) * eps conditioning: the float deviation is 2.45e-8 against 1e-9
+        rep, _, _ = aw_match_residual(AWParams(0.6, 0.9, 0.5, 0.4, 0.3), 41)
+        assert not rep.passed and 1e-9 < rep.max_abs < 1e-7
+
+    def test_qdiff_tolerances_and_windows(self):
+        pol = TolerancePolicy(abs_tol=1e-11, rel_tol=1e-8)
+        comm, eig = qdiff_residuals(FLOAT_P, 4, 3, pol)
+        assert (comm.tolerance, comm.rows) == (1e-11, (0, 4))
+        assert (eig.tolerance, eig.rows) == (1e-8, (0, 3))
+        assert comm.passed and eig.passed
+
+    def test_qdiff_nan_residual_fails_where_it_occurs(self):
+        # c3 = 1e300 overflows the recurrence: P_3's residual is NaN
+        comm, eig = qdiff_residuals(StructuredParams(0.5, 0.25, 0.5, 1e300), 10, 8)
+        assert comm.passed
+        assert math.isnan(eig.max_abs) and eig.location == (3, 3) and not eig.passed
+
+    def test_qdiff_negative_counts_refused(self):
+        with pytest.raises(InvalidParameterError):
+            qdiff_residuals(FLOAT_P, -1, 3)
+        with pytest.raises(InvalidParameterError):
+            qdiff_residuals(FLOAT_P, 3, -1)
