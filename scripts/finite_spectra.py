@@ -18,7 +18,6 @@ from qosc import (
     TolerancePolicy,
     claimed_spectrum,
     companion_b,
-    companion_params,
     decompose,
     jacobi_matrix,
     q_hahn,
@@ -56,7 +55,7 @@ def main():
           f"  -> {'pass' if report.passed else 'FAIL'}")
 
     A = jacobi_matrix(rec)
-    B = companion_b(A, companion_params(rec))
+    B = companion_b(A, rec.params)
     blocks = decompose(A, B, args.q, pol)
     print(f"# invariant blocks of the companion pair: {len(blocks)}")
     for chain, size in blocks:

@@ -1,17 +1,23 @@
 """Sameness sweep: a digest of every output of the band kernel, the checks on it and the CLI.
 
 Records, for one source tree, a sha256 per input of what the band kernel
-(band_mul, band_add, band_sub, band_scale, inf_norm, _worst), DiagonalOperator
-and the certificates built on them (q_commutator_residual, xi_residuals,
-classify, both algebra residual suites, companion_b, build_W -> to_monic)
-return on seeded random inputs, and of the exit status, stdout and stderr of
-``qosc.cli.main`` run in-process on seeded argvs: every subcommand and suite,
-some with --no-json or a tolerance flag, and some with a flag value that
-overflows or underflows (1e300, 1e-300), which drives reports to inf and NaN.
-A second mode compares two such records.  The
-digested text is the output with every float written by float.hex and every
-other value by repr, or the error's type and message.  A NaN's sign is not
-part of it: the interpreter may take it from either operand of a float add.
+(band_mul, band_add, band_sub, band_scale, inf_norm, _worst), DiagonalOperator,
+the certificates built on them (q_commutator_residual, xi_residuals,
+classify, both algebra residual suites, companion_b, build_W -> to_monic),
+the eigen layer (eigenvalues on tridiagonals with every w_n > 0 or with mixed
+signs, complex refusals included) and the finite families (claimed_spectrum,
+companion_params, verify_spectrum and decompose on q-Hahn and odd-N
+q-para-Krawtchouk with float or Fraction parameters, and decompose on
+build_general pairs) return on seeded random inputs; the recurrences
+themselves are not digested, only what these functions return.  It also
+digests the exit status, stdout and stderr of ``qosc.cli.main`` run
+in-process on seeded argvs: every subcommand and suite, some with --no-json
+or a tolerance flag, and some with a flag value that overflows or underflows
+(1e300, 1e-300), which drives reports to inf and NaN.  A second mode compares
+two such records.  The digested text is the output with every float written
+by float.hex and every other value by repr, or the error's type and message.
+A NaN's sign is not part of it: the interpreter may take it from either
+operand of a float add.
 
     python scripts/sameness.py record --src OLD/src --out old.json [--seed 1] [--count 300]
     python scripts/sameness.py record --src src --out new.json
@@ -82,6 +88,8 @@ RANGES = {
     "aw_count": [0, 45],
     "qdiff_k": [-1, 12],
     "finite_N": [0, 13],
+    "eigen_size": [1, 24],
+    "eigen_offdiagonal": [0.1, 5.0],
     "odd_N_share": 0.9,
     "poly_n_max": [0, 8],
     "poly_x": [-2.0, 2.0],
@@ -206,6 +214,36 @@ def _general(Q, rng):
     return A, B, q
 
 
+def _tridiagonal(Q, rng, positive: bool):
+    """A tridiagonal with every w_n = M[n+1, n] * M[n, n+1] > 0, or with signs drawn freely."""
+    n = rng.randint(*RANGES["eigen_size"])
+    exact = rng.random() < RANGES["exact_share"]
+
+    def entry(span, sign=1):
+        v = sign * rng.uniform(*span)
+        return Fraction(v).limit_denominator(40) if exact else v
+
+    span = RANGES["eigen_offdiagonal"]
+    bands = {0: tuple(entry(RANGES["residual_entry"]) for _ in range(n))}
+    if n > 1:
+        signs = [rng.choice((-1, 1)) for _ in range(n - 1)]
+        bands[-1] = tuple(entry(span, s) for s in signs)
+        bands[1] = tuple(entry(span, s if positive else rng.choice((-1, 1))) for s in signs)
+    return Q.BandMatrix(n, bands)
+
+
+def _finite(rng):
+    """(builder name, arguments) of a q-Hahn or an odd-N q-para-Krawtchouk family."""
+    q = rng.uniform(*rng.choice(RANGES["structured_q"]))
+    c = [rng.uniform(*rng.choice(RANGES["structured_c"])) for _ in range(2)]
+    N = rng.randint(*RANGES["finite_N"])
+    if rng.random() < RANGES["exact_share"]:
+        q, *c = (Fraction(v).limit_denominator(40) for v in (q, *c))
+    if rng.random() < 0.5:
+        return "q_hahn", (c[0], c[1], q, N)
+    return "q_para_krawtchouk", (c[0], q, N | 1)
+
+
 def _structured(Q, rng, size_range):
     q = rng.uniform(*rng.choice(RANGES["structured_q"]))
     c = [rng.uniform(*rng.choice(RANGES["structured_c"])) for _ in range(3)]
@@ -245,6 +283,17 @@ def cases(Q):
     def skip_none(run):
         return lambda x: None if x is None else run(*x)
 
+    def family(run):
+        """run(rec) on the drawn finite family; the recurrence itself is not digested."""
+        return lambda x: run(getattr(Q, x[0])(*x[1]))
+
+    def verify(rec):
+        return Q.verify_spectrum(rec, Q.claimed_spectrum(rec))
+
+    def decompose(rec):
+        J, p = Q.jacobi_matrix(rec), Q.companion_params(rec)
+        return Q.decompose(J, Q.companion_b(J, p), p.q)
+
     return [
         ("band_mul", pair, lambda ab: Q.band_mul(*ab)),
         ("band_add", pair, lambda ab: Q.band_add(*ab)),
@@ -262,6 +311,13 @@ def cases(Q):
         ("aw_algebra_residuals", aw, lambda x: Q.aw_algebra_residuals(x[0], x[1], x[2], variant=x[3])),
         ("companion_b", bqj, lambda x: Q.companion_b(Q.jacobi_matrix(Q.big_q_jacobi(*x)), x[0])),
         ("build_W_to_monic", pencil, lambda x: Q.to_monic(Q.build_W(*x))),
+        ("eigenvalues_positive_w", lambda rng: _tridiagonal(Q, rng, True), Q.eigenvalues),
+        ("eigenvalues_mixed_w", lambda rng: _tridiagonal(Q, rng, False), Q.eigenvalues),
+        ("claimed_spectrum", _finite, family(Q.claimed_spectrum)),
+        ("companion_params", _finite, family(Q.companion_params)),
+        ("verify_spectrum", _finite, family(verify)),
+        ("decompose_finite", _finite, family(decompose)),
+        ("decompose_general", lambda rng: _general(Q, rng), skip_none(Q.decompose)),
     ]
 
 

@@ -6,7 +6,7 @@ decimals with 17 significant digits (null when not finite), so a rerun with
 the same inputs is byte-identical.  The CLI decides no verdict: each check
 copies max_abs, tolerance and pass from a library report.  Exit status: 0 when
 every check passes, 1 when some check fails, 2 on a parameter error or a float
-overflow.
+overflow or underflow.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .representation import (
 from .tridiagonalization import (
     aw_match_residual,
     companion_b,
-    companion_params,
     qdiff_residuals,
     r_coefficients,
 )
@@ -203,7 +202,7 @@ def _block_check(rec, pol: TolerancePolicy):
     or two (q-para-Krawtchouk); no blocks when decompose refuses."""
     expected = 1 if rec.family == "q-hahn" else 2
     J = jacobi_matrix(rec)
-    blocks = _blocks(J, companion_b(J, companion_params(rec)), rec.params.q, pol)
+    blocks = _blocks(J, companion_b(J, rec.params), rec.params.q, pol)
     return _check("block-count", _judge(abs(len(blocks) - expected), None, None, 1.0, 0.5)), blocks
 
 
@@ -498,8 +497,9 @@ def main(argv=None) -> int:
     except QoscError as exc:
         sys.stderr.write(f"error[{exc.kind}]: {exc}\n")
         return 2
-    except OverflowError as exc:  # float ** overflows where * would give inf
-        sys.stderr.write(f"error[overflow]: the inputs overflow float arithmetic ({exc.args[-1]})\n")
+    except (OverflowError, ZeroDivisionError) as exc:  # ** overflows; a product underflows to 0
+        kind = "overflow" if isinstance(exc, OverflowError) else "underflow"
+        sys.stderr.write(f"error[{kind}]: the inputs {kind} float arithmetic ({exc.args[-1]})\n")
         return 2
     except (OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error[io]: {exc}\n")

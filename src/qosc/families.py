@@ -66,21 +66,6 @@ class AWParams:
         return self.a1 * self.a2 * self.a3 * self.a4
 
 
-@record
-class QHahnParams:
-    c1: object
-    c2: object
-    q: object
-    N: int
-
-
-@record
-class QParaKrawtchoukParams:
-    c3: object
-    q: object
-    N: int
-
-
 def big_q_jacobi(p: StructuredParams, count: int) -> MonicRecurrence:
     """First ``count`` monic big q-Jacobi coefficients for parameters (c1, c2, c3).
 
@@ -159,11 +144,14 @@ def askey_wilson(p: AWParams, count: int) -> MonicRecurrence:
 
 
 def q_hahn(c1, c2, q, N: int) -> MonicRecurrence:
-    """Finite q-Hahn family: big q-Jacobi at c3 = q**-(N+1), truncating at size N+1."""
+    """Finite q-Hahn family of size N+1: big q-Jacobi truncating at c3 = q**-(N+1).
+
+    ``params`` is that StructuredParams(q, c1, c2, q**-(N+1)); N is ``size - 1``.
+    """
     if N < 1:
         raise InvalidParameterError("N must be >= 1")
     rec = big_q_jacobi(StructuredParams(q, c1, c2, q ** (-N - 1)), N + 1)
-    return MonicRecurrence(rec.b, rec.u, family="q-hahn", params=QHahnParams(c1, c2, q, N))
+    return MonicRecurrence(rec.b, rec.u, family="q-hahn", params=rec.params)
 
 
 def q_para_krawtchouk(c3, q, N: int) -> MonicRecurrence:
@@ -171,7 +159,8 @@ def q_para_krawtchouk(c3, q, N: int) -> MonicRecurrence:
 
     Coincides with big q-Jacobi at c1 = c2 = q**-(N+1)/2 after cancelling the
     indeterminate middle coefficients, so it is built from its own closed
-    forms; the half-integer powers reduce to integer powers of q.
+    forms; the half-integer powers reduce to integer powers of q.  ``params`` is
+    that StructuredParams(q, c, c, c3), c = q**-(N+1)/2; N is ``size - 1``.
     """
     if N < 1 or N % 2 == 0:
         raise InvalidParameterError("N must be odd and >= 1")
@@ -200,7 +189,8 @@ def q_para_krawtchouk(c3, q, N: int) -> MonicRecurrence:
     Cs = [C(n) for n in range(N + 1)]
     b = tuple(1 - Ds[n] - Cs[n] for n in range(N + 1))
     u = tuple(Ds[n - 1] * Cs[n] for n in range(1, N + 1))
-    return MonicRecurrence(b, u, family="q-para-krawtchouk", params=QParaKrawtchoukParams(c3, q, N))
+    c = q ** (-(N + 1) // 2)
+    return MonicRecurrence(b, u, family="q-para-krawtchouk", params=StructuredParams(q, c, c, c3))
 
 
 def jacobi_matrix(rec: MonicRecurrence) -> BandMatrix:
@@ -266,12 +256,11 @@ def claimed_spectrum(rec: MonicRecurrence) -> SpectrumLattice:
     {q**-s} union {c3 * q**(s+1)} for s = 0..(N-1)/2.  Other families raise
     UnsupportedFamilyError.
     """
+    p, N = rec.params, rec.size - 1
     if rec.family == "q-hahn":
-        p = rec.params
-        return SpectrumLattice(tuple(p.q ** (-s) for s in range(p.N + 1)), "single-exponential")
+        return SpectrumLattice(tuple(p.q ** (-s) for s in range(N + 1)), "single-exponential")
     if rec.family == "q-para-krawtchouk":
-        p = rec.params
-        half = (p.N + 1) // 2
+        half = (N + 1) // 2
         pts = [p.q ** (-s) for s in range(half)] + [p.c3 * p.q ** (s + 1) for s in range(half)]
         return SpectrumLattice(tuple(pts), "bi-exponential")
     raise UnsupportedFamilyError(f"no closed-form spectrum for family {rec.family!r}")

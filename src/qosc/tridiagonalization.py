@@ -13,7 +13,7 @@ identities ``qdiff_residuals`` reports.
 from __future__ import annotations
 
 from ._record import record
-from .errors import InvalidParameterError, NotMonicReducibleError, ResonanceError
+from .errors import InvalidParameterError, NotMonicReducibleError, ResonanceError, UnsupportedFamilyError
 from .families import AWParams, MonicRecurrence, askey_wilson, big_q_jacobi, expand_monic, jacobi_matrix
 from .numerics import (
     DEFAULT_ABS_TOL,
@@ -192,23 +192,12 @@ def aw_match_residual(p: AWParams, count: int, pol: TolerancePolicy = ToleranceP
 
 def companion_params(rec: MonicRecurrence) -> StructuredParams:
     """StructuredParams under which companion_b completes this family's Jacobi
-    matrix to a q-oscillator pair.
-
-    q-Hahn sits at c3 = q**-(N+1); q-para-Krawtchouk at c1 = c2 = q**-(N+1)/2
-    (where the generic coefficient formulas degenerate but the pencil B does
-    not).  Other families raise UnsupportedFamilyError.
+    matrix to a q-oscillator pair: ``rec.params`` for big q-Jacobi, q-Hahn and
+    q-para-Krawtchouk, each finite family carrying the big q-Jacobi
+    specialization it is.  Other families raise UnsupportedFamilyError.
     """
-    from .errors import UnsupportedFamilyError
-
-    if rec.family == "big-q-jacobi":
+    if rec.family in ("big-q-jacobi", "q-hahn", "q-para-krawtchouk"):
         return rec.params
-    if rec.family == "q-hahn":
-        p = rec.params
-        return StructuredParams(p.q, p.c1, p.c2, p.q ** (-p.N - 1))
-    if rec.family == "q-para-krawtchouk":
-        p = rec.params
-        c = p.q ** (-(p.N + 1) // 2)
-        return StructuredParams(p.q, c, c, p.c3)
     raise UnsupportedFamilyError(f"no companion parameters for family {rec.family!r}")
 
 

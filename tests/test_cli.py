@@ -212,6 +212,19 @@ class TestDeterminismAndExitCodes:
         assert err.startswith("error[overflow]: ") and err.count("\n") == 1
 
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "qdiff", "--q", "1e-300", "--c1", "0.156", "--c2", "0.2911",
+         "--c3=-0.4652"],
+        ["spectrum", "--family", "q-para-krawtchouk", "--q", "0.3889", "--c3", "1e-300",
+         "--N", "5", "--decompose"],
+    ])
+    def test_exit_two_on_float_underflow(self, capsys, argv):
+        # a finite flag underflows into a float division by zero
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error[underflow]: ") and err.count("\n") == 1
+
+
 def _no_constant(token):
     raise AssertionError(f"{token} is not JSON")
 

@@ -237,6 +237,38 @@ class TestQParaKrawtchouk:
             assert sp.nsimplify(lim) == sp.Rational(rec.u[n - 1].numerator, rec.u[n - 1].denominator)
 
 
+class TestFiniteFamilyParams:
+    """A finite family carries the big q-Jacobi specialization it is; N = size - 1."""
+
+    @pytest.mark.parametrize(
+        "c1, c2, q, N, c3",
+        [
+            (0.3, 0.4, 0.5, 3, 16.0),
+            (F(3, 10), F(2, 5), F(1, 2), 4, F(32)),
+            (0.3, 0.4, 1.7, 2, 1.7**-3),
+        ],
+    )
+    def test_q_hahn(self, c1, c2, q, N, c3):
+        rec = q_hahn(c1, c2, q, N)
+        assert rec.params == StructuredParams(q, c1, c2, c3)
+        assert type(rec.params.c3) is type(c3)
+        assert rec.size - 1 == N
+
+    @pytest.mark.parametrize(
+        "c3, q, N, c",
+        [
+            (0.2, 0.5, 5, 8.0),
+            (F(1, 5), F(1, 2), 3, F(4)),
+            (0.2, 1.7, 3, 1.7**-2),
+        ],
+    )
+    def test_q_para_krawtchouk(self, c3, q, N, c):
+        rec = q_para_krawtchouk(c3, q, N)
+        assert rec.params == StructuredParams(q, c, c, c3)
+        assert type(rec.params.c1) is type(c)
+        assert rec.size - 1 == N
+
+
 class TestEvalAndExpand:
     def setup_method(self):
         self.rec = big_q_jacobi(StructuredParams(F(1, 2), F(1, 4), F(1, 2), F(1, 4)), 8)
@@ -288,6 +320,19 @@ class TestSpectrumCertification:
         assert para.kind == "bi-exponential"
         assert sorted(hahn.points) == [1.0, 2.0, 4.0, 8.0]
         assert sorted(para.points) == [0.05, 0.1, 1.0, 2.0]
+
+    def test_claimed_points_keep_their_bits(self):
+        hahn = claimed_spectrum(q_hahn(0.3, 0.4, 1.7, 4))
+        assert [x.hex() for x in hahn.points] == [
+            "0x1.0000000000000p+0", "0x1.2d2d2d2d2d2d3p-1", "0x1.6253443526171p-2",
+            "0x1.a0da6e5ca5485p-3", "0x1.ea6a63b849facp-4",
+        ]
+        para = claimed_spectrum(q_para_krawtchouk(0.25, 0.6, 7))
+        assert [x.hex() for x in para.points] == [
+            "0x1.0000000000000p+0", "0x1.aaaaaaaaaaaabp+0", "0x1.638e38e38e38fp+1",
+            "0x1.284bda12f684cp+2", "0x1.3333333333333p-3", "0x1.70a3d70a3d70ap-4",
+            "0x1.ba5e353f7ced8p-5", "0x1.096bb98c7e282p-5",
+        ]
 
     def test_claimed_spectrum_unsupported_family(self):
         with pytest.raises(UnsupportedFamilyError):

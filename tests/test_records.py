@@ -33,11 +33,9 @@ RECORDS = {
     ),
     "MonicRecurrence": (
         ("b", (1.0, 2.0)), ("u", (0.5,)), ("family", "q-hahn"),
-        ("params", qosc.QHahnParams(0.3, 0.4, 0.5, 1)),
+        ("params", qosc.StructuredParams(0.5, 0.3, 0.4, 4.0)),
     ),
     "AWParams": (("q", 0.5), ("a1", 0.9), ("a2", 0.5), ("a3", 0.4), ("a4", 0.3)),
-    "QHahnParams": (("c1", F(3, 10)), ("c2", F(2, 5)), ("q", F(1, 2)), ("N", 3)),
-    "QParaKrawtchoukParams": (("c3", 0.2), ("q", 0.5), ("N", 5)),
     "SpectrumLattice": (("points", (1.0, 2.0, 4.0)), ("kind", "single-exponential")),
     "SpectrumReport": (
         ("max_abs", 1e-12), ("location", (1, 1)), ("rows", (0, 2)), ("scale", 1.0),

@@ -16,12 +16,14 @@ from qosc import (
     DiagonalOperator,
     InvalidParameterError,
     LaurentPoly,
+    MonicRecurrence,
     NotMonicReducibleError,
     PencilParams,
     ResonanceError,
     StructuredParams,
     WCoeffs,
     TolerancePolicy,
+    UnsupportedFamilyError,
     aw_match_residual,
     aw_parameter_map,
     askey_wilson,
@@ -193,14 +195,28 @@ class TestCompanion:
                     assert abs(v - M2.bands[k][i]) <= 1e-9 * max(1.0, abs(v))
 
     def test_companion_params_per_family(self):
+        # each family carries the specialization companion_b needs
         hahn = q_hahn(F(3, 10), F(2, 5), F(1, 2), 3)
         sp = companion_params(hahn)
-        assert sp == StructuredParams(F(1, 2), F(3, 10), F(2, 5), 16)
+        assert sp is hahn.params and sp == StructuredParams(F(1, 2), F(3, 10), F(2, 5), 16)
         para = q_para_krawtchouk(F(1, 5), F(1, 2), 3)
         sp = companion_params(para)
-        assert sp == StructuredParams(F(1, 2), 4, 4, F(1, 5))
+        assert sp is para.params and sp == StructuredParams(F(1, 2), 4, 4, F(1, 5))
         big = big_q_jacobi(EXACT_P, 4)
-        assert companion_params(big) == EXACT_P
+        assert companion_params(big) is big.params == EXACT_P
+
+    @pytest.mark.parametrize(
+        "rec",
+        [
+            askey_wilson(AWParams(0.5, 0.9, 0.5, 0.4, 0.3), 4),
+            to_monic(build_W(FLOAT_P, WCoeffs(0.1, 0.2, -0.1, 1.0), 4))[0],
+            MonicRecurrence((0.1, 0.2), (0.3,), params=FLOAT_P),
+        ],
+        ids=["askey-wilson", "to_monic", "custom"],
+    )
+    def test_companion_params_refuses_other_families(self, rec):
+        with pytest.raises(UnsupportedFamilyError, match=repr(rec.family)):
+            companion_params(rec)
 
     def test_finite_families_complete_to_oscillator_pairs(self):
         # The degenerate closed forms still admit the same companion pencil.
