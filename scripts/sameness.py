@@ -5,7 +5,9 @@ Records, for one source tree, a sha256 per input of what the band kernel
 the certificates built on them (q_commutator_residual, xi_residuals,
 classify, both algebra residual suites, companion_b, build_W -> to_monic),
 the eigen layer (eigenvalues on tridiagonals with every w_n > 0 or with mixed
-signs, complex refusals included) and the finite families (claimed_spectrum,
+signs, complex refusals included, and on small Fraction tridiagonals),
+char_poly_eval (on float, int, Fraction and mixed tridiagonals at drawn points,
+and at every point of a finite family's lattice) and the finite families (claimed_spectrum,
 companion_params, verify_spectrum and decompose on q-Hahn and odd-N
 q-para-Krawtchouk with float or Fraction parameters, and decompose on
 build_general pairs) return on seeded random inputs; the recurrences
@@ -90,6 +92,9 @@ RANGES = {
     "finite_N": [0, 13],
     "eigen_size": [1, 24],
     "eigen_offdiagonal": [0.1, 5.0],
+    "eigen_fraction_size": [1, 8],
+    "charpoly_size": [1, 16],
+    "lattice_exact_share": 0.5,
     "odd_N_share": 0.9,
     "poly_n_max": [0, 8],
     "poly_x": [-2.0, 2.0],
@@ -214,10 +219,11 @@ def _general(Q, rng):
     return A, B, q
 
 
-def _tridiagonal(Q, rng, positive: bool):
-    """A tridiagonal with every w_n = M[n+1, n] * M[n, n+1] > 0, or with signs drawn freely."""
-    n = rng.randint(*RANGES["eigen_size"])
-    exact = rng.random() < RANGES["exact_share"]
+def _tridiagonal(Q, rng, positive: bool, exact_only: bool = False):
+    """A tridiagonal with every w_n = M[n+1, n] * M[n, n+1] > 0, or with signs drawn
+    freely; with ``exact_only`` a small one with Fraction entries."""
+    n = rng.randint(*RANGES["eigen_fraction_size" if exact_only else "eigen_size"])
+    exact = exact_only or rng.random() < RANGES["exact_share"]
 
     def entry(span, sign=1):
         v = sign * rng.uniform(*span)
@@ -232,16 +238,28 @@ def _tridiagonal(Q, rng, positive: bool):
     return Q.BandMatrix(n, bands)
 
 
-def _finite(rng):
+def _finite(rng, exact_share=RANGES["exact_share"]):
     """(builder name, arguments) of a q-Hahn or an odd-N q-para-Krawtchouk family."""
     q = rng.uniform(*rng.choice(RANGES["structured_q"]))
     c = [rng.uniform(*rng.choice(RANGES["structured_c"])) for _ in range(2)]
     N = rng.randint(*RANGES["finite_N"])
-    if rng.random() < RANGES["exact_share"]:
+    if rng.random() < exact_share:
         q, *c = (Fraction(v).limit_denominator(40) for v in (q, *c))
     if rng.random() < 0.5:
         return "q_hahn", (c[0], c[1], q, N)
     return "q_para_krawtchouk", (c[0], q, N | 1)
+
+
+def _charpoly_input(Q, rng):
+    """(M, x): a tridiagonal whose entries and point are all float, all wide-range
+    float, all int, all Fraction or mixed, specials included."""
+    n = rng.randint(*RANGES["charpoly_size"])
+    kind = rng.choice(("float", "wide", "int", "fraction", "mixed"))
+
+    def band(m):
+        return tuple(_scalar(rng, kind) for _ in range(m))
+
+    return Q.band_tridiagonal(band(n - 1), band(n), band(n - 1)), _scalar(rng, kind)
 
 
 def _structured(Q, rng, size_range):
@@ -290,6 +308,10 @@ def cases(Q):
     def verify(rec):
         return Q.verify_spectrum(rec, Q.claimed_spectrum(rec))
 
+    def on_lattice(rec):
+        J = Q.jacobi_matrix(rec)
+        return [Q.char_poly_eval(J, x) for x in Q.claimed_spectrum(rec).points]
+
     def decompose(rec):
         J, p = Q.jacobi_matrix(rec), Q.companion_params(rec)
         return Q.decompose(J, Q.companion_b(J, p), p.q)
@@ -313,6 +335,11 @@ def cases(Q):
         ("build_W_to_monic", pencil, lambda x: Q.to_monic(Q.build_W(*x))),
         ("eigenvalues_positive_w", lambda rng: _tridiagonal(Q, rng, True), Q.eigenvalues),
         ("eigenvalues_mixed_w", lambda rng: _tridiagonal(Q, rng, False), Q.eigenvalues),
+        ("eigenvalues_fraction", lambda rng: _tridiagonal(Q, rng, rng.random() < 0.5, True),
+         Q.eigenvalues),
+        ("char_poly_eval", lambda rng: _charpoly_input(Q, rng), lambda x: Q.char_poly_eval(*x)),
+        ("char_poly_eval_lattice", lambda rng: _finite(rng, RANGES["lattice_exact_share"]),
+         family(on_lattice)),
         ("claimed_spectrum", _finite, family(Q.claimed_spectrum)),
         ("companion_params", _finite, family(Q.companion_params)),
         ("verify_spectrum", _finite, family(verify)),

@@ -288,14 +288,25 @@ class SpectrumReport:
     charpoly_scaled: tuple
 
 
+def _float_abs(v) -> float:
+    """|v| as a float; inf when an exact v lies beyond the float range, where
+    float() raises rather than overflowing as float arithmetic does."""
+    try:
+        return abs(float(v))
+    except OverflowError:
+        return math.inf
+
+
 def verify_spectrum(
     rec: MonicRecurrence, lattice: SpectrumLattice, pol: TolerancePolicy = TolerancePolicy()
 ) -> SpectrumReport:
     """Certify that the Jacobi matrix spectrum equals the claimed lattice.
 
     Two checks run at each lattice point x_s, taken in ascending order:
-    (i) charpoly_scaled, |charpoly(x_s)| over the product of gaps
-    prod_{t != s} |x_s - x_t|, and (ii) rel_distance, the relative distance
+    (i) charpoly_scaled, |charpoly(x_s)| over the product of float gaps
+    prod_{t != s} |x_s - x_t|, with charpoly evaluated at the point as the
+    lattice gives it, so exact points on an exact matrix give an exact value
+    (0 on a true lattice), and (ii) rel_distance, the relative distance
     from x_s to the computed eigenvalue paired with it, each eigenvalue going
     to its nearest point.  The report keeps both per point; max_abs is the
     worst of either (a NaN counts as worst) and location = (s, s) indexes the
@@ -305,9 +316,10 @@ def verify_spectrum(
     if len(lattice.points) != rec.size:
         raise SpectrumMismatchError(f"lattice has {len(lattice.points)} points for size {rec.size}")
     J = jacobi_matrix(rec)
-    pts = tuple(sorted(float(x) for x in lattice.points))
+    given = sorted(lattice.points)
+    pts = tuple(float(x) for x in given)
     gaps = [math.prod(abs(x - y) for y in pts if y != x) for x in pts]
-    scaled = tuple(abs(float(char_poly_eval(J, x))) / g for x, g in zip(pts, gaps))
+    scaled = tuple(_float_abs(char_poly_eval(J, x)) / g for x, g in zip(given, gaps))
     paired = [None] * len(pts)
     for lam in eigenvalues(J):
         s = min(range(len(pts)), key=lambda t: abs(lam - pts[t]))

@@ -13,6 +13,13 @@ float compare.  The package has no numpy: the eigenvectors behind
 tridiagonal matrix by its minor recurrences (``_adjugate_vectors`` below), and
 numpy enters only in tests.
 
+One exact route has code of its own.  On int and Fraction input
+``char_poly_eval`` runs the three-term minor recurrence on plain integers,
+each step scaled by its own denominator, and builds one Fraction at the end:
+the value and type of the duck-typed loop, without the gcd of the growing
+minors that Fraction arithmetic takes at every step.  The eigen layer's exact
+evaluations (``_ExactCharPoly``) read signs off the same recurrence.
+
 Every reader of a tridiagonal matrix's three bands goes through
 ``_tridiagonal``, which refuses a matrix storing any wider band.
 
@@ -35,6 +42,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+import sys
 from functools import cached_property
 from itertools import repeat
 
@@ -336,14 +344,83 @@ def _tridiagonal(M: BandMatrix):
 def char_poly_eval(M: BandMatrix, x):
     """det(xI - M) for tridiagonal M by the three-term minor recurrence.
 
-    Duck-typed and unscaled: exact for exact inputs, may overflow for large
-    sizes with wide entry ranges (eigenvalues() uses a rescaled variant).
+    When x and every entry are of type int or fractions.Fraction, the
+    recurrence runs on plain integers (``_exact_det``) and one Fraction is
+    built at the end, or an int when every input is an int: the same value
+    and type as the loop below, without a gcd on the growing minors at every
+    step.  Any other input (floats, complex, bool, a Fraction subclass) takes
+    the duck-typed loop, unscaled, so it may overflow for large sizes with
+    wide entry ranges (eigenvalues() uses a rescaled variant).
     """
     sub, b, sup = _tridiagonal(M)
+    kind = _exact_kind(x, (sub, b, sup))
+    if kind is not None:
+        X, d = x.as_integer_ratio()
+        steps = list(_scaled_steps(*_exact_entries(sub, b, sup), d))
+        P = _exact_det(steps, X)
+        return P if kind is int else kind(P, d ** len(steps) * math.prod(e for e, _, _ in steps))
     p0, p1 = 1, x - b[0]
     for bk, s, t in zip(b[1:], sub, sup):
         p0, p1 = p1, (x - bk) * p1 - s * t * p0
     return p1
+
+
+def _exact_kind(x, bands):
+    """int when x and every entry are of type int, fractions.Fraction when
+    each is an int or a Fraction and one is a Fraction, else None.  Types are
+    matched exactly, so bool and subclasses are not exact here.  No Fraction
+    exists unless the fractions module is loaded, so it is never imported."""
+    fractions = sys.modules.get("fractions")
+    exact = {int} if fractions is None else {int, fractions.Fraction}
+    if type(x) not in exact:
+        return None
+    kinds = {type(x)}.union(*(map(type, band) for band in bands))
+    if not kinds <= exact:
+        return None
+    return int if kinds == {int} else fractions.Fraction
+
+
+def _ratio(v) -> tuple:
+    """v as an exact (numerator, denominator) pair; floats, ints and Fractions
+    are exact, other types are read at their float value."""
+    try:
+        return v.as_integer_ratio()
+    except AttributeError:
+        return float(v).as_integer_ratio()
+
+
+def _exact_entries(sub, diag, sup):
+    """The diagonal b_k and the products w_k = sub_{k-1} * sup_{k-1} (w_0 = 0)
+    of a tridiagonal matrix, each an exact (numerator, denominator) pair."""
+    w = [(s * t, ds * dt) for (s, ds), (t, dt) in zip(map(_ratio, sub), map(_ratio, sup))]
+    return [_ratio(v) for v in diag], [(0, 1)] + w
+
+
+def _scaled_steps(b, w, d: int):
+    """(e_k, B_k, W_k) of each step of the minor recurrence at a point X / d.
+
+    Step k scales by its own denominator c_k, the lcm of d, den b_k and the
+    part of den w_k that c_{k-1} lacks.  Then e_k = c_k / d, B_k = c_k b_k
+    and W_k = c_k c_{k-1} w_k are integers, and P_k = (X e_k - B_k) P_{k-1}
+    - W_k P_{k-2} (P_{-1} = 1) is the leading minor of order k + 1 of
+    xI - M times c_0 ... c_k.  The gcds are on entry denominators only,
+    never on the growing P_k.
+    """
+    c = 1
+    for (bn, bd), (wn, wd) in zip(b, w):
+        ck = math.lcm(d, bd, wd // math.gcd(wd, c))
+        yield ck // d, bn * (ck // bd), wn * (ck * c // wd)
+        c = ck
+
+
+def _exact_det(steps, X: int) -> int:
+    """P_n of the ``_scaled_steps`` recurrence at X (or of ``_ExactCharPoly``'s
+    lifted steps, every c_k = S): det(xI - M) times c_0 ... c_{n-1} > 0, so
+    its sign is that of det(xI - M)."""
+    P0, P1 = 0, 1
+    for e, B, W in steps:
+        P0, P1 = P1, (X * e - B) * P1 - W * P0
+    return P1
 
 
 # -- eigenvalue machinery -----------------------------------------------------
@@ -603,46 +680,48 @@ def _cp_complex(b, w, ab, aw, z: complex):
     return p1, d1, e1
 
 
-def _ratio(v) -> tuple:
-    """v as an exact (numerator, denominator) pair; floats, ints and Fractions
-    are exact, other types are read at their float value."""
-    try:
-        return v.as_integer_ratio()
-    except AttributeError:
-        return float(v).as_integer_ratio()
-
-
 class _ExactCharPoly:
     """p(z) = det(zI - M) and p'(z) in exact integer arithmetic.
 
     The entries of M are taken exactly as given and so are the float parts of
-    z: everything is scaled to integers by a common denominator S.
+    z: every entry is lifted to an integer by the lcm G of all the entry
+    denominators, once per matrix, and a point of denominator d scales that
+    by lcm(d, G) / G.
     """
 
     def __init__(self, M: BandMatrix):
         self.M = M
 
     @cached_property
-    def _entries(self):
-        sub, diag, sup = _tridiagonal(self.M)
-        b = [_ratio(v) for v in diag]
-        w = [(s * t, ds * dt) for (s, ds), (t, dt) in zip(map(_ratio, sub), map(_ratio, sup))]
-        return b, w, math.lcm(*(d for _, d in b + w))
+    def _lifted(self):
+        """(G, [(1, G b_k, G^2 w_k)]): the minor recurrence's steps for
+        ``_exact_det`` at points of denominator G."""
+        b, w = _exact_entries(*_tridiagonal(self.M))
+        G = math.lcm(*(d for _, d in b + w))
+        return G, [(1, bn * (G // bd), wn * (G // wd) * G) for (bn, bd), (wn, wd) in zip(b, w)]
+
+    def _steps(self, d: int):
+        """(S, steps): the steps at the scale S = lcm(d, G), so a point X / d
+        is (X S / d) / S there."""
+        G, steps = self._lifted
+        S = math.lcm(d, G)
+        if S == G:
+            return G, steps
+        f = S // G
+        f2 = f * f
+        return S, [(1, B * f, W * f2) for _, B, W in steps]
 
     def _eval(self, z: complex):
         """Integers (P, D, Ti, S) with p(z) = P / S^n, p'(z) = D / S^(n-1) and
         Im z = Ti / S; P and D are (real, imaginary) pairs."""
-        b, w, den = self._entries
         (zr, dr), (zi, di) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
-        S = math.lcm(den, dr, di)
-        S2 = S * S
+        S, steps = self._steps(math.lcm(dr, di))
         Zr = zr * (S // dr)
         Ti = zi * (S // di)
-        pr0, pi0, dr0, di0 = 1, 0, 0, 0
-        pr1, pi1, dr1, di1 = Zr - b[0][0] * (S // b[0][1]), Ti, 1, 0
-        for (bk, db), (wk, dw) in zip(b[1:], w):
-            Tr = Zr - bk * (S // db)
-            W = wk * (S2 // dw)
+        pr0 = pi0 = dr0 = di0 = pi1 = dr1 = di1 = 0
+        pr1 = 1
+        for _, B, W in steps:
+            Tr = Zr - B
             pr0, pi0, dr0, di0, pr1, pi1, dr1, di1 = (
                 pr1, pi1, dr1, di1,
                 Tr * pr1 - Ti * pi1 - W * pr0,
@@ -653,9 +732,12 @@ class _ExactCharPoly:
         return (pr1, pi1), (dr1, di1), Ti, S
 
     def sign(self, x: float) -> int:
-        """The sign of p at a real point."""
-        (pr, _), _, _, _ = self._eval(complex(x))
-        return (pr > 0) - (pr < 0)
+        """The sign of p at a real point, by the integer recurrence of
+        ``char_poly_eval``'s exact path."""
+        X, d = x.as_integer_ratio()
+        S, steps = self._steps(d)
+        P = _exact_det(steps, X * (S // d))
+        return (P > 0) - (P < 0)
 
     def newton(self, z: complex):
         """(p(z) / p'(z), the inclusion radius n |p(z) / p'(z)|, whether that

@@ -661,11 +661,12 @@ def test_console_script_smoke():
 
 def test_import_loads_no_numpy():
     # Each CLI call pays for every module qosc imports: numpy costs ~100 ms,
-    # dataclasses (which loads inspect) ~10 ms plus the work of its decorator.
+    # dataclasses (which loads inspect) ~10 ms plus the work of its decorator,
+    # fractions ~2 ms (the exact paths look it up in sys.modules instead).
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     code = (
         "import qosc, qosc.cli, sys\n"
-        "for name in ('numpy', 'dataclasses', 'inspect'):\n"
+        "for name in ('numpy', 'dataclasses', 'inspect', 'fractions'):\n"
         "    assert name not in sys.modules, name\n"
     )
     proc = subprocess.run(

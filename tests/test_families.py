@@ -416,6 +416,38 @@ class TestSpectrumCertification:
         assert rep.max_abs in (rep.rel_distance[s], rep.charpoly_scaled[s])
         assert rep.rows == (0, n - 1) and rep.scale == 1.0
 
+    @pytest.mark.parametrize("c3, q, N", [(F(1, 5), F(1, 2), 9), (F(1, 5), F(1, 2), 13),
+                                          (F(1, 5), F(9, 10), 13)])
+    def test_exact_family_is_judged_at_its_exact_points(self, c3, q, N):
+        # At the rounded points charpoly_scaled read 8.1e-8, 14.0 and 4.6e-7
+        # against 1e-9 here, though the eigenvalues matched exactly.
+        rec = q_para_krawtchouk(c3, q, N)
+        lattice = claimed_spectrum(rec)
+        rep = verify_spectrum(rec, lattice)
+        assert rep.passed and rep.max_abs == 0.0
+        assert rep.charpoly_scaled == (0.0,) * (N + 1) and rep.rel_distance == (0.0,) * (N + 1)
+        assert rep.points == tuple(sorted(float(x) for x in lattice.points))
+        assert all(type(x) is float for x in rep.points)
+
+    @pytest.mark.parametrize("c3, q, N", [(F(1, 5), F(1, 2), 9), (F(1, 5), F(9, 10), 13)])
+    @pytest.mark.parametrize("n", [0, 1, "middle"])
+    def test_one_u_n_off_by_two_to_the_minus_40_fails(self, c3, q, N, n):
+        rec = q_para_krawtchouk(c3, q, N)
+        u = list(rec.u)
+        n = N // 2 if n == "middle" else n
+        u[n] *= 1 + F(1, 2**40)
+        rep = verify_spectrum(MonicRecurrence(rec.b, u, rec.family, rec.params), claimed_spectrum(rec))
+        assert not rep.passed
+        assert max(rep.charpoly_scaled) > rep.tolerance  # the exact half fails on its own
+
+    def test_exact_value_beyond_the_float_range(self):
+        # |charpoly| near 1e360 at the top point: float() of it raises, where the
+        # float recurrence overflowed to inf; the pairing then refuses, as before.
+        rec = q_hahn(F(3, 10), F(2, 5), F(1, 2), 35)
+        shifted = MonicRecurrence(tuple(b + 10**10 for b in rec.b), rec.u, rec.family, rec.params)
+        with pytest.raises(SpectrumMismatchError, match="not injective"):
+            verify_spectrum(shifted, claimed_spectrum(rec))
+
     def test_count_mismatch_raises(self):
         rec = q_hahn(0.3, 0.4, 0.5, 3)
         short = SpectrumLattice((1.0, 2.0, 4.0), "single-exponential")

@@ -369,8 +369,8 @@ class TestTridiagonalRead:
         M = band_diagonal(diag)
         assert eigenvalues(M) == sorted(float(x) for x in diag)
         assert char_poly_eval(M, 0.5) == math.prod(0.5 - x for x in diag)
-        b, w, _ = opmatrix._ExactCharPoly(M)._entries
-        assert b == [x.as_integer_ratio() for x in diag] and w == [(0, 1), (0, 1)]
+        b, w = opmatrix._exact_entries(*opmatrix._tridiagonal(M))
+        assert b == [x.as_integer_ratio() for x in diag] and w == [(0, 1)] * 3
         with pytest.raises(NotMonicReducibleError, match=r"\(1,0\) vanishes"):
             to_monic(M)
 
@@ -379,8 +379,9 @@ class TestTridiagonalRead:
         M = BandMatrix(1, bands)
         assert eigenvalues(M) == [value]
         assert char_poly_eval(M, 0.5) == 0.5 - value
+        b, w = opmatrix._exact_entries(*opmatrix._tridiagonal(M))
+        assert (b, w) == ([value.as_integer_ratio()], [(0, 1)])
         exact = opmatrix._ExactCharPoly(M)
-        assert exact._entries == ([value.as_integer_ratio()], [], value.as_integer_ratio()[1])
         assert exact.sign(value + 1.0) == 1 and exact.sign(value - 1.0) == -1
         rec, d = to_monic(M)
         assert (rec.b, rec.u, d) == ((value,), (), (1,))
@@ -392,6 +393,154 @@ class TestTridiagonalRead:
         for read in readers:
             with pytest.raises(InvalidParameterError, match="matrix is not tridiagonal"):
                 read(M)
+
+
+def loop_char_poly(M, x):
+    """det(xI - M) by the duck-typed three-term loop: the oracle of the exact path."""
+    sub, b, sup = opmatrix._tridiagonal(M)
+    p0, p1 = 1, x - b[0]
+    for bk, s, t in zip(b[1:], sub, sup):
+        p0, p1 = p1, (x - bk) * p1 - s * t * p0
+    return p1
+
+
+def fraction_sign(M, x):
+    """The sign of det(xI - M) in Fraction arithmetic, the entries and x read
+    exactly: the value the global-lcm recurrence's sign was read from."""
+    sub, b, sup = (list(map(F, band)) for band in opmatrix._tridiagonal(M))
+    x = F(x)
+    p0, p1 = 1, x - b[0]
+    for bk, s, t in zip(b[1:], sub, sup):
+        p0, p1 = p1, (x - bk) * p1 - s * t * p0
+    return (p1 > 0) - (p1 < 0)
+
+
+def fraction_newton(M, z):
+    """_ExactCharPoly.newton in Fraction arithmetic: p and p' as (re, im) pairs,
+    then the same correctly rounded ratio, radius and exact disc test."""
+    sub, b, sup = (list(map(F, band)) for band in opmatrix._tridiagonal(M))
+    zr, zi = F(z.real), F(z.imag)
+
+    def mul(a, c):
+        return a[0] * c[0] - a[1] * c[1], a[0] * c[1] + a[1] * c[0]
+
+    def step(t, w, a1, a0):
+        ta = mul(t, a1)
+        return ta[0] - w * a0[0], ta[1] - w * a0[1]
+
+    p0, p1, d0, d1 = (F(1), F(0)), (zr - b[0], zi), (F(0), F(0)), (F(1), F(0))
+    for bk, s, t in zip(b[1:], sub, sup):
+        shift = (zr - bk, zi)
+        d2 = step(shift, s * t, d1, d0)
+        p0, p1, d0, d1 = p1, step(shift, s * t, p1, p0), d1, (d2[0] + p1[0], d2[1] + p1[1])
+    n = M.size
+    pp, dd = p1[0] ** 2 + p1[1] ** 2, d1[0] ** 2 + d1[1] ** 2
+    if dd == 0:
+        return math.inf, math.inf, False
+    certified = zi * zi * dd > n * n * pp
+    ratio = complex(float((p1[0] * d1[0] + p1[1] * d1[1]) / dd),
+                    float((p1[1] * d1[0] - p1[0] * d1[1]) / dd))
+    return ratio, n * math.sqrt(float(pp / dd)), certified
+
+
+class SubFraction(F):
+    """A Fraction subclass: not one of char_poly_eval's exact types."""
+
+
+exact_ints = st.integers(min_value=-50, max_value=50)
+exact_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+
+
+@st.composite
+def exact_tridiagonals(draw):
+    """(M, x) with int, Fraction or mixed entries and point: a full
+    tridiagonal, a diagonal-only matrix, or one with some w_n = 0, size 1..10."""
+    size = draw(st.integers(min_value=1, max_value=10))
+    kind = draw(st.sampled_from(("int", "fraction", "mixed")))
+    scalar = {"int": exact_ints, "fraction": exact_fractions,
+              "mixed": st.one_of(exact_ints, exact_fractions)}[kind]
+    diag = draw(st.lists(scalar, min_size=size, max_size=size))
+    shape = draw(st.sampled_from(("tridiagonal", "diagonal", "some w_n = 0")))
+    if size == 1 or shape == "diagonal":
+        M = band_diagonal(diag)
+    else:
+        sub, sup = (draw(st.lists(scalar, min_size=size - 1, max_size=size - 1)) for _ in "ab")
+        if shape == "some w_n = 0":
+            for k in draw(st.sets(st.integers(min_value=0, max_value=size - 2), min_size=1)):
+                (sub if k % 2 else sup)[k] = 0
+        M = band_tridiagonal(sub, diag, sup)
+    return M, draw(st.one_of(exact_ints, exact_fractions))
+
+
+@st.composite
+def sign_inputs(draw):
+    """(M, x): a float, Fraction or mixed tridiagonal and a float point,
+    sometimes a diagonal entry, where a diagonal-only matrix has p = 0."""
+    size = draw(st.integers(min_value=1, max_value=9))
+    floats = st.floats(min_value=-4.0, max_value=4.0)
+    scalar = draw(st.sampled_from((floats, exact_fractions, st.one_of(floats, exact_fractions))))
+    diag = draw(st.lists(scalar, min_size=size, max_size=size))
+    if size > 1 and draw(st.booleans()):
+        sub, sup = (draw(st.lists(scalar, min_size=size - 1, max_size=size - 1)) for _ in "ab")
+        M = band_tridiagonal(sub, diag, sup)
+    else:
+        M = band_diagonal(diag)
+    x = draw(st.one_of(floats, st.sampled_from([float(v) for v in diag])))
+    return M, x
+
+
+class TestExactCharPoly:
+    """char_poly_eval on int and Fraction input, and _ExactCharPoly, run the
+    minor recurrence on plain integers; the Fraction loops above are the oracles."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(exact_tridiagonals())
+    def test_matches_the_loop_in_value_and_type(self, case):
+        M, x = case
+        assert exactly(char_poly_eval(M, x)) == exactly(loop_char_poly(M, x))
+
+    @pytest.mark.parametrize("x, diag, off", [
+        (True, (1, 2, 3), (1, 1)),
+        (2, (True, 2, 3), (1, False)),
+        (F(1, 2), (SubFraction(1, 3), F(2), 3), (1, 2)),
+        (SubFraction(1, 2), (F(1, 3), F(2), 3), (1, 2)),
+        (0.5, (F(1, 3), F(2), 3), (1, F(2, 7))),
+        (F(1, 2), (1.0, 2, 3), (1, 2)),
+    ], ids=["bool-x", "bool-entries", "subclass-entry", "subclass-x", "float-x", "float-entry"])
+    def test_other_types_take_the_loop(self, x, diag, off, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the exact path ran")
+
+        monkeypatch.setattr(opmatrix, "_exact_det", refuse)
+        M = band_tridiagonal(off, diag, off)
+        assert exactly(char_poly_eval(M, x)) == exactly(loop_char_poly(M, x))
+
+    @pytest.mark.parametrize("q", [F(10, 13), F(11, 13)])
+    @pytest.mark.parametrize("N", [5, 11, 21])
+    @pytest.mark.parametrize("family", ["q-hahn", "q-para-krawtchouk"])
+    def test_vanishes_exactly_on_the_lattice(self, family, N, q):
+        if family == "q-hahn":
+            rec = q_hahn(F(3, 10), F(2, 5), q, N)
+        else:
+            rec = q_para_krawtchouk(F(1, 5), q, N)
+        J = jacobi_matrix(rec)
+        values = [char_poly_eval(J, x) for x in claimed_spectrum(rec).points]
+        assert len(values) == N + 1
+        assert all(type(v) is F and v == 0 for v in values)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sign_inputs())
+    def test_sign_matches_fraction_arithmetic(self, case):
+        M, x = case
+        assert opmatrix._ExactCharPoly(M).sign(x) == fraction_sign(M, x)
+
+    @settings(max_examples=80, deadline=None)
+    @given(sign_inputs(), st.floats(min_value=-4.0, max_value=4.0),
+           st.floats(min_value=-1.0, max_value=1.0))
+    def test_newton_matches_fraction_arithmetic(self, case, re, im):
+        M, _ = case
+        z = complex(re, im)
+        assert opmatrix._ExactCharPoly(M).newton(z) == fraction_newton(M, z)
 
 
 class TestJudge:
