@@ -5,7 +5,8 @@ Records, for one source tree, a sha256 per input of what the band kernel
 the certificates built on them (q_commutator_residual, xi_residuals,
 classify, both algebra residual suites, companion_b, build_W -> to_monic),
 the eigen layer (eigenvalues on tridiagonals with every w_n > 0 or with mixed
-signs, complex refusals included, and on small Fraction tridiagonals),
+signs, complex refusals included, the same scaled by 10**U(-60, 60), and on
+small Fraction tridiagonals),
 char_poly_eval (on float, int, Fraction and mixed tridiagonals at drawn points,
 and at every point of a finite family's lattice) and the finite families (claimed_spectrum,
 companion_params, verify_spectrum and decompose on q-Hahn and odd-N
@@ -93,6 +94,7 @@ RANGES = {
     "eigen_size": [1, 24],
     "eigen_offdiagonal": [0.1, 5.0],
     "eigen_fraction_size": [1, 8],
+    "eigen_scale_decades": [-60, 60],
     "charpoly_size": [1, 16],
     "lattice_exact_share": 0.5,
     "odd_N_share": 0.9,
@@ -238,6 +240,14 @@ def _tridiagonal(Q, rng, positive: bool, exact_only: bool = False):
     return Q.BandMatrix(n, bands)
 
 
+def _wide_tridiagonal(Q, rng):
+    """A float tridiagonal drawn as by _tridiagonal, every w_n > 0 or signs drawn
+    freely, with every entry scaled by 10**U(eigen_scale_decades)."""
+    M = _tridiagonal(Q, rng, rng.random() < 0.5)
+    s = 10.0 ** rng.uniform(*RANGES["eigen_scale_decades"])
+    return Q.BandMatrix(M.size, {k: tuple(float(v) * s for v in band) for k, band in M.bands.items()})
+
+
 def _finite(rng, exact_share=RANGES["exact_share"]):
     """(builder name, arguments) of a q-Hahn or an odd-N q-para-Krawtchouk family."""
     q = rng.uniform(*rng.choice(RANGES["structured_q"]))
@@ -337,6 +347,7 @@ def cases(Q):
         ("eigenvalues_mixed_w", lambda rng: _tridiagonal(Q, rng, False), Q.eigenvalues),
         ("eigenvalues_fraction", lambda rng: _tridiagonal(Q, rng, rng.random() < 0.5, True),
          Q.eigenvalues),
+        ("eigenvalues_wide_scale", lambda rng: _wide_tridiagonal(Q, rng), Q.eigenvalues),
         ("char_poly_eval", lambda rng: _charpoly_input(Q, rng), lambda x: Q.char_poly_eval(*x)),
         ("char_poly_eval_lattice", lambda rng: _finite(rng, RANGES["lattice_exact_share"]),
          family(on_lattice)),

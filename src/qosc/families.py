@@ -16,6 +16,7 @@ from .numerics import LaurentPoly, TolerancePolicy, _worst_of, laurent_add, laur
 from .opmatrix import (
     BandMatrix,
     _judge,
+    _scaled_minors,
     band_tridiagonal,
     char_poly_eval,
     eigenvalues,
@@ -288,13 +289,25 @@ class SpectrumReport:
     charpoly_scaled: tuple
 
 
-def _float_abs(v) -> float:
-    """|v| as a float; inf when an exact v lies beyond the float range, where
-    float() raises rather than overflowing as float arithmetic does."""
+def _charpoly_scaled(rec: MonicRecurrence, J: BandMatrix, x, pts) -> float:
+    """|charpoly(x)| / prod_{y != x} |x - y|, by (mantissa, exponent) pairs where a side
+    overflows: rescaled recurrences that round as math.prod and char_poly_eval do, or bit lengths."""
+    c, fx = char_poly_eval(J, x), float(x)
+    gaps = [abs(fx - y) for y in pts if y != fx]
     try:
-        return abs(float(v))
-    except OverflowError:
-        return math.inf
+        a, g = abs(float(c)), math.prod(gaps)
+        if a < math.inf and g < math.inf:
+            return a / g
+    except OverflowError:  # an exact charpoly beyond the float range
+        pass
+    gm, ge = _scaled_minors(gaps, [0.0] * len(gaps))[-1]
+    if isinstance(c, float):
+        cm, ce = _scaled_minors([fx - v for v in rec.b], (0.0,) + rec.u)[-1]  # J = jacobi_matrix(rec)
+    else:
+        ce = max(0, c.numerator.bit_length() - c.denominator.bit_length())
+        cm = float(c / 2**ce)
+    r, k = math.frexp(cm / gm)
+    return abs(math.ldexp(r, k + ce - ge)) if k + ce - ge <= 1024 else math.inf
 
 
 def verify_spectrum(
@@ -318,8 +331,7 @@ def verify_spectrum(
     J = jacobi_matrix(rec)
     given = sorted(lattice.points)
     pts = tuple(float(x) for x in given)
-    gaps = [math.prod(abs(x - y) for y in pts if y != x) for x in pts]
-    scaled = tuple(_float_abs(char_poly_eval(J, x)) / g for x, g in zip(given, gaps))
+    scaled = tuple(_charpoly_scaled(rec, J, x, pts) for x in given)
     paired = [None] * len(pts)
     for lam in eigenvalues(J):
         s = min(range(len(pts)), key=lambda t: abs(lam - pts[t]))

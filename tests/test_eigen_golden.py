@@ -9,7 +9,12 @@ sub * super > 0.  The matrices are stored, not rebuilt, so only a change in
 the eigen layer can move a result.
 
 A change to how the float iterate reaches a root must leave these unchanged:
-the double-double polish, not the route to it, fixes the last bit.  After an
+the double-double polish, not the route to it, fixes the last bit.  That
+held only once the rescaling fault below about 1e-42 was mended (the rescale
+test underflowed to 0.0, and a hull pad of at least 1e-9 left decades the
+Laguerre steps could not cross): before, the route decided whether such a
+spectrum was found at all.  Handing over to the polish at a float step of
+1e-4 |x| or of 1e-6 |x| gives this same corpus.  After an
 intended change to the results, re-record with
 ``PYTHONPATH=src python tests/test_eigen_golden.py --record`` and review the diff.
 """

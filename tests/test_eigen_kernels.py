@@ -1,0 +1,291 @@
+"""The eigen layer's recurrence kernels against reference loops.
+
+The loops below are ``_cp_float``, ``_cp_dd``, ``_cp_complex`` and
+``_aberth`` as they read before the kernels became straight-line code: a
+tuple built and unpacked per step, the Dekker split of P_{k-2} formed afresh
+at every step, the error bound carried at every Aberth evaluation.  One
+change is deliberate: the up-scale tests read ``m < _SMALL2`` where they read
+``0.0 < m < _SMALL2``, since m = p^2 + p'^2 (+ p''^2) underflows to 0.0
+while p is still nonzero, and the rescale was then skipped (wrong eigenvalues
+for entries below about 1e-42).
+
+The kernels must agree with these loops on everything the eigen layer reads
+from them: p/p', p''/p', (ph + pl)/p', whether |p| <= e, and the Aberth
+iterates with the points where a root moved to exact evaluation.
+"""
+
+import cmath
+import json
+import math
+import os
+import random
+
+import pytest
+
+from qosc import UnsupportedSpectrumError, band_tridiagonal, jacobi_matrix, q_para_krawtchouk
+from qosc import opmatrix
+from qosc.opmatrix import (
+    _BIG, _BIG2, _DOWN, _EPS, _ERR_UNITS, _SMALL, _SMALL2, _SPLIT, _UP,
+    _ABERTH_SWEEPS, _refuse_if_certified,
+)
+
+
+def ref_cp_float(b, w, x):
+    p0, p1 = 1.0, x - b[0]
+    d0, d1 = 0.0, 1.0
+    s0 = s1 = 0.0
+    for bk, wk in zip(b[1:], w):
+        t = x - bk
+        p0, p1, d0, d1, s0, s1 = (
+            p1, t * p1 - wk * p0, d1, p1 + t * d1 - wk * d0, s1, 2.0 * d1 + t * s1 - wk * s0
+        )
+        m = p1 * p1 + d1 * d1 + s1 * s1
+        if m > _BIG2:
+            p0 *= _DOWN; p1 *= _DOWN; d0 *= _DOWN; d1 *= _DOWN; s0 *= _DOWN; s1 *= _DOWN
+        elif m < _SMALL2:
+            p0 *= _UP; p1 *= _UP; d0 *= _UP; d1 *= _UP; s0 *= _UP; s1 *= _UP
+    return p1, d1, s1
+
+
+def ref_cp_dd(b, ws, x):
+    p0h, p0l = 1.0, 0.0
+    p1h = x - b[0]
+    bb = p1h - x
+    p1l = (x - (p1h - bb)) + (-b[0] - bb)
+    d0, d1 = 0.0, 1.0
+    for bk, (nw, whi, wlo) in zip(b[1:], ws):
+        th = x - bk
+        bb = th - x
+        tl = (x - (th - bb)) + (-bk - bb)
+        ph = p1h * th
+        aa = _SPLIT * p1h
+        ahi = aa - (aa - p1h)
+        alo = p1h - ahi
+        tt = _SPLIT * th
+        thi = tt - (tt - th)
+        tlo = th - thi
+        pl = ((ahi * thi - ph) + ahi * tlo + alo * thi) + alo * tlo
+        pl += p1h * tl + p1l * th
+        ah = ph + pl
+        bb = ah - ph
+        al = (ph - (ah - bb)) + (pl - bb)
+        ph = p0h * nw
+        aa = _SPLIT * p0h
+        ahi = aa - (aa - p0h)
+        alo = p0h - ahi
+        pl = ((ahi * whi - ph) + ahi * wlo + alo * whi) + alo * wlo
+        pl += p0l * nw
+        bh = ph + pl
+        bb = bh - ph
+        bl = (ph - (bh - bb)) + (pl - bb)
+        sh = ah + bh
+        bb = sh - ah
+        sl = (ah - (sh - bb)) + (bh - bb)
+        sl += al + bl
+        p2h = sh + sl
+        bb = p2h - sh
+        p2l = (sh - (p2h - bb)) + (sl - bb)
+        d2 = d1 * th + p1h + nw * d0
+        p0h, p0l, p1h, p1l, d0, d1 = p1h, p1l, p2h, p2l, d1, d2
+        m = p1h * p1h + d1 * d1
+        if m > _BIG2:
+            p0h *= _DOWN; p0l *= _DOWN; p1h *= _DOWN; p1l *= _DOWN; d0 *= _DOWN; d1 *= _DOWN
+        elif m < _SMALL2:
+            p0h *= _UP; p0l *= _UP; p1h *= _UP; p1l *= _UP; d0 *= _UP; d1 *= _UP
+    return p1h, p1l, d1
+
+
+def ref_cp_complex(b, w, ab, aw, z):
+    u = _ERR_UNITS * _EPS
+    p0, p1 = 1.0, z - b[0]
+    d0, d1 = 0.0, 1.0
+    a0, a1 = 1.0, abs(p1)
+    e0, e1 = 0.0, u * (a1 + ab[0])
+    for bk, wk, abk, awk in zip(b[1:], w, ab[1:], aw):
+        t = z - bk
+        at = abs(t)
+        p0, p1, d0, d1 = p1, t * p1 - wk * p0, d1, p1 + t * d1 - wk * d0
+        e0, e1 = e1, at * e1 + awk * e0 + u * ((at + abk) * a1 + awk * a0)
+        a0, a1 = a1, abs(p1)
+        m = a1 + abs(d1) + e1
+        if m > _BIG:
+            s = _DOWN
+        elif 0.0 < m < _SMALL:
+            s = _UP
+        else:
+            continue
+        p0 *= s; p1 *= s; d0 *= s; d1 *= s
+        a0 *= s; a1 *= s; e0 *= s; e1 *= s
+    return p1, d1, e1
+
+
+def ref_aberth(b, w, ab, aw, exact):
+    n = len(b)
+    center = sum(b) / n
+    spread = (sum(x * x for x in b) + 2.0 * sum(w)) / n - center * center
+    radius = math.sqrt(abs(spread)) or 1.0
+    z = [center + radius * cmath.exp(2j * math.pi * (k + 0.25) / n) for k in range(n)]
+    promoted = [False] * n
+    settled = [False] * n
+    moved = [math.inf] * n
+    active = list(range(n))
+    for _ in range(_ABERTH_SWEEPS):
+        if not active:
+            break
+        still = []
+        for i in active:
+            zi = z[i]
+            if not promoted[i]:
+                p, d, e = ref_cp_complex(b, w, ab, aw, zi)
+                ratio = p / d if d != 0.0 else math.inf
+                promoted[i] = abs(p) <= e and abs(ratio) > 0.5 * moved[i]
+            if promoted[i]:
+                ratio = exact.newton(zi)[0]
+            if ratio == math.inf:
+                ratio = complex(radius)
+            s = 0j
+            for zj in z:
+                if zj != zi:
+                    s += 1.0 / (zi - zj)
+            den = 1.0 - ratio * s
+            corr = ratio / den if den != 0.0 else ratio
+            z[i] = zi - corr
+            moved[i] = abs(corr)
+            if moved[i] > 2.0 * _EPS * abs(zi):
+                still.append(i)
+                continue
+            _refuse_if_certified(exact, z[i])
+            if promoted[i] or abs(z[i].imag) <= 2.0 * _EPS * abs(z[i]):
+                settled[i] = promoted[i]
+            else:
+                promoted[i] = True
+                still.append(i)
+        active = still
+    for i in active:
+        _refuse_if_certified(exact, z[i])
+    return list(zip(z, settled))
+
+
+def same(a, b) -> bool:
+    """Equal bit for bit, any NaN equal to any NaN; tuples and complex by part."""
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(same, a, b))
+    if isinstance(a, complex) or isinstance(b, complex):
+        a, b = complex(a), complex(b)
+        return same(a.real, b.real) and same(a.imag, b.imag)
+    return (a != a and b != b) or (a == b and math.copysign(1.0, a) == math.copysign(1.0, b))
+
+
+def div(a, b):
+    return a / b if b != 0.0 else math.inf
+
+
+def call(f, *args):
+    """f(*args), or the type of the error it raised (abs() of a huge complex overflows)."""
+    try:
+        return f(*args)
+    except OverflowError as exc:
+        return type(exc)
+
+
+# Scales of the entries: the ends of the float range overflow or underflow in
+# one step whatever the rescaling; 1e6 and 1e-6 at n >= 50 carry p past 1e120
+# or below 1e-120, so the kernels rescale; 1e-50 underflowed m before the fix.
+SCALES = (1.0, 1e6, 1e-6, 1e-50, 1e40, 1e250, 1e-250)
+
+
+def draws(seed, count=120):
+    """Seeded (b, w, points): tridiagonal data at SCALES, every w_k > 0 or
+    mixed signs, and real points inside and beyond the spectrum."""
+    rng = random.Random(seed)
+    for i in range(count):
+        scale = SCALES[i % len(SCALES)]
+        n = rng.choice((1, 2, 7, 30, 50, 80))
+        b = [rng.uniform(-3.0, 3.0) * scale for _ in range(n)]
+        mixed = rng.random() < 0.4
+        w = [rng.uniform(-2.0 if mixed else 0.05, 2.0) * scale * scale for _ in range(n - 1)]
+        w = [v if math.isfinite(v) else 1.0 for v in w]
+        yield b, w, [rng.uniform(-4.0, 4.0) * scale for _ in range(4)]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_float_and_dd_kernels_match_the_reference_loops(seed):
+    rescaled = 0
+    for b, w, points in draws(seed):
+        ws = [opmatrix._split_neg(v) for v in w]
+        for x in points:
+            p, d, s = opmatrix._cp_float(b, w, x)
+            rp, rd, rs = ref_cp_float(b, w, x)
+            assert same(div(p, d), div(rp, rd)) and same(div(s, d), div(rs, rd))
+            assert same((p, d, s), (rp, rd, rs))
+            ph, pl, d = opmatrix._cp_dd(b, ws, x)
+            rph, rpl, rd = ref_cp_dd(b, ws, x)
+            assert same(div(ph + pl, d), div(rph + rpl, rd))
+            assert same((ph, pl, d), (rph, rpl, rd))
+            v = abs(opmatrix.char_poly_eval(band_tridiagonal(w, b, [1.0] * len(w)), x))
+            rescaled += not _SMALL < v < _BIG
+    assert rescaled > 50  # many of the points needed a rescale on the way
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_complex_kernels_match_the_reference_loop(seed):
+    rng = random.Random(seed)
+    for b, w, points in draws(seed):
+        ab, aw = [abs(v) for v in b], [abs(v) for v in w]
+        for x in points:
+            z = complex(x, rng.uniform(-1.0, 1.0) * abs(x))
+            got = call(opmatrix._cp_complex, b, w, ab, aw, z)
+            want = call(ref_cp_complex, b, w, ab, aw, z)
+            if want is OverflowError:
+                assert got is OverflowError
+                continue
+            assert same(got, want)
+            p, d, e = got
+            ratio = call(opmatrix._cp_ratio, b, w, z)
+            assert same(ratio, div(want[0], want[1]))
+            assert (abs(p) <= e) == (abs(want[0]) <= want[2])
+
+
+class Spy(opmatrix._ExactCharPoly):
+    """Exact evaluation that records every point it is asked about."""
+
+    def __init__(self, M, log):
+        super().__init__(M)
+        self.log = log
+
+    def newton(self, z):
+        self.log.append(z)
+        return super().newton(z)
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "eigen_golden.json")
+
+
+def mixed_sign_matrices():
+    """The golden cases with some w_n <= 0, and q-para-Krawtchouk N = 9, 11, 13."""
+    with open(GOLDEN) as fh:
+        for case in json.load(fh)["cases"]:
+            sub, diag, sup = ([float.fromhex(v) for v in case[k]] for k in ("sub", "diag", "sup"))
+            if any(s * t <= 0.0 for s, t in zip(sub, sup)):
+                yield pytest.param(band_tridiagonal(sub, diag, sup), id=case["label"])
+    for N in (9, 11, 13):
+        M = jacobi_matrix(q_para_krawtchouk(0.2, 0.5, N))
+        yield pytest.param(M, id=f"q-para-krawtchouk-N{N}")
+
+
+@pytest.mark.parametrize("M", list(mixed_sign_matrices()))
+def test_aberth_promotes_and_settles_as_the_reference(M):
+    sub, b, sup = ([float(v) for v in band] for band in opmatrix._tridiagonal(M))
+    w = [s * t for s, t in zip(sub, sup)]
+    ab, aw = [abs(v) for v in b], [abs(v) for v in w]
+    results = []
+    for aberth in (opmatrix._aberth, ref_aberth):
+        log = []
+        try:
+            out = aberth(b, w, ab, aw, Spy(M, log))
+        except UnsupportedSpectrumError as exc:  # N = 13: a certified non-real root
+            out = str(exc)
+        results.append((out, log))
+    (got, got_log), (want, want_log) = results
+    assert got == want and got_log == want_log
+    assert want_log  # some root moved to exact evaluation

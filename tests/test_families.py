@@ -1,7 +1,9 @@
 """Family coefficient tables, finite truncations, and spectrum certification."""
 
+import math
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 import sympy as sp
 from hypothesis import given, strategies as st
@@ -22,6 +24,7 @@ from qosc import (
     askey_wilson,
     big_q_jacobi,
     build_general,
+    char_poly_eval,
     claimed_spectrum,
     eigenvalues,
     eval_monic,
@@ -447,6 +450,39 @@ class TestSpectrumCertification:
         shifted = MonicRecurrence(tuple(b + 10**10 for b in rec.b), rec.u, rec.family, rec.params)
         with pytest.raises(SpectrumMismatchError, match="not injective"):
             verify_spectrum(shifted, claimed_spectrum(rec))
+
+    @pytest.mark.parametrize("N, wide", [(30, 0), (34, 5), (38, 14)])
+    def test_overflow_gives_no_nan(self, N, wide):
+        # The top points' gap products pass 1.8e308 from N = 34, and |charpoly|
+        # overflows with them: inf / inf read as NaN at 4 points (N = 34) and 13
+        # (N = 38), and a finite |charpoly| over an overflowed product as 0.0.
+        rec = q_hahn(0.3, 0.4, 0.5, N)
+        J = jacobi_matrix(rec)
+        rep = verify_spectrum(rec, claimed_spectrum(rec))
+        pts, overflowed = rep.points, 0
+        for x, v in zip(pts, rep.charpoly_scaled):
+            c = abs(char_poly_eval(J, x))
+            g = math.prod(abs(x - y) for y in pts if y != x)
+            if c < math.inf and g < math.inf:
+                assert v == c / g  # the same bits wherever neither side overflows
+            else:
+                overflowed += 1
+            # the float recurrence and product with an unbounded exponent
+            with mpmath.workprec(53):
+                X, (sub, b, sup) = mpmath.mpf(x), (J.bands[k] for k in (-1, 0, 1))
+                p0, p1 = mpmath.mpf(1), X - b[0]
+                for bk, s, t in zip(b[1:], sub, sup):
+                    p0, p1 = p1, (X - bk) * p1 - mpmath.mpf(s * t) * p0
+                gap = mpmath.fprod(abs(X - y) for y in pts if y != x)
+                assert v == float(abs(p1) / gap)
+        assert overflowed == wide
+        assert 1e-9 < rep.max_abs < 1e-4 and not rep.passed  # the open false FAIL
+
+    def test_exact_family_stays_exact_past_the_float_range(self):
+        # The float gaps overflow at N = 38; the exact charpoly is still 0.
+        rec = q_hahn(F(3, 10), F(2, 5), F(1, 2), 38)
+        rep = verify_spectrum(rec, claimed_spectrum(rec))
+        assert rep.passed and rep.charpoly_scaled == (0.0,) * 39
 
     def test_count_mismatch_raises(self):
         rec = q_hahn(0.3, 0.4, 0.5, 3)

@@ -3,6 +3,7 @@
 import inspect
 import math
 import os
+import random
 import re
 from fractions import Fraction as F
 
@@ -737,8 +738,10 @@ class TestSturmPath:
 
     @pytest.mark.parametrize("n", [64, 120])
     def test_evaluations_per_root(self, n, monkeypatch):
-        # Laguerre converges cubically: under 4 float recurrences per root
-        # (Newton took 7.5 at n = 64 and 8.4 at n = 120), and one dd polish.
+        # Laguerre converges cubically, and a step of 1e-4 |x| hands over to the
+        # dd polish: 2.98 and 3.18 float recurrences per root here (3.41 and
+        # 3.62 with a handoff at 1e-6 |x|; Newton took 7.5 and 8.4), and one dd
+        # polish but for 2 of the 120 roots.
         calls = {"_cp_float": 0, "_cp_dd": 0}
         for name in calls:
             def counted(*args, _f=getattr(opmatrix, name), _name=name):
@@ -746,8 +749,37 @@ class TestSturmPath:
                 return _f(*args)
             monkeypatch.setattr(opmatrix, name, counted)
         eigenvalues(jacobi_matrix(big_q_jacobi(StructuredParams(0.8, 0.25, 0.5, -0.25), n)))
-        assert calls["_cp_float"] <= 4.0 * n
-        assert calls["_cp_dd"] <= 1.05 * n
+        assert calls["_cp_float"] <= 3.25 * n
+        assert calls["_cp_dd"] <= 1.02 * n
+
+    def test_tiny_and_huge_scales_match_eigvalsh(self):
+        # Below about 1e-42 eigenvalues were off by up to 2.5e6 normwise: the
+        # rescale test m = p^2 + p'^2 + p''^2 underflowed to 0.0 and skipped
+        # the up-scale, and a hull pad of at least 1e-9 left tens of empty
+        # decades that the bracketed Laguerre steps could not cross (n <= 7).
+        rng = random.Random(11)
+        for i in range(300):
+            n = rng.randint(1, 40) if i % 2 else rng.randint(2, 7)
+            scale = 10.0 ** rng.uniform(-60.0, 60.0)
+            sign = [rng.choice((-1.0, 1.0)) for _ in range(n - 1)]
+            sub = [s * rng.uniform(0.05, 2.0) * scale for s in sign]
+            sup = [s * rng.uniform(0.05, 2.0) * scale for s in sign]
+            diag = [rng.uniform(-3.0, 3.0) * scale for _ in range(n)]
+            got = eigenvalues(band_tridiagonal(sub, diag, sup))
+            unit = 2.0 ** -math.frexp(scale)[1]  # numpy on entries near 1, scaled exactly
+            off = [math.sqrt(s * t) * unit for s, t in zip(sub, sup)]
+            T = np.diag([x * unit for x in diag]) + np.diag(off, 1) + np.diag(off, -1)
+            want = np.linalg.eigvalsh(T)
+            err = np.max(np.abs(np.array(got) * unit - want)) / np.max(np.abs(want))
+            assert err <= 1e-13, (scale, n, err)
+
+    @pytest.mark.parametrize("d", [0.0, 1.0, 1e-50])
+    def test_degenerate_hull_is_refused(self, d):
+        # A multiple of the identity has Gershgorin hull lo = hi, so the pad,
+        # relative to the hull, is 0.0 at d = 0; the repeated root is refused.
+        for M in (band_diagonal((d,) * 3), band_tridiagonal((0.0, 0.0), (d,) * 3, (0.0, 0.0))):
+            with pytest.raises(NumericFailureError, match="could not bracket 3 distinct"):
+                eigenvalues(M)
 
     def test_q_hahn_wide_entries(self):
         # Entries span 1e9 (w_n up to 6e16): an unguarded Newton step from the
