@@ -107,101 +107,7 @@ from .algebra import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "QoscError",
-    "InvalidParameterError",
-    "TooSmallError",
-    "PoleError",
-    "SizeGuardError",
-    "ResonanceError",
-    "ReducibleRepresentationError",
-    "InvalidNormalizationError",
-    "NotAQOscillatorError",
-    "NumericFailureError",
-    "UnsupportedSpectrumError",
-    "NotMonicReducibleError",
-    "SpectrumMismatchError",
-    "NotDecomposableError",
-    "UnsupportedFamilyError",
-    # numerics
-    "TolerancePolicy",
-    "LaurentPoly",
-    "DEFAULT_ABS_TOL",
-    "geometric_seq",
-    "laurent",
-    "laurent_add",
-    "laurent_mul",
-    "laurent_scale",
-    "laurent_scale_arg",
-    "laurent_eval",
-    # opmatrix
-    "BandMatrix",
-    "ResidualReport",
-    "band_identity",
-    "band_diagonal",
-    "band_tridiagonal",
-    "band_add",
-    "band_sub",
-    "band_scale",
-    "band_mul",
-    "inf_norm",
-    "max_entry_diff",
-    "residual_report",
-    "q_commutator_residual",
-    "diag_similarity",
-    "char_poly_eval",
-    "eigenvalues",
-    "guard_size",
-    # representation
-    "GeneralParams",
-    "StructuredParams",
-    "GeneralSolutionTrace",
-    "XiResiduals",
-    "build_general",
-    "xi_residuals",
-    "classify",
-    "canonical_pair",
-    "decompose",
-    # families
-    "MonicRecurrence",
-    "AWParams",
-    "SpectrumLattice",
-    "SpectrumReport",
-    "big_q_jacobi",
-    "askey_wilson",
-    "q_hahn",
-    "q_para_krawtchouk",
-    "jacobi_matrix",
-    "eval_monic",
-    "expand_monic",
-    "claimed_spectrum",
-    "verify_spectrum",
-    # tridiagonalization
-    "WCoeffs",
-    "DiagonalOperator",
-    "PencilParams",
-    "eigenvalue_sequence",
-    "build_Z",
-    "r_coefficients",
-    "companion_b",
-    "companion_params",
-    "build_B_from_A",
-    "build_W",
-    "to_monic",
-    "aw_parameter_map",
-    "pencil",
-    "qdiff_Z_apply",
-    "qdiff_B_apply",
-    "qdiff_residuals",
-    "aw_match_residual",
-    # algebra
-    "BigQJacobiConstants",
-    "AWAlgebraConstants",
-    "AWAlgebraReport",
-    "big_qjacobi_constants",
-    "aw_constants",
-    "big_qjacobi_algebra_residuals",
-    "aw_algebra_residuals",
-]
+# Every name imported above.  The imports also bind each submodule (errors, opmatrix, ...)
+# in this namespace; those are left out.
+__all__ = ["__version__", *(name for name, value in list(globals().items())
+                            if not name.startswith("_") and type(value) is not type(errors))]

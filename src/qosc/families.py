@@ -16,13 +16,12 @@ from .numerics import LaurentPoly, TolerancePolicy, _worst_of, laurent_add, laur
 from .opmatrix import (
     BandMatrix,
     _judge,
-    _scaled_minors,
     band_tridiagonal,
     char_poly_eval,
     eigenvalues,
     guard_size,
 )
-from .representation import StructuredParams, _check_q, _nonresonant
+from .representation import StructuredParams, _check_q, _nonresonant, _scaled_minors
 
 
 @record
@@ -79,19 +78,18 @@ def big_q_jacobi(p: StructuredParams, count: int) -> MonicRecurrence:
     q, c1, c2, c3 = p.q, p.c1, p.c2, p.c3
     guard_size(q, count)
     c12 = c1 * c2
-
-    def den(k):
-        return _nonresonant(1, c12 * q**k, f"denominator 1-c1*c2*q^{k}")
+    # each denominator once, in increasing k, so the first refused is the least k
+    den = {k: _nonresonant(1, c12 * q**k, f"denominator 1-c1*c2*q^{k}") for k in range(1, 2 * count + 1)}
 
     def D(n):
         num = (1 - c1 * q ** (n + 1)) * (1 - c12 * q ** (n + 1)) * (1 - c3 * q ** (n + 1))
-        return num / (den(2 * n + 1) * den(2 * n + 2))
+        return num / (den[2 * n + 1] * den[2 * n + 2])
 
     def C(n):
         if n == 0:
             return 0
         num = -c1 * c3 * q ** (n + 1) * (1 - q**n) * (1 - c2 * q**n) * (1 - c12 / c3 * q**n)
-        return num / (den(2 * n + 1) * den(2 * n))
+        return num / (den[2 * n + 1] * den[2 * n])
 
     Ds = [D(n) for n in range(count)]
     Cs = [C(n) for n in range(count)]
@@ -109,12 +107,11 @@ def askey_wilson(p: AWParams, count: int) -> MonicRecurrence:
     q, a1, a2, a3, a4 = p.q, p.a1, p.a2, p.a3, p.a4
     guard_size(q, count)
     g = p.g
-
-    def den(k):
-        return _nonresonant(1, g * q**k, f"denominator 1-g*q^{k}")
+    # each denominator once, in increasing k, so the first refused is the least k
+    den = {k: _nonresonant(1, g * q**k, f"denominator 1-g*q^{k}") for k in range(-1, 2 * count - 1)}
 
     def D(n):
-        den_n = a1 * den(2 * n - 1) * den(2 * n)
+        den_n = a1 * den[2 * n - 1] * den[2 * n]
         return (
             (1 - a1 * a2 * q**n)
             * (1 - a1 * a3 * q**n)
@@ -126,7 +123,7 @@ def askey_wilson(p: AWParams, count: int) -> MonicRecurrence:
     def C(n):
         if n == 0:
             return 0
-        den_n = den(2 * n - 1) * den(2 * n - 2)
+        den_n = den[2 * n - 1] * den[2 * n - 2]
         return (
             a1
             * (1 - q**n)

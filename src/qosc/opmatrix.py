@@ -6,19 +6,15 @@ therefore produce exact residuals through the very same code paths the float
 build uses.  Products, sums, scalings and row sums walk each band as a slice
 under a C-level ``map`` rather than one Python statement per entry; the
 operand order and the order of every sum are those of per-entry loops, so the
-results are the same bit for bit.  The residual scan ``_worst`` stays a loop:
+results are the same bit for bit.  ``band_sub`` and ``_q_bracket`` (past its
+two products) form each band of a difference in one pass, with the bits of
+the band_add/band_scale compositions they replaced (kept in
+tests/test_band_kernels.py).  The residual scan ``_worst`` stays a loop:
 a max() over a mapped list measured slower than the interpreter's specialized
 float compare.  The package has no numpy: the eigenvectors behind
-``decompose`` (see representation.py) are read off the adjugate of a
-tridiagonal matrix by its minor recurrences (``_adjugate_vectors`` below), and
-numpy enters only in tests.
-
-One exact route has code of its own.  On int and Fraction input
-``char_poly_eval`` runs the three-term minor recurrence on plain integers,
-each step scaled by its own denominator, and builds one Fraction at the end:
-the value and type of the duck-typed loop, without the gcd of the growing
-minors that Fraction arithmetic takes at every step.  The eigen layer's exact
-evaluations (``_ExactCharPoly``) read signs off the same recurrence.
+``decompose`` are read off the adjugate of a tridiagonal matrix by its minor
+recurrences (``_adjugate_vectors`` in representation.py), and numpy enters
+only in tests.
 
 Every reader of a tridiagonal matrix's three bands goes through
 ``_tridiagonal``, which refuses a matrix storing any wider band.
@@ -27,15 +23,9 @@ Truncation bookkeeping: all infinite-matrix identities checked here hold on a
 size x size truncation except for rows coupled to the cut, so residual checks
 take an explicit row window and default to rows 0..size-2.
 
-Eigenvalues of a tridiagonal matrix take one of two paths, chosen by the signs
-of w_n = sub_n * super_n alone.  When every w_n > 0 the matrix is similar to a
-symmetric one and Sturm-count bisection isolates each eigenvalue.  Otherwise
-the Ehrlich-Aberth iteration approximates every root of the characteristic
-polynomial: a Newton inclusion disc that misses the real axis, evaluated with
-a rounding bound or exactly, certifies a non-real eigenvalue
-(UnsupportedSpectrumError); else the roots are bracketed by sign changes.
-Both paths finish with bracketed Laguerre steps and a double-double polish.
-The eigen recurrences are straight-line: tuple packing per step cost ~15% of eigenvalues at n = 120.
+``char_poly_eval`` (its exact integer route) and ``eigenvalues`` (its two
+paths) say how each works.  The eigen recurrences are straight-line: tuple
+packing per step cost ~15% of eigenvalues at n = 120.
 """
 
 from __future__ import annotations
@@ -214,8 +204,18 @@ def band_scale(c, A: BandMatrix) -> BandMatrix:
     return BandMatrix(A.size, scaled)
 
 
+def _minus(a, b):
+    """a - b entry by entry; -1 * v where only b is stored (a is None)."""
+    return map(operator.mul, repeat(-1), b) if a is None else map(operator.sub, a, b)
+
+
 def band_sub(A: BandMatrix, B: BandMatrix) -> BandMatrix:
-    return band_add(A, band_scale(-1, B))
+    size = _check_same_size(A, B)
+    out = {}
+    for k in sorted(set(A.bands) | set(B.bands)):
+        a, b = A.bands.get(k), B.bands.get(k)
+        out[k] = a if b is None else tuple(_minus(a, b))
+    return BandMatrix(size, out)
 
 
 def band_mul(A: BandMatrix, B: BandMatrix) -> BandMatrix:
@@ -287,10 +287,23 @@ def residual_report(R: BandMatrix, pol: TolerancePolicy, rows: tuple, scale: flo
     return _judge(worst, loc, (lo, hi), scale, pol.effective(scale))
 
 
-def _q_bracket(X: BandMatrix, Y: BandMatrix, q) -> BandMatrix:
-    """X@Y - q*Y@X; every q-bracket in the package is built here (the residuals,
-    the algebra's M and T, companion_b), so their band operations agree."""
-    return band_sub(band_mul(X, Y), band_scale(q, band_mul(Y, X)))
+def _q_bracket(X: BandMatrix, Y: BandMatrix, q, rhs: BandMatrix | None = None) -> BandMatrix:
+    """X@Y - q*Y@X (- rhs), each band in one pass past the two products; every
+    q-bracket in the package is built here, so their band operations agree."""
+    xy, yx = band_mul(X, Y).bands, band_mul(Y, X).bands
+    r = {}
+    if rhs is not None:
+        _check_same_size(X, rhs)
+        r = rhs.bands
+    out = {}
+    for k in sorted(set(xy) | set(yx) | set(r)):
+        v = xy.get(k)
+        if k in yx:
+            v = _minus(v, map(operator.mul, repeat(q), yx[k]))
+        if k in r:
+            v = _minus(v, r[k])
+        out[k] = tuple(v)
+    return BandMatrix(X.size, out)
 
 
 def q_commutator_residual(
@@ -312,9 +325,7 @@ def q_commutator_residual(
     size = _check_same_size(A, B)
     if size < 3:
         raise TooSmallError("q-commutator check needs size >= 3")
-    if rhs is None:
-        rhs = band_identity(size)
-    R = band_sub(_q_bracket(A, B, q), rhs)
+    R = _q_bracket(A, B, q, band_identity(size) if rhs is None else rhs)
     if rows is None:
         rows = (0, size - 2)
     return residual_report(R, pol, rows, max(inf_norm(A) * inf_norm(B), 1.0))  # keeps a NaN
@@ -381,20 +392,20 @@ def _exact_kind(x, bands):
     return int if kinds == {int} else fractions.Fraction
 
 
-def _ratio(v) -> tuple:
-    """v as an exact (numerator, denominator) pair; floats, ints and Fractions
-    are exact, other types are read at their float value."""
+def _ratios(band) -> list:
+    """Each entry as an exact (numerator, denominator) pair; floats, ints and
+    Fractions are exact, other types are read at their float value."""
     try:
-        return v.as_integer_ratio()
+        return [v.as_integer_ratio() for v in band]
     except AttributeError:
-        return float(v).as_integer_ratio()
+        return [(v if hasattr(v, "as_integer_ratio") else float(v)).as_integer_ratio() for v in band]
 
 
 def _exact_entries(sub, diag, sup):
     """The diagonal b_k and the products w_k = sub_{k-1} * sup_{k-1} (w_0 = 0)
     of a tridiagonal matrix, each an exact (numerator, denominator) pair."""
-    w = [(s * t, ds * dt) for (s, ds), (t, dt) in zip(map(_ratio, sub), map(_ratio, sup))]
-    return [_ratio(v) for v in diag], [(0, 1)] + w
+    w = [(s * t, ds * dt) for (s, ds), (t, dt) in zip(_ratios(sub), _ratios(sup))]
+    return _ratios(diag), [(0, 1)] + w
 
 
 def _scaled_steps(b, w, d: int):
@@ -424,12 +435,10 @@ def _exact_det(steps, X: int) -> int:
     return P1
 
 
-# -- eigenvalue machinery -----------------------------------------------------
+# -- eigenvalue machinery (see eigenvalues()) ---------------------------------
 #
-# The sign of w_n = sub_n * super_n picks the path (see eigenvalues()).  Both
-# paths end in the same bracketed float Laguerre iteration and double-double
-# Newton polish; the polynomial recurrences rescale value and derivatives
-# jointly by powers of two to dodge overflow/underflow.
+# The polynomial recurrences rescale value and derivatives jointly by powers
+# of two to dodge overflow/underflow.
 
 _EPS = 2.0**-53
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker splitting constant
@@ -695,22 +704,23 @@ def _cp_ratio(b, w, z: complex):
 
 
 class _ExactCharPoly:
-    """p(z) = det(zI - M) and p'(z) in exact integer arithmetic.
+    """p(z) = det(zI - M) and p'(z) in exact integer arithmetic, for M given
+    by the exact pairs (b, w) of ``_exact_entries``; ``eigenvalues`` passes
+    M / 2^k and its k, by which refusals scale back.
 
-    The entries of M are taken exactly as given and so are the float parts of
-    z: every entry is lifted to an integer by the lcm G of all the entry
-    denominators, once per matrix, and a point of denominator d scales that
-    by lcm(d, G) / G.
+    The float parts of z are taken exactly too: every entry is lifted to an
+    integer by the lcm G of all the entry denominators, once per matrix, and a
+    point of denominator d scales that by lcm(d, G) / G.
     """
 
-    def __init__(self, M: BandMatrix):
-        self.M = M
+    def __init__(self, b, w, k: int = 0):
+        self.b, self.w, self.k = b, w, k
 
     @cached_property
     def _lifted(self):
         """(G, [(1, G b_k, G^2 w_k)]): the minor recurrence's steps for
         ``_exact_det`` at points of denominator G."""
-        b, w = _exact_entries(*_tridiagonal(self.M))
+        b, w = self.b, self.w
         G = math.lcm(*(d for _, d in b + w))
         return G, [(1, bn * (G // bd), wn * (G // wd) * G) for (bn, bd), (wn, wd) in zip(b, w)]
 
@@ -760,7 +770,7 @@ class _ExactCharPoly:
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
             return math.inf, math.inf, False
         (pr, pi), (dr, di), ti, S = self._eval(z)
-        n = self.M.size
+        n = len(self.b)
         pp, dd = pr * pr + pi * pi, dr * dr + di * di
         if dd == 0:
             return math.inf, math.inf, False
@@ -844,23 +854,24 @@ def _aberth(b, w, ab, aw, exact: _ExactCharPoly) -> list:
 
 def _refuse_if_certified(exact: _ExactCharPoly, z: complex) -> None:
     """Raise UnsupportedSpectrumError if the inclusion disc about z misses
-    the real axis; points on the axis to within rounding are not tested."""
+    the real axis; points on the axis to within rounding are not tested.  The
+    message scales z and the radius back by 2^k."""
     if abs(z.imag) <= 2.0 * _EPS * abs(z):
         return
     _, r, certified = exact.newton(z)
     if certified:
+        r, z = _unscaled(r, exact.k), complex(_unscaled(z.real, exact.k), _unscaled(z.imag, exact.k))
         raise UnsupportedSpectrumError(
             f"non-real eigenvalue: the disc of radius {r:.3e} about "
             f"{z.real:.17g}{z.imag:+.17g}j holds an eigenvalue and misses the real axis"
         )
 
 
-def _aberth_path(M: BandMatrix, b, w, ws, lo: float, hi: float) -> list:
+def _aberth_path(exact: _ExactCharPoly, b, w, ws, lo: float, hi: float) -> list:
     """Some w_n <= 0: certify a non-real root, or bracket n real ones."""
     n = len(b)
     ab = [abs(v) for v in b]
     aw = [abs(v) for v in w]
-    exact = _ExactCharPoly(M)
     approx = _aberth(b, w, ab, aw, exact)
     seeds, settled = zip(*sorted((z.real, done) for z, done in approx))
     if not all(math.isfinite(x) for x in seeds):
@@ -902,15 +913,24 @@ def eigenvalues(M: BandMatrix) -> list:
     Each isolated root is then converged by Laguerre steps kept inside its
     bracket and finished with a double-double Newton polish, except roots the
     Aberth iteration already converged under exact evaluation.
+
+    Both paths run on M / 2^k (``_prescale``) and scale the result back, so
+    it does not depend on the scale of M.
     """
-    sub, b, sup = _tridiagonal(M)
-    b = [float(v) for v in b]
-    w = [float(s * t) for s, t in zip(sub, sup)]
+    try:
+        b, w = _exact_entries(*_tridiagonal(M))
+    except (OverflowError, ValueError):  # the ratio of an inf or a NaN
+        raise InvalidParameterError("matrix entries must be finite") from None
+    k = _prescale(b, w)
+    if k >= 0:
+        exact = _ExactCharPoly([(n, d << k) for n, d in b], [(n, d << 2 * k) for n, d in w], k)
+    else:
+        exact = _ExactCharPoly([(n << -k, d) for n, d in b], [(n << -2 * k, d) for n, d in w], k)
+    b = [n / d for n, d in exact.b]  # rounded once
+    w = [n / d for n, d in exact.w[1:]]
     n = len(b)
-    if not all(abs(v) < math.inf for v in b + w):
-        raise InvalidParameterError("matrix entries must be finite")
     if n == 1:
-        return [b[0]]
+        return [_unscaled(b[0], k)]
     # Gershgorin discs of the diagonally symmetrized matrix, whose off-diagonal
     # entries in row i have moduli sqrt|w_{i-1}| and sqrt|w_i|
     root_w = [0.0] + [math.sqrt(abs(v)) for v in w] + [0.0]
@@ -920,84 +940,24 @@ def eigenvalues(M: BandMatrix) -> list:
     lo, hi = lo - pad, hi + pad
     ws = [_split_neg(v) for v in w]
     if all(v > 0.0 for v in w):
-        return _sturm_path(b, w, ws, lo, hi)
-    return _aberth_path(M, b, w, ws, lo, hi)
+        roots = _sturm_path(b, w, ws, lo, hi)
+    else:
+        roots = _aberth_path(exact, b, w, ws, lo, hi)
+    return [_unscaled(x, k) for x in roots]
 
 
-# -- eigenvectors ---------------------------------------------------------------
+def _prescale(b, w) -> int:
+    """An even k (so _mid scales exactly) with 2^k near max(|b_i|, sqrt|w_i|),
+    from bit lengths: M / 2^k, as in LAPACK's dsterf, is exact and keeps w,
+    rounded after scaling, in range."""
+    k = max([n.bit_length() - d.bit_length() for n, d in b if n]
+            + [(n.bit_length() - d.bit_length()) // 2 for n, d in w if n], default=0)
+    return k + (k & 1)
 
 
-def _scaled_minors(d, w0) -> list:
-    """Leading principal minors 1, det T[:1, :1], ..., det T as frexp pairs.
-
-    T is tridiagonal with diagonal d and w0[k] = T[k, k-1] * T[k-1, k]
-    (w0[0] = 0).  The running pair is rescaled by powers of two, as in the
-    eigenvalue recurrences, and each minor is stored as (mantissa, binary
-    exponent), so no minor overflows or underflows.
-    """
-    out = [(0.5, 1)]
-    p0, p1, e = 0.0, 1.0, 0
-    for dk, wk in zip(d, w0):
-        p0, p1 = p1, dk * p1 - wk * p0
-        m, x = math.frexp(p1)
-        out.append((m, x + e))
-        if not _SMALL < abs(p1) < _BIG:  # |p0| <= _BIG already: only p1 can call for a rescale
-            big = max(abs(p0), abs(p1))
-            if big > _BIG:
-                p0 *= _DOWN; p1 *= _DOWN; e += 400
-            elif 0.0 < big < _SMALL:
-                p0 *= _UP; p1 *= _UP; e -= 400
-    return out
-
-
-def _adjugate_vectors(M: BandMatrix, lam: float):
-    """(v, y): column and row j of adj(M - lam I) for tridiagonal M, in floats.
-
-    With T = M - lam I, r its superdiagonal, l its subdiagonal, theta_k its
-    leading and phi_k its trailing principal minors (theta_{-1} = phi_n = 1):
-
-        adj(T)[i, j] = (-1)^(i+j) r_i...r_{j-1} theta_{i-1} phi_{j+1}   (i <= j)
-        adj(T)[i, j] = (-1)^(i+j) l_j...l_{i-1} theta_{j-1} phi_{i+1}   (i >= j)
-
-    When lam is a simple eigenvalue, T adj(T) = adj(T) T = det(T) I = 0, so
-    column j is a right and row j a left eigenvector.  j is the twist index
-    that maximises |adj(T)[j, j]| = |theta_{j-1} phi_{j+1}|, the column least
-    spoilt by the rounding of lam (Fernando, SIAM J. Matrix Anal. Appl. 18,
-    1997).  Each vector is scaled by a power of two so that its largest entry
-    lies in [1/4, 1); it can only be zero when lam is not simple.  O(size);
-    no linear solve.
-    """
-    n = M.size
-    l, d, r = ([float(x) for x in band] for band in _tridiagonal(M))
-    d = [x - lam for x in d]
-    w0 = [0.0] + [a * b for a, b in zip(l, r)]
-    theta = _scaled_minors(d, w0)  # theta[k] = theta_{k-1}
-    phi = _scaled_minors(d[::-1], [0.0] + w0[:0:-1])[::-1]  # phi[k] = phi_k
-    twist = [(tm * pm, te + pe) for (tm, te), (pm, pe) in zip(theta, phi[1:])]
-    mags = _unit_scaled(twist)
-    j = mags.index(max(mags, key=abs))
-
-    def column(up, down) -> list:
-        out = [twist[j]] * n
-        m, e = phi[j + 1]
-        for i in range(j - 1, -1, -1):
-            m, x = math.frexp(-up[i] * m)
-            e += x
-            tm, te = theta[i]
-            out[i] = (m * tm, e + te)
-        m, e = theta[j]
-        for i in range(j + 1, n):
-            m, x = math.frexp(-down[i - 1] * m)
-            e += x
-            pm, pe = phi[i + 1]
-            out[i] = (m * pm, e + pe)
-        return _unit_scaled(out)
-
-    return column(r, l), column(l, r)
-
-
-def _unit_scaled(pairs) -> list:
-    """The values m * 2**e of (m, e) pairs, all scaled by the one power of two
-    that puts the largest in [1/4, 1) when every nonzero m lies in [1/4, 1)."""
-    top = max((e for m, e in pairs if m), default=0)
-    return [math.ldexp(m, e - top) for m, e in pairs]
+def _unscaled(x: float, k: int) -> float:
+    """x * 2^k, or NumericFailureError past the float range."""
+    try:
+        return math.ldexp(x, k)
+    except OverflowError:
+        raise NumericFailureError("an eigenvalue of the matrix exceeds the float range") from None

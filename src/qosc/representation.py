@@ -26,8 +26,11 @@ from .errors import (
 )
 from .numerics import TolerancePolicy, _worst_of
 from .opmatrix import (
+    _BIG,
+    _DOWN,
+    _SMALL,
+    _UP,
     BandMatrix,
-    _adjugate_vectors,
     _judge,
     _tridiagonal,
     _worst,
@@ -146,14 +149,14 @@ def build_general(p: GeneralParams, size: int):
     s0 = q * (xi0 + zeta0) / (q - 1) - K[0]
 
     u = [0]
+    shift = 1 / q - 1
+    shift_abs, s0_abs = abs(float(shift)), abs(float(s0))
     for n in range(1, size):
-        core = (xi0 * qp[-n] + zeta0 * qp[n]) / (1 / q - 1) + K[n] + s0
-        un = core / (y[n] * y[n - 1])
+        yy = y[n] * y[n - 1]
+        un = ((xi[n] + zeta[n]) / shift + K[n] + s0) / yy
         floor = (
-            (abs(float(xi0 * qp[-n])) + abs(float(zeta0 * qp[n]))) / abs(float(1 / q - 1))
-            + abs(float(K[n]))
-            + abs(float(s0))
-        ) / abs(float(y[n] * y[n - 1]))
+            (abs(float(xi[n])) + abs(float(zeta[n]))) / shift_abs + abs(float(K[n])) + s0_abs
+        ) / abs(float(yy))
         if abs(un) <= _DEGENERACY_RTOL * floor:
             raise ReducibleRepresentationError(f"u_{n} vanishes: truncation is reducible")
         u.append(un)
@@ -392,3 +395,82 @@ def decompose(A: BandMatrix, B: BandMatrix, q, pol: TolerancePolicy = ToleranceP
     if not _judge(off, None, (0, size - 1), bscale, tol).passed:
         raise NotDecomposableError(f"off-block mass {off:.3e} exceeds {tol:.3e}")
     return [(tuple(sorted(chain)), len(chain)) for chain in chains]
+
+
+# -- eigenvectors ---------------------------------------------------------------
+
+
+def _scaled_minors(d, w0) -> list:
+    """Leading principal minors 1, det T[:1, :1], ..., det T as frexp pairs.
+
+    T is tridiagonal with diagonal d and w0[k] = T[k, k-1] * T[k-1, k]
+    (w0[0] = 0).  The running pair is rescaled by powers of two, as in the
+    eigenvalue recurrences, and each minor is stored as (mantissa, binary
+    exponent), so no minor overflows or underflows.
+    """
+    out = [(0.5, 1)]
+    p0, p1, e = 0.0, 1.0, 0
+    for dk, wk in zip(d, w0):
+        p0, p1 = p1, dk * p1 - wk * p0
+        m, x = math.frexp(p1)
+        out.append((m, x + e))
+        if not _SMALL < abs(p1) < _BIG:  # |p0| <= _BIG already: only p1 can call for a rescale
+            big = max(abs(p0), abs(p1))
+            if big > _BIG:
+                p0 *= _DOWN; p1 *= _DOWN; e += 400
+            elif 0.0 < big < _SMALL:
+                p0 *= _UP; p1 *= _UP; e -= 400
+    return out
+
+
+def _adjugate_vectors(M: BandMatrix, lam: float):
+    """(v, y): column and row j of adj(M - lam I) for tridiagonal M, in floats.
+
+    With T = M - lam I, r its superdiagonal, l its subdiagonal, theta_k its
+    leading and phi_k its trailing principal minors (theta_{-1} = phi_n = 1):
+
+        adj(T)[i, j] = (-1)^(i+j) r_i...r_{j-1} theta_{i-1} phi_{j+1}   (i <= j)
+        adj(T)[i, j] = (-1)^(i+j) l_j...l_{i-1} theta_{j-1} phi_{i+1}   (i >= j)
+
+    When lam is a simple eigenvalue, T adj(T) = adj(T) T = det(T) I = 0, so
+    column j is a right and row j a left eigenvector.  j is the twist index
+    that maximises |adj(T)[j, j]| = |theta_{j-1} phi_{j+1}|, the column least
+    spoilt by the rounding of lam (Fernando, SIAM J. Matrix Anal. Appl. 18,
+    1997).  Each vector is scaled by a power of two so that its largest entry
+    lies in [1/4, 1); it can only be zero when lam is not simple.  O(size);
+    no linear solve.
+    """
+    n = M.size
+    l, d, r = ([float(x) for x in band] for band in _tridiagonal(M))
+    d = [x - lam for x in d]
+    w0 = [0.0] + [a * b for a, b in zip(l, r)]
+    theta = _scaled_minors(d, w0)  # theta[k] = theta_{k-1}
+    phi = _scaled_minors(d[::-1], [0.0] + w0[:0:-1])[::-1]  # phi[k] = phi_k
+    twist = [(tm * pm, te + pe) for (tm, te), (pm, pe) in zip(theta, phi[1:])]
+    mags = _unit_scaled(twist)
+    j = mags.index(max(mags, key=abs))
+
+    def column(up, down) -> list:
+        out = [twist[j]] * n
+        m, e = phi[j + 1]
+        for i in range(j - 1, -1, -1):
+            m, x = math.frexp(-up[i] * m)
+            e += x
+            tm, te = theta[i]
+            out[i] = (m * tm, e + te)
+        m, e = theta[j]
+        for i in range(j + 1, n):
+            m, x = math.frexp(-down[i - 1] * m)
+            e += x
+            pm, pe = phi[i + 1]
+            out[i] = (m * pm, e + pe)
+        return _unit_scaled(out)
+
+    return column(r, l), column(l, r)
+
+
+def _unit_scaled(pairs) -> list:
+    """The values m * 2**e of (m, e) pairs, all scaled by the one power of two
+    that puts the largest in [1/4, 1) when every nonzero m lies in [1/4, 1)."""
+    top = max((e for m, e in pairs if m), default=0)
+    return [math.ldexp(m, e - top) for m, e in pairs]

@@ -250,7 +250,7 @@ class Spy(opmatrix._ExactCharPoly):
     """Exact evaluation that records every point it is asked about."""
 
     def __init__(self, M, log):
-        super().__init__(M)
+        super().__init__(*opmatrix._exact_entries(*opmatrix._tridiagonal(M)))
         self.log = log
 
     def newton(self, z):

@@ -1,6 +1,7 @@
 """Family coefficient tables, finite truncations, and spectrum certification."""
 
 import math
+import re
 from fractions import Fraction as F
 
 import mpmath
@@ -35,6 +36,7 @@ from qosc import (
     q_para_krawtchouk,
     verify_spectrum,
 )
+from qosc import families
 
 
 class TestMonicRecurrence:
@@ -499,6 +501,31 @@ NEAR_RESONANT = {
     "general gamma_0": lambda x: build_general(GeneralParams(0.5, 1.0, x, 0.1, 0.2), 4),
     "general y_0": lambda x: build_general(GeneralParams(0.5, 1.0, 2 * x, 0.1, 0.2), 4),
 }
+
+
+@pytest.mark.parametrize("k", [-1, 0, 1, 2, 5, 9])
+def test_first_resonant_denominator_is_named(k, monkeypatch):
+    # Each 1 - c*q^j denominator is formed once, j increasing, so the refusal
+    # names the least resonant j: 2 * count of them for big q-Jacobi (j = 1..2
+    # count), and likewise for Askey-Wilson (j = -1..2 count - 2).
+    calls = []
+    checked = families._nonresonant
+
+    def counted(a, b, label):
+        calls.append(label)
+        return checked(a, b, label)
+
+    monkeypatch.setattr(families, "_nonresonant", counted)
+    builders = [("c1*c2", lambda c: big_q_jacobi(StructuredParams(0.5, c, 1.0, 0.3), 6), 12),
+                ("g", lambda c: askey_wilson(AWParams(0.5, 0.5, 0.5, 0.5, 8 * c), 6), 12)]
+    for name, build, dens in builders:
+        calls.clear()
+        build(0.3)
+        assert len(calls) == dens
+        if k < 1 and name == "c1*c2":  # big q-Jacobi has no j < 1
+            continue
+        with pytest.raises(ResonanceError, match=rf"1-{re.escape(name)}\*q\^{k} vanishes"):
+            build(0.5**-k)
 
 
 @pytest.mark.parametrize("case", sorted(NEAR_RESONANT))

@@ -46,7 +46,7 @@ from qosc import (
     xi_residuals,
 )
 from qosc import opmatrix
-from qosc.opmatrix import _adjugate_vectors
+from qosc.representation import _adjugate_vectors
 
 entries = st.floats(min_value=-5.0, max_value=5.0)
 
@@ -382,7 +382,7 @@ class TestTridiagonalRead:
         assert char_poly_eval(M, 0.5) == 0.5 - value
         b, w = opmatrix._exact_entries(*opmatrix._tridiagonal(M))
         assert (b, w) == ([value.as_integer_ratio()], [(0, 1)])
-        exact = opmatrix._ExactCharPoly(M)
+        exact = exact_char_poly(M)
         assert exact.sign(value + 1.0) == 1 and exact.sign(value - 1.0) == -1
         rec, d = to_monic(M)
         assert (rec.b, rec.u, d) == ((value,), (), (1,))
@@ -403,6 +403,10 @@ def loop_char_poly(M, x):
     for bk, s, t in zip(b[1:], sub, sup):
         p0, p1 = p1, (x - bk) * p1 - s * t * p0
     return p1
+
+
+def exact_char_poly(M):
+    return opmatrix._ExactCharPoly(*opmatrix._exact_entries(*opmatrix._tridiagonal(M)))
 
 
 def fraction_sign(M, x):
@@ -533,7 +537,7 @@ class TestExactCharPoly:
     @given(sign_inputs())
     def test_sign_matches_fraction_arithmetic(self, case):
         M, x = case
-        assert opmatrix._ExactCharPoly(M).sign(x) == fraction_sign(M, x)
+        assert exact_char_poly(M).sign(x) == fraction_sign(M, x)
 
     @settings(max_examples=80, deadline=None)
     @given(sign_inputs(), st.floats(min_value=-4.0, max_value=4.0),
@@ -541,7 +545,7 @@ class TestExactCharPoly:
     def test_newton_matches_fraction_arithmetic(self, case, re, im):
         M, _ = case
         z = complex(re, im)
-        assert opmatrix._ExactCharPoly(M).newton(z) == fraction_newton(M, z)
+        assert exact_char_poly(M).newton(z) == fraction_newton(M, z)
 
 
 class TestJudge:
@@ -773,6 +777,37 @@ class TestSturmPath:
             err = np.max(np.abs(np.array(got) * unit - want)) / np.max(np.abs(want))
             assert err <= 1e-13, (scale, n, err)
 
+    def test_extreme_scales_match_eigvalsh(self):
+        # Outside about 1e-65 to 1e110 the recurrences' values and derivatives
+        # drift apart by the square of the scale at every step, and w = sub * sup
+        # under- or overflows: eigenvalues were off by up to 0.5 normwise, or
+        # refused, before the power-of-two prescale.
+        rng = random.Random(12)
+        for decade in [*range(-300, -79, 20), *range(110, 291, 20)]:
+            for _ in range(20):
+                n = rng.randint(2, 30)
+                scale = 10.0 ** (decade + rng.uniform(-1.0, 1.0))
+                sign = [rng.choice((-1.0, 1.0)) for _ in range(n - 1)]
+                sub = [s * rng.uniform(0.05, 2.0) * scale for s in sign]
+                sup = [s * rng.uniform(0.05, 2.0) * scale for s in sign]
+                diag = [rng.uniform(-3.0, 3.0) * scale for _ in range(n)]
+                got = eigenvalues(band_tridiagonal(sub, diag, sup))
+                unit = 2.0 ** -math.frexp(scale)[1]  # numpy on entries near 1, scaled exactly
+                off = [math.sqrt((s * unit) * (t * unit)) for s, t in zip(sub, sup)]
+                T = np.diag([x * unit for x in diag]) + np.diag(off, 1) + np.diag(off, -1)
+                want = np.linalg.eigvalsh(T)
+                err = np.max(np.abs(np.array(got) * unit - want)) / np.max(np.abs(want))
+                assert err <= 1e-12, (scale, n, err)
+
+    def test_w_beyond_the_float_range(self):
+        # sub * sup = 1e400 was refused as "not finite"; an eigenvalue beyond the
+        # float range is a NumericFailureError, not an OverflowError.
+        assert eigenvalues(band_tridiagonal((1e200,), (0.0, 0.0), (1e200,))) == [-1e200, 1e200]
+        with pytest.raises(NumericFailureError, match="exceeds the float range"):
+            eigenvalues(band_tridiagonal((1e308,), (1e308, 1e308), (1e308,)))
+        with pytest.raises(InvalidParameterError, match="must be finite"):
+            eigenvalues(band_tridiagonal((1.0,), (0.0, math.nan), (1.0,)))
+
     @pytest.mark.parametrize("d", [0.0, 1.0, 1e-50])
     def test_degenerate_hull_is_refused(self, d):
         # A multiple of the identity has Gershgorin hull lo = hi, so the pad,
@@ -860,6 +895,31 @@ class TestAberthPath:
                     eigenvalues(M)
             else:
                 assert np.allclose(eigenvalues(M), np.sort(ev.real), rtol=1e-10, atol=1e-12)
+
+    def test_outcome_does_not_depend_on_scale(self):
+        # A mixed-sign matrix times an even power of two near 1e-250 ... 1e280
+        # gives the eigenvalues of the unscaled one times that power, bit for
+        # bit, or the same error; a refusal names the disc scaled back.  Before
+        # the prescale, w = sub * sup underflowed or overflowed at these scales.
+        rng = random.Random(5)
+        for _ in range(40):
+            n = rng.randint(2, 9)
+            sub = [rng.uniform(-2.0, 2.0) for _ in range(n - 1)]
+            sup = [rng.uniform(-2.0, 2.0) for _ in range(n - 1)]
+            diag = [rng.uniform(-3.0, 3.0) for _ in range(n)]
+            outcomes, radii = [], []
+            for e in (0, -830, -498, -166, 200, 598, 930):  # 2^e ~ 1, 1e-250, ..., 1e280
+                M = band_tridiagonal(*([math.ldexp(x, e) for x in v] for v in (sub, diag, sup)))
+                try:
+                    outcomes.append([math.ldexp(x, -e) for x in eigenvalues(M)])
+                except UnsupportedSpectrumError as exc:
+                    z, r = certified_disc(exc)
+                    outcomes.append(complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)))
+                    radii.append(math.ldexp(r, -e))
+                except NumericFailureError:
+                    outcomes.append(NumericFailureError)
+            assert all(o == outcomes[0] for o in outcomes), (n, outcomes)
+            assert all(abs(r - radii[0]) <= 1e-3 * radii[0] for r in radii)  # printed to 4 digits
 
     def test_repeated_root_cannot_be_bracketed(self):
         with pytest.raises(NumericFailureError):
