@@ -5,8 +5,9 @@ Records, for one source tree, a sha256 per input of what the band kernel
 the certificates built on them (q_commutator_residual, xi_residuals,
 classify, both algebra residual suites, companion_b, build_W -> to_monic),
 the eigen layer (eigenvalues on tridiagonals with every w_n > 0 or with mixed
-signs, complex refusals included, the same scaled by 10**U(-60, 60), and on
-small Fraction tridiagonals),
+signs, complex refusals included, the same scaled by 10**U(-60, 60), on
+small Fraction tridiagonals, and on every-w_n > 0 tridiagonals of size 13 to
+120, some Wilkinson-style with eigenvalues paired closer than float resolution),
 char_poly_eval (on float, int, Fraction and mixed tridiagonals at drawn points,
 and at every point of a finite family's lattice) and the finite families (claimed_spectrum,
 companion_params, verify_spectrum and decompose on q-Hahn and odd-N
@@ -95,6 +96,8 @@ RANGES = {
     "eigen_offdiagonal": [0.1, 5.0],
     "eigen_fraction_size": [1, 8],
     "eigen_scale_decades": [-60, 60],
+    "eigen_large_size": [13, 120],
+    "wilkinson_share": 0.25,
     "charpoly_size": [1, 16],
     "lattice_exact_share": 0.5,
     "odd_N_share": 0.9,
@@ -248,6 +251,22 @@ def _wide_tridiagonal(Q, rng):
     return Q.BandMatrix(M.size, {k: tuple(float(v) * s for v in band) for k, band in M.bands.items()})
 
 
+def _large_tridiagonal(Q, rng):
+    """A float tridiagonal of eigen_large_size with every w_n > 0: entries drawn as
+    by _tridiagonal, or (wilkinson_share) Wilkinson-style, a diagonal |k - m| and
+    off-diagonals of modulus 1, whose eigenvalues pair up closer than float
+    resolution from about n = 21."""
+    n = rng.randint(*RANGES["eigen_large_size"])
+    signs = [rng.choice((-1.0, 1.0)) for _ in range(n - 1)]
+    if rng.random() < RANGES["wilkinson_share"]:
+        diag = [abs(k - (n - 1) / 2) for k in range(n)]
+        return Q.band_tridiagonal(signs, diag, signs)
+    span = RANGES["eigen_offdiagonal"]
+    diag = [rng.uniform(*RANGES["residual_entry"]) for _ in range(n)]
+    sub = [s * rng.uniform(*span) for s in signs]
+    return Q.band_tridiagonal(sub, diag, [s * rng.uniform(*span) for s in signs])
+
+
 def _finite(rng, exact_share=RANGES["exact_share"]):
     """(builder name, arguments) of a q-Hahn or an odd-N q-para-Krawtchouk family."""
     q = rng.uniform(*rng.choice(RANGES["structured_q"]))
@@ -348,6 +367,7 @@ def cases(Q):
         ("eigenvalues_fraction", lambda rng: _tridiagonal(Q, rng, rng.random() < 0.5, True),
          Q.eigenvalues),
         ("eigenvalues_wide_scale", lambda rng: _wide_tridiagonal(Q, rng), Q.eigenvalues),
+        ("eigenvalues_large", lambda rng: _large_tridiagonal(Q, rng), Q.eigenvalues),
         ("char_poly_eval", lambda rng: _charpoly_input(Q, rng), lambda x: Q.char_poly_eval(*x)),
         ("char_poly_eval_lattice", lambda rng: _finite(rng, RANGES["lattice_exact_share"]),
          family(on_lattice)),

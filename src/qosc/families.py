@@ -168,20 +168,23 @@ def q_para_krawtchouk(c3, q, N: int) -> MonicRecurrence:
     guard_size(q, N + 1)
     half = (N - 1) // 2
 
-    def den(n, m):  # (1 - q^(2n-N)) * (1 + q^m)
-        k = 2 * n - N
-        return _nonresonant(1, q**k, f"denominator 1-q^{k}") * _nonresonant(
-            1, -(q**m), f"denominator 1+q^{m}"
-        )
+    # each denominator once, in D(n) order, so the first refused is D(n)'s: D(n)
+    # divides by (1 - q^(2n-N)) * (1 + q^(n-half)), and C(n) by its own first
+    # factor times D(n-1)'s second
+    den = {}
+    for n in range(N + 1):
+        k, m = 2 * n - N, n - half
+        den[n] = (_nonresonant(1, q**k, f"denominator 1-q^{k}"),
+                  _nonresonant(1, -(q**m), f"denominator 1+q^{m}"))
 
     def D(n):
-        return (1 - q ** (n - N)) * (1 - c3 * q ** (n + 1)) / den(n, n - half)
+        return (1 - q ** (n - N)) * (1 - c3 * q ** (n + 1)) / (den[n][0] * den[n][1])
 
     def C(n):
         if n == 0:
             return 0
         num = -c3 * q ** (n - half) * (1 - q**n) * (1 - q ** (n - N - 1) / c3)
-        return num / den(n, n - half - 1)
+        return num / (den[n][0] * den[n - 1][1])
 
     Ds = [D(n) for n in range(N + 1)]
     Cs = [C(n) for n in range(N + 1)]

@@ -24,8 +24,8 @@ size x size truncation except for rows coupled to the cut, so residual checks
 take an explicit row window and default to rows 0..size-2.
 
 ``char_poly_eval`` (its exact integer route) and ``eigenvalues`` (its two
-paths) say how each works.  The eigen recurrences are straight-line: tuple
-packing per step cost ~15% of eigenvalues at n = 120.
+paths) say how each works.  The real-root kernels of both eigen paths are in
+_real_roots.py; the complex ones of the Aberth path are here.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ import sys
 from functools import cached_property
 from itertools import repeat
 
+from ._real_roots import _BIG, _DOWN, _EPS, _SMALL, _UP, _polish, _split_neg, _sturm_path
 from ._record import record
 from .errors import (
     InvalidParameterError,
@@ -437,14 +438,9 @@ def _exact_det(steps, X: int) -> int:
 
 # -- eigenvalue machinery (see eigenvalues()) ---------------------------------
 #
-# The polynomial recurrences rescale value and derivatives jointly by powers
-# of two to dodge overflow/underflow.
-
-_EPS = 2.0**-53
-_SPLIT = 134217729.0  # 2**27 + 1, Dekker splitting constant
-_BIG, _SMALL = 1e120, 1e-120
-_BIG2, _SMALL2 = _BIG * _BIG, _SMALL * _SMALL  # the same bounds on squares
-_DOWN, _UP = 2.0**-400, 2.0**400
+# The complex recurrences rescale value and derivative jointly by powers of two
+# to dodge overflow/underflow, as the real ones of _real_roots.py do.
+#
 # The running error bound of the complex recurrence decides when a float sign
 # of p can be trusted and when a root needs exact evaluation.  Its local terms
 # are charged at _ERR_UNITS units of roundoff: complex multiply (sqrt(5) u),
@@ -453,211 +449,7 @@ _DOWN, _UP = 2.0**-400, 2.0**400
 # factor-2 margin also covers the second-order terms the linear bound omits,
 # for any n << 1/u.
 _ERR_UNITS = 16.0
-_FLOAT_STEPS = 100
 _ABERTH_SWEEPS = 200
-_HANDOFF = 1e-4
-
-
-def _cp_float(b, w, x: float):
-    """(p(x), p'(x), p''(x)) up to a common positive rescale factor."""
-    p0, p1 = 1.0, x - b[0]
-    d0, d1 = 0.0, 1.0
-    s0 = s1 = 0.0
-    for bk, wk in zip(b[1:], w):
-        t = x - bk
-        s0, s1 = s1, 2.0 * d1 + t * s1 - wk * s0
-        d0, d1 = d1, p1 + t * d1 - wk * d0
-        p0, p1 = p1, t * p1 - wk * p0
-        m = p1 * p1 + d1 * d1 + s1 * s1
-        if m > _BIG2 or m < _SMALL2:  # m may underflow to 0.0 with p, p', p'' nonzero
-            r = _DOWN if m > _BIG2 else _UP
-            p0 *= r; p1 *= r; d0 *= r; d1 *= r; s0 *= r; s1 *= r
-    return p1, d1, s1
-
-
-def _cp_dd(b, ws, x: float):
-    """Compensated (double-double) p(x) plus float p'(x), jointly rescaled.
-
-    Each step forms (x - b_k) * P_{k-1} - w_{k-1} * P_{k-2} with the shift x - b_k kept
-    exactly as a double-double, Dekker products and Knuth sums written out inline.  ``ws``
-    holds -w_k with its Dekker split (_split_neg); P_{k-1}'s split serves again as P_{k-2}'s.
-    """
-    p0h, p0l = 1.0, 0.0
-    p0hi, p0lo = 1.0, 0.0  # the Dekker split of p0h
-    p1h = x - b[0]
-    bb = p1h - x
-    p1l = (x - (p1h - bb)) + (-b[0] - bb)
-    d0, d1 = 0.0, 1.0
-    for bk, (nw, whi, wlo) in zip(b[1:], ws):
-        # t = x - b_k = th + tl exactly
-        th = x - bk
-        bb = th - x
-        tl = (x - (th - bb)) + (-bk - bb)
-        # (p1h, p1l) * (th, tl)
-        ph = p1h * th
-        aa = _SPLIT * p1h
-        ahi = aa - (aa - p1h)
-        alo = p1h - ahi
-        tt = _SPLIT * th
-        thi = tt - (tt - th)
-        tlo = th - thi
-        pl = ((ahi * thi - ph) + ahi * tlo + alo * thi) + alo * tlo
-        pl += p1h * tl + p1l * th
-        ah = ph + pl
-        bb = ah - ph
-        al = (ph - (ah - bb)) + (pl - bb)
-        # (p0h, p0l) * -w
-        ph = p0h * nw
-        pl = ((p0hi * whi - ph) + p0hi * wlo + p0lo * whi) + p0lo * wlo
-        pl += p0l * nw
-        bh = ph + pl
-        bb = bh - ph
-        bl = (ph - (bh - bb)) + (pl - bb)
-        # sum of the two products
-        sh = ah + bh
-        bb = sh - ah
-        sl = (ah - (sh - bb)) + (bh - bb)
-        sl += al + bl
-        d0, d1 = d1, d1 * th + p1h + nw * d0
-        p0h, p0l = p1h, p1l
-        p0hi, p0lo = ahi, alo
-        p1h = sh + sl
-        bb = p1h - sh
-        p1l = (sh - (p1h - bb)) + (sl - bb)
-        m = p1h * p1h + d1 * d1
-        if m > _BIG2 or m < _SMALL2:  # m may underflow to 0.0 with p, p' nonzero
-            r = _DOWN if m > _BIG2 else _UP
-            p0h *= r; p0l *= r; p1h *= r; p1l *= r; d0 *= r; d1 *= r
-            aa = _SPLIT * p0h; p0hi = aa - (aa - p0h); p0lo = p0h - p0hi
-    return p1h, p1l, d1
-
-
-def _split_neg(v: float) -> tuple:
-    """(-v, hi, lo): -v and its Dekker split -v = hi + lo, as _cp_dd takes w."""
-    t = _SPLIT * -v
-    hi = t - (t - -v)
-    return -v, hi, -v - hi
-
-
-def _newton_dd(b, ws, x0: float, curv: float) -> float:
-    """Newton on the double-double p until a step delta falls to 1/4 ulp, stops shrinking
-    (rounding dominates p), or leaves an error delta^2 curv / 2 below 1e-3 ulp (curv ~ |p''/p'|)."""
-    x = x0
-    last = math.inf
-    for _ in range(80):
-        ph, pl, d1 = _cp_dd(b, ws, x)
-        if d1 == 0.0:
-            break
-        xn = x - (ph + pl) / d1
-        step = abs(xn - x)
-        if step <= 0.25e-15 * max(1e-300, abs(x)) or (
-            step < 1e-10 * abs(x) and step * step * curv <= 1e-3 * math.ulp(x)
-        ):
-            return xn
-        if step >= last:
-            break
-        last = step
-        x = xn
-    return x
-
-
-def _mid(a: float, c: float) -> float:
-    """Bisection point of [a, c]: geometric when both ends share a sign and
-    differ by more than a factor of two, so wide brackets shrink by orders of
-    magnitude."""
-    if a > 0.0 and c > 2.0 * a:
-        return math.sqrt(a) * math.sqrt(c)
-    if c < 0.0 and a < 2.0 * c:
-        return -math.sqrt(-a) * math.sqrt(-c)
-    return 0.5 * (a + c)
-
-
-def _polish(b, w, ws, a: float, c: float, sa: int, x: float) -> float:
-    """The root of p in the bracket [a, c], where p has sign ``sa`` at a.
-
-    Laguerre steps from x (p is real-rooted on both paths that call this, so
-    they converge cubically), safeguarded as in rtsafe: a step that would
-    leave the bracket (which shrinks by the sign of p at every iterate), or
-    that does not halve the step before last, is replaced by a bisection.
-    Once a step falls to _HANDOFF * |x| (x then within ~1e-11 |x|), the double-double
-    polish takes over with the last |p''/p'|; a polish that leaves the bracket is
-    discarded.  That polish, not the route to it, fixes the last bit.
-    """
-    lo, hi = a, c
-    n = len(b)
-    step = older = c - a
-    curv = math.inf  # |p''/p'|, for the polish
-    for _ in range(_FLOAT_STEPS):
-        p, d, s = _cp_float(b, w, x)
-        if p == 0.0:
-            break
-        if (p > 0.0) == (sa > 0):
-            a = x
-        else:
-            c = x
-        older, step = step, math.inf
-        if d != 0.0:
-            # n / (G + sgn(G) sqrt((n-1)(nH - G^2))), G = p'/p, H = G^2 - p''/p,
-            # multiplied through by h = p/p' so that nothing overflows
-            h, curv = p / d, abs(s / d)
-            step = n * h / (1.0 + math.sqrt(max(0.0, (n - 1) * (n - 1 - n * h * s / d))))
-        xn = x - step
-        if a <= xn <= c and abs(step) <= 0.5 * abs(older):
-            if abs(step) <= _HANDOFF * abs(xn):
-                x = xn
-                break
-            if a < xn < c:  # an end can be another root (a Sturm split point)
-                x = xn
-                continue
-        xn = _mid(a, c)
-        if not a < xn < c:
-            break
-        step = x - xn
-        x = xn
-    y = _newton_dd(b, ws, x, curv)
-    return y if lo <= y <= hi else x
-
-
-def _sturm_count(b, w0, x: float, pivmin: float) -> int:
-    """Number of eigenvalues below x: negative pivots of the LDL^T of M - xI.
-
-    ``w0`` is (0, w_0, ..., w_{n-2}); a pivot smaller than ``pivmin`` in
-    magnitude is replaced by -pivmin, as in LAPACK's dstebz.
-    """
-    count = 0
-    d = 1.0
-    for bk, wk in zip(b, w0):
-        d = (bk - x) - wk / d
-        if d < pivmin:
-            count += 1
-            if d > -pivmin:
-                d = -pivmin
-    return count
-
-
-def _sturm_path(b, w, ws, lo: float, hi: float) -> list:
-    """Every w_n > 0: bisection on Sturm counts isolates each eigenvalue."""
-    n = len(b)
-    w0 = [0.0] + w
-    pivmin = 2.0**-1020 * max(1.0, max(w))
-    roots = []
-    stack = [(lo, 0, hi, n)]
-    while stack:
-        a, na, c, nc = stack.pop()
-        if nc - na == 1:
-            roots.append(_polish(b, w, ws, a, c, (-1) ** (n - na), _mid(a, c)))
-            continue
-        m = _mid(a, c)
-        if not a < m < c:
-            # eigenvalues closer than float resolution: report the cluster
-            roots.extend([m] * (nc - na))
-            continue
-        nm = _sturm_count(b, w0, m, pivmin)
-        if nm > na:
-            stack.append((a, na, m, nm))
-        if nc > nm:
-            stack.append((m, nm, c, nc))
-    return sorted(roots)
 
 
 def _cp_complex(b, w, ab, aw, z: complex):
@@ -898,8 +690,12 @@ def eigenvalues(M: BandMatrix) -> list:
     The signs of w_n = M[n+1, n] * M[n, n+1] choose one of two paths:
 
     * every w_n > 0: M is similar to a symmetric irreducible tridiagonal, so
-      its spectrum is real and simple.  Bisection on Sturm counts (LDL^T
-      inertia) over the Gershgorin hull isolates each eigenvalue;
+      its spectrum is real and simple.  A root-free QL sweep (LAPACK's dsterf)
+      seeds every eigenvalue; a Sturm count (LDL^T inertia) at each midpoint
+      between seeds certifies one eigenvalue per interval, and one
+      double-double Newton polish from its seed finishes it.  An eigenvalue
+      the seeds do not settle is isolated by bisection on Sturm counts over
+      the Gershgorin hull;
     * some w_n <= 0: the Ehrlich-Aberth iteration approximates every root of
       p(z) = det(zI - M), evaluated by the three-term recurrence in complex
       arithmetic, or exactly in integers where float rounding hides the root.
@@ -910,9 +706,11 @@ def eigenvalues(M: BandMatrix) -> list:
       NumericFailureError is raised when n distinct roots cannot be bracketed
       (a repeated eigenvalue, say).
 
-    Each isolated root is then converged by Laguerre steps kept inside its
-    bracket and finished with a double-double Newton polish, except roots the
-    Aberth iteration already converged under exact evaluation.
+    Each root isolated by bisection or by sign changes is then converged by
+    Laguerre steps kept inside its bracket and finished with the same
+    double-double polish, except roots the Aberth iteration already converged
+    under exact evaluation.  The polish, not the route to it, sets the last
+    bit.
 
     Both paths run on M / 2^k (``_prescale``) and scale the result back, so
     it does not depend on the scale of M.
@@ -947,7 +745,7 @@ def eigenvalues(M: BandMatrix) -> list:
 
 
 def _prescale(b, w) -> int:
-    """An even k (so _mid scales exactly) with 2^k near max(|b_i|, sqrt|w_i|),
+    """An even k (so _real_roots._mid scales exactly) with 2^k near max(|b_i|, sqrt|w_i|),
     from bit lengths: M / 2^k, as in LAPACK's dsterf, is exact and keeps w,
     rounded after scaling, in range."""
     k = max([n.bit_length() - d.bit_length() for n, d in b if n]

@@ -12,6 +12,10 @@ for entries below about 1e-42).
 The kernels must agree with these loops on everything the eigen layer reads
 from them: p/p', p''/p', (ph + pl)/p', whether |p| <= e, and the Aberth
 iterates with the points where a root moved to exact evaluation.
+
+``ref_sturm_path`` is the every-w_n > 0 path before the QL seeds: bisection on
+Sturm counts over the whole hull, then ``_polish`` in each bracket.  The
+seeded path must give its eigenvalues bit for bit, whatever the seeds.
 """
 
 import cmath
@@ -22,12 +26,13 @@ import random
 
 import pytest
 
-from qosc import UnsupportedSpectrumError, band_tridiagonal, jacobi_matrix, q_para_krawtchouk
-from qosc import opmatrix
-from qosc.opmatrix import (
-    _BIG, _BIG2, _DOWN, _EPS, _ERR_UNITS, _SMALL, _SMALL2, _SPLIT, _UP,
-    _ABERTH_SWEEPS, _refuse_if_certified,
+from qosc import (
+    StructuredParams, UnsupportedSpectrumError, band_tridiagonal, big_q_jacobi, eigenvalues,
+    jacobi_matrix, q_para_krawtchouk,
 )
+from qosc import _real_roots, opmatrix
+from qosc._real_roots import _BIG, _BIG2, _DOWN, _EPS, _SMALL, _SMALL2, _SPLIT, _UP
+from qosc.opmatrix import _ERR_UNITS, _ABERTH_SWEEPS, _refuse_if_certified
 
 
 def ref_cp_float(b, w, x):
@@ -212,13 +217,13 @@ def draws(seed, count=120):
 def test_float_and_dd_kernels_match_the_reference_loops(seed):
     rescaled = 0
     for b, w, points in draws(seed):
-        ws = [opmatrix._split_neg(v) for v in w]
+        ws = [_real_roots._split_neg(v) for v in w]
         for x in points:
-            p, d, s = opmatrix._cp_float(b, w, x)
+            p, d, s = _real_roots._cp_float(b, w, x)
             rp, rd, rs = ref_cp_float(b, w, x)
             assert same(div(p, d), div(rp, rd)) and same(div(s, d), div(rs, rd))
             assert same((p, d, s), (rp, rd, rs))
-            ph, pl, d = opmatrix._cp_dd(b, ws, x)
+            ph, pl, d = _real_roots._cp_dd(b, ws, x)
             rph, rpl, rd = ref_cp_dd(b, ws, x)
             assert same(div(ph + pl, d), div(rph + rpl, rd))
             assert same((ph, pl, d), (rph, rpl, rd))
@@ -289,3 +294,104 @@ def test_aberth_promotes_and_settles_as_the_reference(M):
     (got, got_log), (want, want_log) = results
     assert got == want and got_log == want_log
     assert want_log  # some root moved to exact evaluation
+
+
+def ref_sturm_path(b, w, ws, lo, hi):
+    n = len(b)
+    w0 = [0.0] + w
+    pivmin = 2.0**-1020 * max(1.0, max(w))
+    roots = []
+    stack = [(lo, 0, hi, n)]
+    while stack:
+        a, na, c, nc = stack.pop()
+        if nc - na == 1:
+            roots.append(_real_roots._polish(b, w, ws, a, c, (-1) ** (n - na), _real_roots._mid(a, c)))
+            continue
+        m = _real_roots._mid(a, c)
+        if not a < m < c:
+            roots.extend([m] * (nc - na))
+            continue
+        nm = _real_roots._sturm_count(b, w0, m, pivmin)
+        if nm > na:
+            stack.append((a, na, m, nm))
+        if nc > nm:
+            stack.append((m, nm, c, nc))
+    return sorted(roots)
+
+
+def positive_w_matrices(seed, count):
+    """Seeded tridiagonals with every w_n > 0, n from 2 to 120 (log-uniform),
+    entries scaled by 10**U(-300, 290); one in eight is Wilkinson-style (a
+    diagonal |k - m|, unit off-diagonals), whose eigenvalues pair up closer
+    than the seeds resolve."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = 120 if i % 50 == 0 else round(2.0 * 60.0 ** rng.random())
+        scale = 10.0 ** rng.uniform(-300.0, 290.0)
+        sign = [rng.choice((-1.0, 1.0)) for _ in range(n - 1)]
+        if i % 8 == 7:
+            diag = [abs(k - (n - 1) / 2) for k in range(n)]
+            sub = sup = [1.0] * (n - 1)
+        else:
+            diag = [rng.uniform(-3.0, 3.0) for _ in range(n)]
+            sub = [rng.uniform(0.05, 2.0) for _ in range(n - 1)]
+            sup = [rng.uniform(0.05, 2.0) for _ in range(n - 1)]
+        yield band_tridiagonal([s * v * scale for s, v in zip(sign, sub)], [v * scale for v in diag],
+                               [s * v * scale for s, v in zip(sign, sup)])
+
+
+def hexes(values):
+    return [float.hex(x) for x in values]
+
+
+def test_seeded_sturm_path_matches_the_bisection_reference(monkeypatch):
+    for M in positive_w_matrices(21, 400):
+        got = eigenvalues(M)
+        with monkeypatch.context() as patch:
+            patch.setattr(opmatrix, "_sturm_path", ref_sturm_path)
+            want = eigenvalues(M)
+        assert hexes(got) == hexes(want), M.size
+
+
+def perturbed(seeds, rng):
+    return [x * (1.0 + 1e-3 * rng.choice((-1.0, 1.0))) for x in seeds]
+
+
+def merged(seeds, rng):
+    i = rng.randrange(len(seeds) - 1)
+    return seeds[:i] + [0.5 * (seeds[i] + seeds[i + 1])] + seeds[i + 2:]
+
+
+def dropped(seeds, rng):
+    i = rng.randrange(len(seeds))
+    return seeds[:i] + seeds[i + 1:]
+
+
+def stalled(seeds, rng):
+    return None
+
+
+@pytest.mark.parametrize("spoil", [perturbed, merged, dropped, stalled])
+def test_eigenvalues_do_not_depend_on_the_seeds(spoil, monkeypatch):
+    # Whatever _pwk returns, the eigenvalues it does not settle are found by
+    # the bisection fallback, with the same bits; no golden case reaches it.
+    rng = random.Random(spoil.__name__)
+    p = StructuredParams(0.8, 0.25, 0.5, -0.25)
+    cases = [jacobi_matrix(big_q_jacobi(p, n)) for n in (2, 16, 64)]
+    cases += list(positive_w_matrices(22, 12))
+    pwk, polish = _real_roots._pwk, _real_roots._polish
+    fallbacks = []
+
+    def counted(*args):
+        fallbacks.append(args)
+        return polish(*args)
+
+    for M in cases:
+        want = eigenvalues(M)
+        with monkeypatch.context() as patch:
+            patch.setattr(_real_roots, "_pwk", lambda b, w: spoil(pwk(b, w), rng))
+            patch.setattr(_real_roots, "_polish", counted)
+            fallbacks.clear()
+            got = eigenvalues(M)
+        assert hexes(got) == hexes(want), M.size
+        assert fallbacks  # some eigenvalue went to the bisection fallback

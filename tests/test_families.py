@@ -528,6 +528,29 @@ def test_first_resonant_denominator_is_named(k, monkeypatch):
             build(0.5**-k)
 
 
+def test_q_para_krawtchouk_forms_each_denominator_once(monkeypatch):
+    # D(n) divides by (1 - q^(2n-N)) (1 + q^(n-half)), and C(n) by the first
+    # factor and D(n-1)'s second: 2 (N + 1) denominators, each formed once in
+    # D(n) order (N = 21: 44 calls).
+    calls = []
+    checked = families._nonresonant
+
+    def counted(a, b, label):
+        calls.append(label)
+        return checked(a, b, label)
+
+    monkeypatch.setattr(families, "_nonresonant", counted)
+    q_para_krawtchouk(0.2, 0.5, 21)
+    assert len(calls) == len(set(calls)) == 44
+    assert calls[:4] == ["denominator 1-q^-21", "denominator 1+q^-10",
+                         "denominator 1-q^-19", "denominator 1+q^-9"]
+    # Near q = -1 every 1 + q^odd vanishes and no 1 - q^odd does: the first in
+    # D(n) order is named, D(0)'s m = -half when half is odd, else D(1)'s.
+    for N, m in [(5, -1), (7, -3), (9, -3), (11, -5)]:
+        with pytest.raises(ResonanceError, match=rf"1\+q\^{m} vanishes"):
+            q_para_krawtchouk(0.2, -(1 + 1e-12), N)
+
+
 @pytest.mark.parametrize("case", sorted(NEAR_RESONANT))
 def test_one_relative_resonance_rule(case):
     # families and build_general share one rule: refuse at 1e-10 relative.

@@ -45,7 +45,7 @@ from qosc import (
     to_monic,
     xi_residuals,
 )
-from qosc import opmatrix
+from qosc import _real_roots, opmatrix
 from qosc.representation import _adjugate_vectors
 
 entries = st.floats(min_value=-5.0, max_value=5.0)
@@ -730,7 +730,7 @@ def symmetrized(rec):
 
 
 class TestSturmPath:
-    """Every w_n > 0: Sturm-count bisection, bracketed Laguerre, dd polish."""
+    """Every w_n > 0: QL seeds, certified by Sturm counts, dd polish."""
 
     @pytest.mark.parametrize("n", [16, 64, 120])
     def test_big_q_jacobi_matches_eigvalsh(self, n):
@@ -740,21 +740,35 @@ class TestSturmPath:
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
+    def test_ql_seeds_match_eigvalsh(self):
+        # The root-free QL sweep is backward stable: every seed is within a few
+        # units of roundoff of the norm, graded matrices (QL run from either end) too.
+        rng = random.Random(13)
+        for i in range(80):
+            n = rng.randint(2, 80)
+            grade = rng.uniform(0.7, 1.3) if i % 2 else 1.0
+            b = [rng.uniform(-3.0, 3.0) * grade**k for k in range(n)]
+            w = [rng.uniform(0.05, 4.0) * grade ** (2 * k + 1) for k in range(n - 1)]
+            off = np.sqrt(w)
+            want = np.linalg.eigvalsh(np.diag(b) + np.diag(off, 1) + np.diag(off, -1))
+            got = _real_roots._pwk(b, w)
+            assert np.max(np.abs(np.array(got) - want)) <= 1e-13 * np.max(np.abs(want))
+
     @pytest.mark.parametrize("n", [64, 120])
     def test_evaluations_per_root(self, n, monkeypatch):
-        # Laguerre converges cubically, and a step of 1e-4 |x| hands over to the
-        # dd polish: 2.98 and 3.18 float recurrences per root here (3.41 and
-        # 3.62 with a handoff at 1e-6 |x|; Newton took 7.5 and 8.4), and one dd
-        # polish but for 2 of the 120 roots.
-        calls = {"_cp_float": 0, "_cp_dd": 0}
+        # The QL seeds need no float recurrence: one Sturm count per cut between
+        # two seeds (n - 1) and one dd polish per root (n), with no root left
+        # to the bisection and Laguerre fallback.
+        calls = {"_cp_float": 0, "_cp_dd": 0, "_sturm_count": 0}
         for name in calls:
-            def counted(*args, _f=getattr(opmatrix, name), _name=name):
+            def counted(*args, _f=getattr(_real_roots, name), _name=name):
                 calls[_name] += 1
                 return _f(*args)
-            monkeypatch.setattr(opmatrix, name, counted)
+            monkeypatch.setattr(_real_roots, name, counted)
         eigenvalues(jacobi_matrix(big_q_jacobi(StructuredParams(0.8, 0.25, 0.5, -0.25), n)))
-        assert calls["_cp_float"] <= 3.25 * n
+        assert calls["_cp_float"] == 0
         assert calls["_cp_dd"] <= 1.02 * n
+        assert calls["_sturm_count"] <= n
 
     def test_tiny_and_huge_scales_match_eigvalsh(self):
         # Below about 1e-42 eigenvalues were off by up to 2.5e6 normwise: the
