@@ -20,7 +20,6 @@ from .errors import (
     UnsupportedSpectrumError,
 )
 from .numerics import (
-    DEFAULT_ABS_TOL,
     LaurentPoly,
     TolerancePolicy,
     geometric_seq,

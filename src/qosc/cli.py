@@ -5,8 +5,8 @@ Each run prints a single JSON report to stdout with top-level fields
 decimals with 17 significant digits (null when not finite), so a rerun with
 the same inputs is byte-identical.  The CLI decides no verdict: each check
 copies max_abs, tolerance and pass from a library report.  Exit status: 0 when
-every check passes, 1 when some check fails, 2 on a parameter error or a float
-overflow or underflow.
+every check passes, 1 when some check fails, 2 on a parameter error, a float
+overflow or underflow, or a --params or --csv-dir path that cannot be used.
 """
 
 from __future__ import annotations
@@ -456,7 +456,7 @@ def _merge_param_file(args, parser) -> None:
     if args.params is None:
         return
     actions = {a.dest: a for a in parser._actions if hasattr(args, a.dest)}
-    with open(args.params) as fh:
+    with open(args.params, encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise InvalidParameterError("--params file must hold a JSON object")
@@ -494,6 +494,18 @@ def main(argv=None) -> int:
             args.command = "verify"
             args.suite = args.suite or "bigqjacobi-algebra"
         params, checks, tables = _COMMANDS[args.command](args, pol)
+        params.update(abs_tol=pol.abs_tol, rel_tol=pol.rel_tol)
+        if getattr(args, "decompose", None):  # spectrum echoes --decompose after the tolerances
+            params["decompose"] = True
+        report = {
+            "command": args.command,
+            "params": params,
+            "checks": checks,
+            "tables": tables,
+            "version": __version__,
+        }
+        if args.csv_dir is not None:  # before the report, so an exit of 2 prints none
+            _write_csv(report, args.csv_dir)
     except QoscError as exc:
         sys.stderr.write(f"error[{exc.kind}]: {exc}\n")
         return 2
@@ -501,25 +513,13 @@ def main(argv=None) -> int:
         kind = "overflow" if isinstance(exc, OverflowError) else "underflow"
         sys.stderr.write(f"error[{kind}]: the inputs {kind} float arithmetic ({exc.args[-1]})\n")
         return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeError, json.JSONDecodeError) as exc:  # a path, or its bytes
         sys.stderr.write(f"error[io]: {exc}\n")
         return 2
-    params.update(abs_tol=pol.abs_tol, rel_tol=pol.rel_tol)
-    if getattr(args, "decompose", None):  # spectrum echoes --decompose after the tolerances
-        params["decompose"] = True
-    report = {
-        "command": args.command,
-        "params": params,
-        "checks": checks,
-        "tables": tables,
-        "version": __version__,
-    }
     if args.json_out is False:
         _print_text(report)
     else:
         _print_report(report)
-    if args.csv_dir is not None:
-        _write_csv(report, args.csv_dir)
     return 0 if all(c["pass"] for c in report["checks"]) else 1
 
 

@@ -223,15 +223,10 @@ def expand_monic(rec: MonicRecurrence, n: int) -> LaurentPoly:
     p0 = LaurentPoly({0: 1})
     if n == 0:
         return p0
-    p1 = laurent_add(x, LaurentPoly({0: -rec.b[0]}), tol=0.0)
+    p1 = laurent_add(x, LaurentPoly({0: -rec.b[0]}))
     for k in range(1, n):
-        shifted = laurent_add(x, LaurentPoly({0: -rec.b[k]}), tol=0.0)
-        p2 = laurent_add(
-            laurent_mul(shifted, p1, tol=0.0),
-            laurent_scale(-rec.u[k - 1], p0, tol=0.0),
-            tol=0.0,
-        )
-        p0, p1 = p1, p2
+        shifted = laurent_add(x, LaurentPoly({0: -rec.b[k]}))
+        p0, p1 = p1, laurent_add(laurent_mul(shifted, p1), laurent_scale(-rec.u[k - 1], p0))
     return p1
 
 

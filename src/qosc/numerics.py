@@ -2,7 +2,9 @@
 
 All arithmetic here is duck-typed on purpose: the same code paths run with
 floats and with exact types such as fractions.Fraction, which keeps exact-input
-computations exact end to end.
+computations exact end to end.  For the same reason the Laurent arithmetic has
+no pruning threshold: a coefficient is dropped only when it equals 0, so a
+rounding-level remainder, an inf or a NaN is kept and shows in ``mass()``.
 """
 
 from __future__ import annotations
@@ -11,10 +13,6 @@ import math
 
 from ._record import record
 from .errors import InvalidParameterError, PoleError
-
-# Default absolute floor used when pruning numerically-zero Laurent coefficients.
-DEFAULT_ABS_TOL = 1e-12
-
 
 @record
 class TolerancePolicy:
@@ -70,7 +68,8 @@ class LaurentPoly:
     """Sparse Laurent polynomial: maps integer degree -> coefficient.
 
     Treated as immutable by convention; arithmetic goes through the module
-    functions below, which prune coefficients with |c| <= tol afterwards.
+    functions below, which drop a coefficient only when it is exactly zero, so
+    a NaN, an inf or a rounding-level remainder stays visible.
     Compared by value, and unhashable since the dict it wraps is mutable.
     """
 
@@ -106,13 +105,13 @@ class LaurentPoly:
         return sum(abs(c) for c in self.coeffs.values())
 
 
-def _pruned(coeffs: dict, tol) -> LaurentPoly:
-    return LaurentPoly({k: c for k, c in sorted(coeffs.items()) if abs(c) > tol})
+def _pruned(coeffs: dict) -> LaurentPoly:
+    return LaurentPoly({k: c for k, c in sorted(coeffs.items()) if c != 0})
 
 
-def laurent(coeffs: dict, tol=DEFAULT_ABS_TOL) -> LaurentPoly:
-    """Normalized constructor: drops |c| <= tol entries."""
-    return _pruned(dict(coeffs), tol)
+def laurent(coeffs: dict) -> LaurentPoly:
+    """Normalized constructor: sorts by degree and drops exact zeros."""
+    return _pruned(dict(coeffs))
 
 
 def laurent_scale_arg(p: LaurentPoly, q) -> LaurentPoly:
@@ -122,24 +121,24 @@ def laurent_scale_arg(p: LaurentPoly, q) -> LaurentPoly:
     return LaurentPoly({k: c * q**k for k, c in sorted(p.coeffs.items())})
 
 
-def laurent_add(p1: LaurentPoly, p2: LaurentPoly, tol=DEFAULT_ABS_TOL) -> LaurentPoly:
+def laurent_add(p1: LaurentPoly, p2: LaurentPoly) -> LaurentPoly:
     out = dict(p1.coeffs)
     for k, c in p2.coeffs.items():
         out[k] = out.get(k, 0) + c
-    return _pruned(out, tol)
+    return _pruned(out)
 
 
-def laurent_mul(p1: LaurentPoly, p2: LaurentPoly, tol=DEFAULT_ABS_TOL) -> LaurentPoly:
+def laurent_mul(p1: LaurentPoly, p2: LaurentPoly) -> LaurentPoly:
     out: dict = {}
     for k1, c1 in p1.coeffs.items():
         for k2, c2 in p2.coeffs.items():
             k = k1 + k2
             out[k] = out.get(k, 0) + c1 * c2
-    return _pruned(out, tol)
+    return _pruned(out)
 
 
-def laurent_scale(c, p: LaurentPoly, tol=DEFAULT_ABS_TOL) -> LaurentPoly:
-    return _pruned({k: c * v for k, v in p.coeffs.items()}, tol)
+def laurent_scale(c, p: LaurentPoly) -> LaurentPoly:
+    return _pruned({k: c * v for k, v in p.coeffs.items()})
 
 
 def laurent_eval(p: LaurentPoly, x):

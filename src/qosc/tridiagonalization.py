@@ -16,7 +16,6 @@ from ._record import record
 from .errors import InvalidParameterError, NotMonicReducibleError, ResonanceError, UnsupportedFamilyError
 from .families import AWParams, MonicRecurrence, askey_wilson, big_q_jacobi, expand_monic, jacobi_matrix
 from .numerics import (
-    DEFAULT_ABS_TOL,
     LaurentPoly,
     TolerancePolicy,
     _worst_of,
@@ -222,33 +221,24 @@ def pencil(p: StructuredParams, pp: PencilParams, size: int) -> BandMatrix:
 # -- q-difference realization --------------------------------------------------
 
 
-def _qdiff_tol(f: LaurentPoly) -> float:
-    # cancellation threshold grows with the input's coefficient mass
-    return DEFAULT_ABS_TOL * max(1.0, float(f.mass()))
-
-
 def qdiff_Z_apply(f: LaurentPoly, p: StructuredParams) -> LaurentPoly:
     """The big q-Jacobi q-difference operator acting on a Laurent polynomial:
 
         (Z f)(x) = E(x) f(qx) + F(x) f(x/q) + (c1*c2*q + 1 - E(x) - F(x)) f(x)
 
     with E = c1*q*(x-1)*(c2*x-c3)/x**2 and F = (x-c1*q)*(x-c3*q)/x**2.
-    Eigenpolynomials P_n satisfy Z P_n = z_n P_n.
+    Eigenpolynomials P_n satisfy Z P_n = z_n P_n.  Nothing is pruned: in
+    floats, Z P_n may keep negative-degree terms at rounding level.
     """
     if not f.coeffs:
         raise InvalidParameterError("f must be nonzero")
     q, c1, c2, c3 = p.q, p.c1, p.c2, p.c3
-    tol = _qdiff_tol(f)
     E = LaurentPoly({0: c1 * c2 * q, -1: -c1 * (c2 + c3) * q, -2: c1 * c3 * q})
     F = LaurentPoly({0: 1, -1: -(c1 + c3) * q, -2: c1 * c3 * q**2})
-    out = laurent_mul(E, laurent_scale_arg(f, q), tol=0.0)
-    out = laurent_add(out, laurent_mul(F, laurent_scale_arg(f, 1 / q), tol=0.0), tol=0.0)
-    diag = laurent_add(
-        LaurentPoly({0: c1 * c2 * q + 1}),
-        laurent_scale(-1, laurent_add(E, F, tol=0.0), tol=0.0),
-        tol=0.0,
-    )
-    return laurent_add(out, laurent_mul(diag, f, tol=0.0), tol=tol)
+    out = laurent_mul(E, laurent_scale_arg(f, q))
+    out = laurent_add(out, laurent_mul(F, laurent_scale_arg(f, 1 / q)))
+    diag = laurent_add(LaurentPoly({0: c1 * c2 * q + 1}), laurent_scale(-1, laurent_add(E, F)))
+    return laurent_add(out, laurent_mul(diag, f))
 
 
 def qdiff_B_apply(f: LaurentPoly, p: StructuredParams) -> LaurentPoly:
@@ -257,19 +247,17 @@ def qdiff_B_apply(f: LaurentPoly, p: StructuredParams) -> LaurentPoly:
         (B f)(x) = G(x) f(x/q) + f(x) / ((1-q)*x),
         G(x) = (x - q*c1)*(x - q*c3) / (q**2*(q-1)*c1*c3*x).
 
-    For polynomial f the 1/x terms cancel and the result is again polynomial.
+    For polynomial f the 1/x terms cancel and the result is again polynomial;
+    only coefficients that round to exactly 0 are dropped.
     """
     if not f.coeffs:
         raise InvalidParameterError("f must be nonzero")
     q, c1, c3 = p.q, p.c1, p.c3
-    tol = _qdiff_tol(f)
     den = (q - 1) * c1 * c3
-    G = LaurentPoly(
-        {1: 1 / (q**2 * den), 0: -(c1 + c3) / (q * den), -1: 1 / (q - 1)}
-    )
-    out = laurent_mul(G, laurent_scale_arg(f, 1 / q), tol=0.0)
-    tail = laurent_mul(LaurentPoly({-1: 1 / (1 - q)}), f, tol=0.0)
-    return laurent_add(out, tail, tol=tol)
+    G = LaurentPoly({1: 1 / (q**2 * den), 0: -(c1 + c3) / (q * den), -1: 1 / (q - 1)})
+    out = laurent_mul(G, laurent_scale_arg(f, 1 / q))
+    tail = laurent_mul(LaurentPoly({-1: 1 / (1 - q)}), f)
+    return laurent_add(out, tail)
 
 
 def _sequence_report(values: list, tol: float):
@@ -284,6 +272,8 @@ def qdiff_residuals(p: StructuredParams, kmax: int, nmax: int, pol: TolerancePol
     judged at ``pol.abs_tol``.  eigenrelation: the mass of Z P_n - z_n P_n
     over |z_n| times the mass of P_n, for the monic big q-Jacobi P_n,
     n = 0..nmax, judged at ``pol.rel_tol``.  location = (k, k) or (n, n).
+    Every coefficient the residual keeps counts, rounding-level ones too, and
+    an overflow is a NaN at the first k or n where it occurs.
     """
     if kmax < 0 or nmax < 0:
         raise InvalidParameterError("kmax and nmax must be >= 0")

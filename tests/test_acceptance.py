@@ -311,18 +311,17 @@ def test_criterion_09_q_difference_picture():
             f = LaurentPoly({k: 1.0})
             Bf = qdiff_B_apply(f, p)
             lhs = laurent_add(
-                laurent_mul(x, Bf, tol=0.0),
-                laurent_scale(-p.q, qdiff_B_apply(laurent_mul(x, f, tol=0.0), p), tol=0.0),
-                tol=0.0,
+                laurent_mul(x, Bf),
+                laurent_scale(-p.q, qdiff_B_apply(laurent_mul(x, f), p)),
             )
-            resid = laurent_add(lhs, laurent_scale(-1.0, f, tol=0.0), tol=0.0)
+            resid = laurent_add(lhs, laurent_scale(-1.0, f))
             ok = ok and mass(resid) <= 1e-12 * max(mass(f), mass(Bf))
         rec = big_q_jacobi(p, 9)
         for n in range(9):
             P_n = expand_monic(rec, n)
             z_n = p.c1 * p.c2 * p.q ** (n + 1) + p.q ** (-n)
             resid = laurent_add(
-                qdiff_Z_apply(P_n, p), laurent_scale(-z_n, P_n, tol=0.0), tol=0.0
+                qdiff_Z_apply(P_n, p), laurent_scale(-z_n, P_n)
             )
             ok = ok and mass(resid) <= 1e-9 * (abs(z_n) * mass(P_n))
     scoreboard(9, "q-difference picture (3 fixtures)", ok)

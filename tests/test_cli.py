@@ -305,6 +305,13 @@ class TestParamFileAndOutputs:
         assert code == 2
         assert "quux" in err
 
+    def test_param_file_not_utf8_is_an_io_error(self, capsys, tmp_path):
+        cfg = tmp_path / "latin1.json"
+        cfg.write_bytes(b'{"parameterization": "structured", "q": 0.5, "c1": "\xe9"}')
+        code, out, err = run(capsys, ["build", "--params", str(cfg)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error[io]:") and err.count("\n") == 1 and "utf-8" in err
+
     @pytest.mark.parametrize(
         "argv, data, key",
         [

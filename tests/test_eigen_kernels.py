@@ -27,8 +27,8 @@ import random
 import pytest
 
 from qosc import (
-    StructuredParams, UnsupportedSpectrumError, band_tridiagonal, big_q_jacobi, eigenvalues,
-    jacobi_matrix, q_para_krawtchouk,
+    NumericFailureError, StructuredParams, UnsupportedSpectrumError, band_tridiagonal, big_q_jacobi,
+    eigenvalues, jacobi_matrix, q_para_krawtchouk,
 )
 from qosc import _real_roots, opmatrix
 from qosc._real_roots import _BIG, _BIG2, _DOWN, _EPS, _SMALL, _SMALL2, _SPLIT, _UP
@@ -395,3 +395,74 @@ def test_eigenvalues_do_not_depend_on_the_seeds(spoil, monkeypatch):
             got = eigenvalues(M)
         assert hexes(got) == hexes(want), M.size
         assert fallbacks  # some eigenvalue went to the bisection fallback
+
+
+def outcome(M):
+    """The eigenvalues' bits, or the type of the error that refused M."""
+    try:
+        return hexes(eigenvalues(M))
+    except UnsupportedSpectrumError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("M", list(mixed_sign_matrices()))
+def test_aberth_steps_by_the_radius_where_p_over_p_prime_is_infinite(M, monkeypatch):
+    # The first root's first p/p' is inf (p' = 0 there): it moves by the
+    # start radius instead, and every root still converges to the same bits.
+    want, ratio, calls = outcome(M), opmatrix._cp_ratio, []
+
+    def inf_once(b, w, z):
+        calls.append(z)
+        return math.inf if len(calls) == 1 else ratio(b, w, z)
+
+    monkeypatch.setattr(opmatrix, "_cp_ratio", inf_once)
+    assert outcome(M) == want and len(calls) > 1
+
+
+def test_roots_converged_off_the_axis_in_floats_finish_exactly(monkeypatch):
+    # Shifting every float p/p' by 1e-6j moves its fixed points 1e-6 off the
+    # real axis, where the exact disc test certifies nothing: those roots
+    # are promoted to exact evaluation, which finds the real roots.
+    ratio = opmatrix._cp_ratio
+
+    def shifted(b, w, z):
+        return ratio(b, w, z) + 1e-6j * max(1.0, abs(z))
+
+    for N in (5, 7, 9, 11):
+        M = jacobi_matrix(q_para_krawtchouk(0.2, 0.5, N))
+        sub, b, sup = ([float(v) for v in band] for band in opmatrix._tridiagonal(M))
+        w = [s * t for s, t in zip(sub, sup)]
+        args = (b, w, [abs(v) for v in b], [abs(v) for v in w])
+        want, settled = outcome(M), sum(done for _, done in opmatrix._aberth(*args, Spy(M, [])))
+        with monkeypatch.context() as patch:
+            patch.setattr(opmatrix, "_cp_ratio", shifted)
+            assert outcome(M) == want
+            assert sum(done for _, done in opmatrix._aberth(*args, Spy(M, []))) > settled
+
+
+def test_a_nan_from_the_float_kernel_is_a_typed_failure(monkeypatch):
+    monkeypatch.setattr(opmatrix, "_cp_ratio", lambda b, w, z: math.nan)
+    with pytest.raises(NumericFailureError, match="Ehrlich-Aberth iteration diverged"):
+        eigenvalues(jacobi_matrix(q_para_krawtchouk(0.2, 0.5, 7)))
+
+
+def test_newton_dd_returns_its_last_iterate_when_it_cannot_converge(monkeypatch):
+    # p' = 0: the start, unchanged
+    monkeypatch.setattr(_real_roots, "_cp_dd", lambda b, ws, x: (1.0, 0.0, 0.0))
+    assert float.hex(_real_roots._newton_dd([0.0], [], 0.7, 1.0)) == float.hex(0.7)
+    # steps that stop shrinking (rounding dominates p): the iterate before the first such step
+    monkeypatch.setattr(_real_roots, "_cp_dd", lambda b, ws, x: (1.0, 0.0, 1.0))
+    assert float.hex(_real_roots._newton_dd([0.0], [], 0.7, 1.0)) == float.hex(0.7 - 1.0)
+    # steps 1, 1/2, 1/3, ... that shrink but never converge: the 80th iterate
+    calls = []
+
+    def harmonic(b, ws, x):
+        calls.append(x)
+        return 1.0 / len(calls), 0.0, 1.0
+
+    monkeypatch.setattr(_real_roots, "_cp_dd", harmonic)
+    want = 0.7
+    for k in range(1, 81):
+        want = want - 1.0 / k
+    assert float.hex(_real_roots._newton_dd([0.0], [], 0.7, 1.0)) == float.hex(want)
+    assert len(calls) == 80

@@ -22,10 +22,10 @@ from qosc import (
 )
 from qosc.numerics import _worst_of
 
-# coefficient values that stay well away from the pruning threshold
+# coefficient values well above rounding level, or exactly 0
 coeffs = st.floats(min_value=-8.0, max_value=8.0).filter(lambda c: c == 0.0 or abs(c) > 1e-6)
 polys = st.builds(
-    lambda d: laurent(d, tol=0.0),
+    laurent,
     st.dictionaries(st.integers(min_value=-4, max_value=4), coeffs, max_size=8),
 )
 
@@ -133,9 +133,22 @@ class TestLaurentBasics:
         assert (p.min_deg, p.max_deg) == (-2, 3)
         assert p.mass() == 2.0
 
-    def test_normalization_drops_small_terms(self):
-        p = laurent_add(laurent({0: 1.0, 1: 1e-15}), laurent({0: 1.0}), tol=1e-12)
-        assert p.coeffs == {0: 2.0}
+    @pytest.mark.parametrize("c", [math.nan, math.inf, 1e-300])
+    def test_every_nonzero_coefficient_survives(self, c):
+        p = LaurentPoly({0: 1.0, 1: c})
+        for got, degrees in [
+            (laurent_add(p, LaurentPoly({0: -1.0})), [1]),  # 1.0 - 1.0 is dropped, c is not
+            (laurent_mul(LaurentPoly({1: 1.0}), p), [1, 2]),
+            (laurent_scale(1.0, p), [0, 1]),
+        ]:
+            assert list(got.coeffs) == degrees
+            assert float.hex(got.coeffs[degrees[-1]]) == float.hex(c)
+
+    def test_exact_zeros_are_dropped(self):
+        third = LaurentPoly({0: F(1, 3), 1: F(2)})
+        assert laurent_add(third, LaurentPoly({0: F(-1, 3)})).coeffs == {1: 2}
+        assert laurent_scale(0.0, LaurentPoly({0: 1.0, 2: 5.0})).coeffs == {}
+        assert laurent({0: 0.0, 1: F(0), 2: -0.0, 3: 1.5}).coeffs == {3: 1.5}
 
     def test_non_integer_degree_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -151,22 +164,22 @@ class TestLaurentProperties:
 
     @given(p1=polys, p2=polys)
     def test_mul_commutative(self, p1, p2):
-        a = laurent_mul(p1, p2, tol=0.0)
-        b = laurent_mul(p2, p1, tol=0.0)
+        a = laurent_mul(p1, p2)
+        b = laurent_mul(p2, p1)
         for k in set(a.coeffs) | set(b.coeffs):
             assert a.coeff(k) == pytest.approx(b.coeff(k), rel=1e-9, abs=1e-12)
 
     @given(p1=polys, p2=polys, p3=polys)
     def test_mul_associative(self, p1, p2, p3):
-        a = laurent_mul(laurent_mul(p1, p2, tol=0.0), p3, tol=0.0)
-        b = laurent_mul(p1, laurent_mul(p2, p3, tol=0.0), tol=0.0)
+        a = laurent_mul(laurent_mul(p1, p2), p3)
+        b = laurent_mul(p1, laurent_mul(p2, p3))
         scale = max(1.0, p1.mass() * p2.mass() * p3.mass())
         for k in set(a.coeffs) | set(b.coeffs):
             assert abs(a.coeff(k) - b.coeff(k)) <= 1e-9 * scale
 
     @given(p=polys, x=st.floats(min_value=0.25, max_value=3.0))
     def test_eval_is_ring_homomorphism(self, p, x):
-        square = laurent_mul(p, p, tol=0.0)
+        square = laurent_mul(p, p)
         assert laurent_eval(square, x) == pytest.approx(
             laurent_eval(p, x) ** 2, rel=1e-9, abs=1e-9
         )

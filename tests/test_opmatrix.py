@@ -694,6 +694,22 @@ class TestEigenvalues:
         got = eigenvalues(band_tridiagonal((s,), (0.0, d), (s,)))
         assert got == pytest.approx([big, -s * s / big], rel=1e-14)
 
+    def test_entries_without_an_integer_ratio_are_read_at_their_float_value(self):
+        # mpmath.mpf and sympy.Rational have no as_integer_ratio: each entry is
+        # float(v), so the result is the float matrix's, bit for bit
+        import sympy
+
+        diag = (2, 3, 5, 7)
+        want = eigenvalues(band_tridiagonal((1.0,) * 3, tuple(map(float, diag)), (1.0,) * 3))
+        got = eigenvalues(band_tridiagonal((1,) * 3, tuple(map(mpmath.mpf, diag)), (1,) * 3))
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+        # some w_n < 0 (the Aberth path), thirds that floats round
+        sub, sup = (1, 1, 1), (-1, 2, 1)
+        want = eigenvalues(band_tridiagonal(sub, tuple(d / 3 for d in (1, 31, 61, 91)), sup))
+        thirds = tuple(sympy.Rational(d, 3) for d in (1, 31, 61, 91))
+        got = eigenvalues(band_tridiagonal(sub, thirds, sup))
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
     def test_complex_pair_unsupported(self):
         M = band_tridiagonal((1.0,), (0.0, 0.0), (-1.0,))  # eigenvalues +/- i
         with pytest.raises(UnsupportedSpectrumError) as err:

@@ -423,11 +423,10 @@ class TestQDifference:
         for k in range(0, 11):
             f = LaurentPoly({k: 1.0})
             lhs = laurent_add(
-                laurent_mul(x, qdiff_B_apply(f, self.P), tol=0.0),
-                laurent_scale(-q, qdiff_B_apply(laurent_mul(x, f, tol=0.0), self.P), tol=0.0),
-                tol=0.0,
+                laurent_mul(x, qdiff_B_apply(f, self.P)),
+                laurent_scale(-q, qdiff_B_apply(laurent_mul(x, f), self.P)),
             )
-            resid = laurent_add(lhs, laurent_scale(-1.0, f, tol=0.0), tol=0.0)
+            resid = laurent_add(lhs, laurent_scale(-1.0, f))
             scale = max(1.0, mass(qdiff_B_apply(f, self.P)))
             assert mass(resid) <= 1e-12 * scale
 
@@ -445,7 +444,7 @@ class TestQDifference:
             P_n = expand_monic(rec, n)
             z_n = z_of(p, n)
             resid = laurent_add(
-                qdiff_Z_apply(P_n, p), laurent_scale(-z_n, P_n, tol=0.0), tol=0.0
+                qdiff_Z_apply(P_n, p), laurent_scale(-z_n, P_n)
             )
             assert mass(resid) <= 1e-9 * (abs(z_n) * mass(P_n))
 
@@ -479,12 +478,13 @@ class TestSuiteReports:
     @pytest.mark.parametrize("suite, flags, checks", golden_suite_cases())
     def test_reports_match_the_golden_cli_checks(self, suite, flags, checks):
         fl = {k.lstrip("-"): float(v) for k, v in flags.items()}
+        pol = TolerancePolicy(fl.get("abs-tol", 1e-12), fl.get("rel-tol", 1e-9))
         if suite == "aw-match":
             p = AWParams(fl["q"], fl["a1"], fl["a2"], fl["a3"], fl["a4"])
-            reps = [aw_match_residual(p, int(fl.get("count", 21)), TolerancePolicy())[0]]
+            reps = [aw_match_residual(p, int(fl.get("count", 21)), pol)[0]]
         else:
             p = StructuredParams(fl["q"], fl["c1"], fl["c2"], fl["c3"])
-            reps = qdiff_residuals(p, int(fl.get("kmax", 10)), int(fl.get("nmax", 8)))
+            reps = qdiff_residuals(p, int(fl.get("kmax", 10)), int(fl.get("nmax", 8)), pol)
         assert len(reps) == len(checks)
         for rep, check in zip(reps, checks):
             assert float.hex(rep.max_abs) == float.hex(float(check["max_abs"]))
@@ -515,10 +515,17 @@ class TestSuiteReports:
         assert comm.passed and eig.passed
 
     def test_qdiff_nan_residual_fails_where_it_occurs(self):
-        # c3 = 1e300 overflows the recurrence: P_3's residual is NaN
+        # c3 = 1e300 overflows Z P_1: inf - inf in its negative-degree terms is NaN
         comm, eig = qdiff_residuals(StructuredParams(0.5, 0.25, 0.5, 1e300), 10, 8)
         assert comm.passed
-        assert math.isnan(eig.max_abs) and eig.location == (3, 3) and not eig.passed
+        assert math.isnan(eig.max_abs) and eig.location == (1, 1) and not eig.passed
+
+    def test_qdiff_rounding_residual_is_reported(self):
+        # the benchmark's seed-1 parameters: every residual coefficient counts
+        p = StructuredParams(0.8165, 0.2492, 0.4876, -0.2459)
+        comm, eig = qdiff_residuals(p, 10, 8, TolerancePolicy(abs_tol=1e-14))
+        assert comm.max_abs == 1.2079226507921703e-13 and comm.location == (10, 10)
+        assert not comm.passed and eig.passed
 
     def test_qdiff_negative_counts_refused(self):
         with pytest.raises(InvalidParameterError):
