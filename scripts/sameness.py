@@ -321,7 +321,7 @@ def cases(Q):
 
     def aw(rng):
         p, size = _structured(Q, rng, RANGES["aw_size"])
-        return p, rng.uniform(*RANGES["mu"]), size, rng.choice(("ML", "LM"))
+        return p, rng.uniform(*RANGES["mu"]), size
 
     def pencil(rng):
         p, size = bqj(rng)
@@ -359,7 +359,7 @@ def cases(Q):
         ("xi_residuals", lambda rng: _general(Q, rng), skip_none(Q.xi_residuals)),
         ("classify", lambda rng: _general(Q, rng), skip_none(Q.classify)),
         ("big_qjacobi_algebra_residuals", bqj, lambda x: Q.big_qjacobi_algebra_residuals(*x)),
-        ("aw_algebra_residuals", aw, lambda x: Q.aw_algebra_residuals(x[0], x[1], x[2], variant=x[3])),
+        ("aw_algebra_residuals", aw, lambda x: Q.aw_algebra_residuals(*x)),
         ("companion_b", bqj, lambda x: Q.companion_b(Q.jacobi_matrix(Q.big_q_jacobi(*x)), x[0])),
         ("build_W_to_monic", pencil, lambda x: Q.to_monic(Q.build_W(*x))),
         ("eigenvalues_positive_w", lambda rng: _tridiagonal(Q, rng, True), Q.eigenvalues),
@@ -454,8 +454,7 @@ def _cli_argvs():
 
     def aw_algebra(rng):
         return ["verify", "--suite", "aw-algebra", *_structured_flags(rng),
-                *_flags(rng, mu=RANGES["mu"]), *_int(rng, "size", "aw_size"),
-                "--variant", rng.choice(("ML", "LM"))]
+                *_flags(rng, mu=RANGES["mu"]), *_int(rng, "size", "aw_size")]
 
     def decompose(rng):
         if rng.random() < 0.5:

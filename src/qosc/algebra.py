@@ -15,14 +15,14 @@ algebra: M = L@Z - q*Z@L - omega0*I satisfies
 
 on the truncation interior.  The reversed ordering L@M - q*M@L does not close
 with these constants; aw_algebra_residuals measures both and records which one
-passes instead of silently choosing.  Each relation is a q-bracket identity
-X@Y - q*Y@X = rhs, measured by opmatrix.q_commutator_residual.
+passes.  Each relation is a q-bracket identity X@Y - q*Y@X = rhs, measured by
+opmatrix.q_commutator_residual.
 """
 
 from __future__ import annotations
 
 from ._record import record
-from .errors import InvalidParameterError, TooSmallError
+from .errors import TooSmallError
 from .numerics import TolerancePolicy, _worst_of
 from .opmatrix import (
     ResidualReport,
@@ -114,8 +114,8 @@ def aw_constants(p: StructuredParams, mu) -> AWAlgebraConstants:
 class AWAlgebraReport:
     """Everything aw_algebra_residuals measured.
 
-    relation2 is the residual of the requested variant; relation2_ml and
-    relation2_lm are both orderings, and passing_variant records which of them
+    relation2 is the M@L ordering, the one the algebra closes in; relation2_lm
+    is the reversed L@M ordering, and passing_variant records which of them
     actually closes ('ML', 'LM', 'both' or 'none').
     """
 
@@ -123,9 +123,7 @@ class AWAlgebraReport:
     m_def: ResidualReport
     relation1: ResidualReport
     relation2: ResidualReport
-    relation2_ml: ResidualReport
     relation2_lm: ResidualReport
-    variant: str
     passing_variant: str
 
 
@@ -134,7 +132,6 @@ def aw_algebra_residuals(
     mu,
     size: int,
     pol: TolerancePolicy = TolerancePolicy(),
-    variant: str = "ML",
 ) -> AWAlgebraReport:
     """Measure the pencil-algebra relations on a size x size truncation.
 
@@ -144,8 +141,6 @@ def aw_algebra_residuals(
     0..size-2; both orderings of relation 2 use rows 0..size-3 (products of
     two pencils corrupt one extra row at the cut).
     """
-    if variant not in ("ML", "LM"):
-        raise InvalidParameterError(f"variant must be 'ML' or 'LM', got {variant!r}")
     if size < 5:
         raise TooSmallError("pencil algebra residuals need size >= 5")
     q = p.q
@@ -175,10 +170,9 @@ def aw_algebra_residuals(
     rhs1 = band_add(band_scale(k.sigma1, L), band_scale(k.omega1, I))
     rep1 = q_commutator_residual(Z, M, q, rhs1, pol, (0, size - 2))
     rhs2 = band_add(band_scale(k.sigma2, Z), band_scale(k.omega2, I))
-    rep_ml = q_commutator_residual(M, L, q, rhs2, pol, (0, size - 3))
+    rep2 = q_commutator_residual(M, L, q, rhs2, pol, (0, size - 3))
     rep_lm = q_commutator_residual(L, M, q, rhs2, pol, (0, size - 3))
     passing = {(True, True): "both", (True, False): "ML", (False, True): "LM"}.get(
-        (rep_ml.passed, rep_lm.passed), "none"
+        (rep2.passed, rep_lm.passed), "none"
     )
-    relation2 = rep_ml if variant == "ML" else rep_lm
-    return AWAlgebraReport(k, m_def, rep1, relation2, rep_ml, rep_lm, variant, passing)
+    return AWAlgebraReport(k, m_def, rep1, rep2, rep_lm, passing)

@@ -140,6 +140,7 @@ def _blocks_table(blocks) -> dict:
 _GENERAL, _STRUCTURED, _AW = (
     field_names(cls)[1:] for cls in (GeneralParams, StructuredParams, AWParams)
 )
+_TOLERANCES = field_names(TolerancePolicy)  # --abs-tol and --rel-tol
 
 
 def _require(args, *names) -> None:
@@ -256,13 +257,12 @@ def _suite_bigqjacobi_algebra(args, pol: TolerancePolicy):
 def _suite_aw_algebra(args, pol: TolerancePolicy):
     _require(args, "size", "mu")
     p, params = _params(args, StructuredParams, "mu", "size")
-    variant = args.variant or "ML"
-    rep = aw_algebra_residuals(p, args.mu, args.size, pol, variant=variant)
+    rep = aw_algebra_residuals(p, args.mu, args.size, pol)
     names = ("m-def", "relation-1", "relation-2")
     checks = [_check(n, r) for n, r in zip(names, (rep.m_def, rep.relation1, rep.relation2))]
     orderings = [
         ["ordering", "max_abs", "pass"],
-        ["ML", rep.relation2_ml.max_abs, rep.relation2_ml.passed],
+        ["ML", rep.relation2.max_abs, rep.relation2.passed],
         ["LM", rep.relation2_lm.max_abs, rep.relation2_lm.passed],
         ["passing-variant", rep.passing_variant, ""],
     ]
@@ -270,7 +270,7 @@ def _suite_aw_algebra(args, pol: TolerancePolicy):
         {"name": "constants", "rows": _field_rows(rep.constants)},
         {"name": "orderings", "rows": orderings},
     ]
-    return {**params, "variant": variant}, checks, tables
+    return params, checks, tables
 
 
 def _suite_aw_match(args, pol: TolerancePolicy):
@@ -402,7 +402,7 @@ def _finite_float(text: str) -> float:
 
 def _add(parser, kind, *names) -> None:
     for name in names:
-        parser.add_argument("--" + name, type=kind, default=None)
+        parser.add_argument("--" + name.replace("_", "-"), type=kind, default=None)
 
 
 def _build_parser():
@@ -410,7 +410,7 @@ def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     _add(common, _finite_float, "q")
     _add(common, int, "size")
-    _add(common, _finite_float, "abs-tol", "rel-tol")
+    _add(common, _finite_float, *_TOLERANCES)
     common.add_argument("--params", default=None, metavar="PATH")
     common.add_argument("--csv-dir", default=None, metavar="PATH")
     common.add_argument(
@@ -430,7 +430,6 @@ def _build_parser():
         sp.add_argument("--suite", choices=sorted(_SUITES), default=None)
         _add(sp, _finite_float, *_GENERAL, *_STRUCTURED, *_AW, "mu", "a")
         _add(sp, int, "count", "kmax", "nmax")
-        sp.add_argument("--variant", choices=["ML", "LM"], default=None)
     for name, floats in (
         ("spectrum", _STRUCTURED),
         ("poly", _STRUCTURED + _AW),
@@ -486,15 +485,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _merge_param_file(args, commands[args.command])
-        pol = TolerancePolicy(
-            abs_tol=1e-12 if args.abs_tol is None else args.abs_tol,
-            rel_tol=1e-9 if args.rel_tol is None else args.rel_tol,
-        )
+        given = {n: getattr(args, n) for n in _TOLERANCES if getattr(args, n) is not None}
+        pol = TolerancePolicy(**given)  # the record's defaults fill the flags left unset
         if args.command == "algebra":  # a pure alias: its reports are verify reports
             args.command = "verify"
             args.suite = args.suite or "bigqjacobi-algebra"
         params, checks, tables = _COMMANDS[args.command](args, pol)
-        params.update(abs_tol=pol.abs_tol, rel_tol=pol.rel_tol)
+        params.update((n, getattr(pol, n)) for n in _TOLERANCES)
         if getattr(args, "decompose", None):  # spectrum echoes --decompose after the tolerances
             params["decompose"] = True
         report = {

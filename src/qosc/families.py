@@ -9,6 +9,7 @@ lattices which verify_spectrum certifies against the Jacobi matrix.
 from __future__ import annotations
 
 import math
+import sys
 
 from ._record import field_names, record
 from .errors import InvalidParameterError, SpectrumMismatchError, UnsupportedFamilyError
@@ -22,6 +23,8 @@ from .opmatrix import (
     guard_size,
 )
 from .representation import StructuredParams, _check_q, _nonresonant, _scaled_minors
+
+_TINY = sys.float_info.min  # the smallest normal float
 
 
 @record
@@ -285,22 +288,26 @@ class SpectrumReport:
 
 
 def _charpoly_scaled(rec: MonicRecurrence, J: BandMatrix, x, pts) -> float:
-    """|charpoly(x)| / prod_{y != x} |x - y|, by (mantissa, exponent) pairs where a side
-    overflows: rescaled recurrences that round as math.prod and char_poly_eval do, or bit lengths."""
+    """|charpoly(x)| / prod_{y != x} |x - y|, 0 exactly when charpoly(x) is.  Where a side leaves
+    the normal floats, by (mantissa, exponent) pairs: rescaled recurrences that round as math.prod
+    and char_poly_eval do, or an exact charpoly's numerator and denominator."""
     c, fx = char_poly_eval(J, x), float(x)
     gaps = [abs(fx - y) for y in pts if y != fx]
     try:
         a, g = abs(float(c)), math.prod(gaps)
-        if a < math.inf and g < math.inf:
+        if (not c or _TINY <= a < math.inf) and _TINY <= g < math.inf:  # both normal floats
             return a / g
     except OverflowError:  # an exact charpoly beyond the float range
         pass
     gm, ge = _scaled_minors(gaps, [0.0] * len(gaps))[-1]
     if isinstance(c, float):
         cm, ce = _scaled_minors([fx - v for v in rec.b], (0.0,) + rec.u)[-1]  # J = jacobi_matrix(rec)
-    else:
-        ce = max(0, c.numerator.bit_length() - c.denominator.bit_length())
-        cm = float(c / 2**ce)
+    else:  # c = cm * 2**ce with cm in (1/2, 2), or c = 0
+        n, d = c.numerator, c.denominator
+        ce = n.bit_length() - d.bit_length()
+        cm = (n << max(0, -ce)) / (d << max(0, ce))
+    if not cm:
+        return 0.0
     r, k = math.frexp(cm / gm)
     return abs(math.ldexp(r, k + ce - ge)) if k + ce - ge <= 1024 else math.inf
 

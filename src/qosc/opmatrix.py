@@ -734,7 +734,7 @@ def eigenvalues(M: BandMatrix) -> list:
     root_w = [0.0] + [math.sqrt(abs(v)) for v in w] + [0.0]
     lo = min(b[i] - root_w[i] - root_w[i + 1] for i in range(n))
     hi = max(b[i] + root_w[i] + root_w[i + 1] for i in range(n))
-    pad = 1e-9 * max(abs(lo), abs(hi))  # relative: a spectrum near 1e-50 keeps a tight hull
+    pad = 1e-9 * max(abs(lo), abs(hi))  # past the bounds' rounding; _prescale puts them near 1
     lo, hi = lo - pad, hi + pad
     ws = [_split_neg(v) for v in w]
     if all(v > 0.0 for v in w):

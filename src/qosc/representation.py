@@ -26,10 +26,6 @@ from .errors import (
 )
 from .numerics import TolerancePolicy, _worst_of
 from .opmatrix import (
-    _BIG,
-    _DOWN,
-    _SMALL,
-    _UP,
     BandMatrix,
     _judge,
     _tridiagonal,
@@ -404,9 +400,12 @@ def _scaled_minors(d, w0) -> list:
     """Leading principal minors 1, det T[:1, :1], ..., det T as frexp pairs.
 
     T is tridiagonal with diagonal d and w0[k] = T[k, k-1] * T[k-1, k]
-    (w0[0] = 0).  The running pair is rescaled by powers of two, as in the
-    eigenvalue recurrences, and each minor is stored as (mantissa, binary
-    exponent), so no minor overflows or underflows.
+    (w0[0] = 0).  Each minor is stored as (mantissa, binary exponent), and
+    after each step the running pair is divided by the power of two that puts
+    the newest minor's mantissa in [1/2, 1).  So no minor overflows or
+    underflows while the entries and the ratios of neighbouring minors stay
+    within the float range, and a scaling by a power of two rounds as the
+    unscaled recurrence would.
     """
     out = [(0.5, 1)]
     p0, p1, e = 0.0, 1.0, 0
@@ -414,12 +413,8 @@ def _scaled_minors(d, w0) -> list:
         p0, p1 = p1, dk * p1 - wk * p0
         m, x = math.frexp(p1)
         out.append((m, x + e))
-        if not _SMALL < abs(p1) < _BIG:  # |p0| <= _BIG already: only p1 can call for a rescale
-            big = max(abs(p0), abs(p1))
-            if big > _BIG:
-                p0 *= _DOWN; p1 *= _DOWN; e += 400
-            elif 0.0 < big < _SMALL:
-                p0 *= _UP; p1 *= _UP; e -= 400
+        if m:  # a zero minor leaves the pair as it is
+            p0, p1, e = math.ldexp(p0, -x), m, e + x
     return out
 
 

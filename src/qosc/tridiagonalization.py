@@ -136,17 +136,18 @@ def build_W(p: StructuredParams, w: WCoeffs, size: int) -> BandMatrix:
     return band_add(W, band_scale(w.tau0, band_identity(size)))
 
 
-def to_monic(W: BandMatrix, pol: TolerancePolicy = TolerancePolicy()):
+def to_monic(W: BandMatrix):
     """Reduce a tridiagonal W to monic form by the diagonal similarity d.
 
     d_0 = 1, d_{n+1} = d_n * W[n+1, n]; the monic coefficients are
-    b_n = W[n, n] and u_n = W[n, n-1] * W[n-1, n].  A vanishing subdiagonal
-    entry (|.| <= abs_tol) admits no such reduction: NotMonicReducibleError.
+    b_n = W[n, n] and u_n = W[n, n-1] * W[n-1, n].  The similarity exists
+    exactly when no subdiagonal entry is 0, however small the others are: an
+    entry equal to 0 raises NotMonicReducibleError.
     """
     sub, b, sup = _tridiagonal(W)
     d = [1]
     for n, s in enumerate(sub):
-        if abs(float(s)) <= pol.abs_tol:
+        if s == 0:
             raise NotMonicReducibleError(f"subdiagonal entry ({n + 1},{n}) vanishes")
         d.append(d[-1] * s)
     return MonicRecurrence(b, tuple(s * t for s, t in zip(sub, sup))), tuple(d)
@@ -183,7 +184,7 @@ def aw_match_residual(p: AWParams, count: int, pol: TolerancePolicy = ToleranceP
     entries of their Jacobi matrices, judged at ``pol.rel_tol``.
     """
     direct = askey_wilson(p, count)
-    rec, _ = to_monic(build_W(*aw_parameter_map(p), count), pol)
+    rec, _ = to_monic(build_W(*aw_parameter_map(p), count))
     J = jacobi_matrix(direct)
     dev, loc = _worst(band_sub(jacobi_matrix(rec), J), ref=J)
     return _judge(dev, loc, (0, count - 1), 1.0, pol.rel_tol), direct, rec

@@ -6,7 +6,6 @@ import pytest
 
 from qosc import (
     AWAlgebraConstants,
-    InvalidParameterError,
     StructuredParams,
     TolerancePolicy,
     TooSmallError,
@@ -24,8 +23,10 @@ from qosc import (
     build_Z,
     companion_b,
     jacobi_matrix,
+    q_commutator_residual,
     r_coefficients,
 )
+from qosc._record import field_names
 
 EXACT_P = StructuredParams(F(1, 2), F(1, 4), F(1, 2), F(1, 4))
 FLOAT_P = StructuredParams(0.5, 0.25, 0.5, 0.25)
@@ -143,28 +144,35 @@ class TestAWConstants:
 
 
 class TestAWAlgebraResiduals:
-    def test_default_variant_closes(self):
+    def test_ml_ordering_closes(self):
         rep = aw_algebra_residuals(FLOAT_P, 0.7, 12)
-        assert rep.variant == "ML"
         assert rep.m_def.passed
         assert rep.relation1.passed
         assert rep.relation2.passed
-        assert rep.relation2_ml.passed
         assert not rep.relation2_lm.passed
         assert rep.passing_variant == "ML"
         assert rep.relation1.rows == (0, 10)
         assert rep.relation2.rows == (0, 9)
 
-    def test_lm_variant_reports_the_failing_ordering(self):
-        rep = aw_algebra_residuals(FLOAT_P, 0.7, 12, variant="LM")
-        assert rep.variant == "LM"
-        assert not rep.relation2.passed
-        assert rep.relation2.max_abs == rep.relation2_lm.max_abs
-        assert rep.passing_variant == "ML"
-
-    def test_variant_validation(self):
-        with pytest.raises(InvalidParameterError):
-            aw_algebra_residuals(FLOAT_P, 0.7, 12, variant="MLM")
+    def test_relation2_is_the_ml_ordering(self):
+        # relation2 is M@L - q*L@M = sigma2*Z + omega2*I, rebuilt here from its
+        # definition; relation2_lm is the reversed ordering, which does not close
+        q, mu, size = FLOAT_P.q, 0.7, 12
+        A = jacobi_matrix(big_q_jacobi(FLOAT_P, size))
+        Z, I = build_Z(FLOAT_P, size).matrix(), band_identity(size)
+        k = aw_constants(FLOAT_P, mu)
+        L = band_add(A, band_scale(mu, companion_b(A, FLOAT_P)))
+        M = band_sub(bracket(L, Z, q), band_scale(k.omega0, I))
+        rhs = band_add(band_scale(k.sigma2, Z), band_scale(k.omega2, I))
+        rep = aw_algebra_residuals(FLOAT_P, mu, size)
+        assert rep.relation2 == q_commutator_residual(M, L, q, rhs, rows=(0, size - 3))
+        assert rep.relation2_lm == q_commutator_residual(L, M, q, rhs, rows=(0, size - 3))
+        assert rep.relation2.passed and not rep.relation2_lm.passed
+        assert field_names(rep) == (
+            "constants", "m_def", "relation1", "relation2", "relation2_lm", "passing_variant",
+        )
+        with pytest.raises(TypeError):
+            aw_algebra_residuals(FLOAT_P, mu, size, variant="ML")  # one ordering, no knob
 
     def test_size_guard(self):
         with pytest.raises(TooSmallError):

@@ -212,17 +212,19 @@ class TestDeterminismAndExitCodes:
         assert err.startswith("error[overflow]: ") and err.count("\n") == 1
 
 
-    @pytest.mark.parametrize("argv", [
-        ["verify", "--suite", "qdiff", "--q", "1e-300", "--c1", "0.156", "--c2", "0.2911",
-         "--c3=-0.4652"],
-        ["spectrum", "--family", "q-para-krawtchouk", "--q", "0.3889", "--c3", "1e-300",
-         "--N", "5", "--decompose"],
-    ])
-    def test_exit_two_on_float_underflow(self, capsys, argv):
-        # a finite flag underflows into a float division by zero
+    @pytest.mark.parametrize("argv, kind", [
+        (["verify", "--suite", "qdiff", "--q", "1e-300", "--c1", "0.156", "--c2", "0.2911",
+          "--c3=-0.4652"], "underflow"),
+        # the lattice gaps' product underflows, and is taken by scaled minors; the
+        # rounded family then has a certified non-real eigenvalue
+        (["spectrum", "--family", "q-para-krawtchouk", "--q", "0.3889", "--c3", "1e-300",
+          "--N", "5", "--decompose"], "unsupported-spectrum"),
+    ], ids=["argv0", "argv1"])
+    def test_exit_two_on_float_underflow(self, capsys, argv, kind):
+        # a finite flag underflows float arithmetic: one error line, no report
         code, out, err = run(capsys, argv)
         assert (code, out) == (2, "")
-        assert err.startswith("error[underflow]: ") and err.count("\n") == 1
+        assert err.startswith(f"error[{kind}]: ") and err.count("\n") == 1
 
 
 def _no_constant(token):
@@ -408,6 +410,15 @@ class TestVerifySuites:
         assert out == ""
         assert err.startswith("error[invalid-parameter]:")
         assert "--size" in err
+
+    def test_aw_algebra_has_no_variant_flag(self, capsys):
+        # relation-2 is the M@L ordering; the orderings table shows both
+        argv = ["verify", "--suite", "aw-algebra", "--q", "0.5", "--c1", "0.25", "--c2", "0.5",
+                "--c3", "0.25", "--mu", "0.7", "--size", "12", "--variant", "LM"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --variant LM" in capsys.readouterr().err
 
     def test_aw_algebra_reports_orderings(self, capsys):
         argv = [

@@ -22,6 +22,7 @@ from qosc import (
     StructuredParams,
     TolerancePolicy,
     UnsupportedFamilyError,
+    UnsupportedSpectrumError,
     askey_wilson,
     big_q_jacobi,
     build_general,
@@ -485,6 +486,33 @@ class TestSpectrumCertification:
         rec = q_hahn(F(3, 10), F(2, 5), F(1, 2), 38)
         rep = verify_spectrum(rec, claimed_spectrum(rec))
         assert rep.passed and rep.charpoly_scaled == (0.0,) * 39
+
+    def test_underflowed_gaps_exact_family(self):
+        # c3 = 1e-300: the gap products of the three small points underflow to 0.0,
+        # and the exact charpoly is 0 at every claimed point
+        rec = q_para_krawtchouk(F(1, 10**300), F(1, 2), 5)
+        J, given = jacobi_matrix(rec), sorted(claimed_spectrum(rec).points)
+        pts = tuple(float(x) for x in given)
+        assert math.prod(abs(pts[0] - y) for y in pts[1:]) == 0.0
+        assert [families._charpoly_scaled(rec, J, x, pts) for x in given] == [0.0] * 6
+        # off the lattice, |c| (near 1e-600) over the float gaps, both far below
+        # the float range, is exact to rounding
+        for s in range(6):
+            x = given[s] * (1 + F(1, 2**20))
+            fx = float(x)
+            exact = abs(char_poly_eval(J, x))
+            for y in pts:
+                exact /= F(abs(fx - y)) if y != fx else 1
+            got = families._charpoly_scaled(rec, J, x, pts)
+            assert got > 0 and abs(F(got) / exact - 1) < 1e-12
+
+    @pytest.mark.parametrize("c3", [1e-300, 1e-200])
+    def test_underflowed_gaps_float_family(self, c3):
+        # the gap products underflow to 0.0 and used to divide by it; the rounded
+        # family then has a certified non-real eigenvalue, the known float limit
+        rec = q_para_krawtchouk(c3, 0.5, 5)
+        with pytest.raises(UnsupportedSpectrumError, match="non-real eigenvalue"):
+            verify_spectrum(rec, claimed_spectrum(rec))
 
     def test_count_mismatch_raises(self):
         rec = q_hahn(0.3, 0.4, 0.5, 3)

@@ -49,8 +49,8 @@ RECORDS = {
     ),
     "AWAlgebraReport": (
         ("constants", qosc.AWAlgebraConstants(1, 2, 3, 4, 5)), ("m_def", _REPORT),
-        ("relation1", _REPORT), ("relation2", _REPORT), ("relation2_ml", _REPORT),
-        ("relation2_lm", _REPORT), ("variant", "ML"), ("passing_variant", "ML"),
+        ("relation1", _REPORT), ("relation2", _REPORT), ("relation2_lm", _REPORT),
+        ("passing_variant", "ML"),
     ),
     "GeneralParams": (("q", 0.5), ("xi0", 1.0), ("zeta0", -0.3), ("s1", 0.4), ("s2", 0.2)),
     "StructuredParams": (("q", F(1, 2)), ("c1", F(1, 4)), ("c2", F(1, 2)), ("c3", F(1, 4))),

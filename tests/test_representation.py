@@ -1,6 +1,7 @@
 """General tridiagonal solution, classification, canonical form, decomposition."""
 
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -377,3 +378,30 @@ class TestDecompose:
                     assert got == want, (rec.family, q, N)
                     seen[want is None] += 1
         assert seen[True] >= 5 and seen[False] >= 30
+
+
+def _minor_cases():
+    """Diagonals whose running products leave the float range: the fixed cases,
+    then seeded draws with factors from 1e-300 to 1e300 in magnitude."""
+    cases = [[1e-200] * 3, [1e200] * 3, [1e100, 1e300, 1e-300, 1e-300, 1e300], [-1e-150] * 9]
+    rng = random.Random(20)
+    for _ in range(20):
+        size = rng.randint(1, 12)
+        cases.append([rng.choice((-1, 1)) * rng.uniform(1, 10) * 10.0 ** rng.randint(-300, 299)
+                      for _ in range(size)])
+    return cases
+
+
+@pytest.mark.parametrize("d", _minor_cases(), ids=lambda d: f"{len(d)}-factors")
+def test_scaled_minors_match_exact_products(d):
+    # with w0 = 0 the minors are the running products of the diagonal: each
+    # (m, e) pair is the exact product to within one rounding per factor
+    from qosc.representation import _scaled_minors
+
+    minors = _scaled_minors(d, [0.0] * len(d))
+    exact = F(1)
+    assert minors[0] == (0.5, 1)
+    for k, (m, e) in enumerate(minors[1:], start=1):
+        exact *= F(d[k - 1])
+        assert 0.5 <= abs(m) < 1
+        assert abs(F(m) * F(2) ** e / exact - 1) <= k * 2.0**-53

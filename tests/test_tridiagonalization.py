@@ -284,6 +284,18 @@ class TestBuildW:
         with pytest.raises(InvalidParameterError):
             to_monic(M)
 
+    def test_tiny_subdiagonal_reduces(self):
+        # the similarity exists for any nonzero subdiagonal, however small
+        M = BandMatrix(3, {-1: (1e-13, 2.0), 0: (1.0, 2.0, 3.0), 1: (4.0, 5.0)})
+        rec, d = to_monic(M)
+        assert (rec.b, rec.u, d) == ((1.0, 2.0, 3.0), (1e-13 * 4.0, 10.0), (1, 1e-13, 2e-13))
+
+    @pytest.mark.parametrize("zero", [0, 0.0, -0.0, F(0)], ids=repr)
+    def test_exact_zero_subdiagonal_refused(self, zero):
+        M = BandMatrix(3, {-1: (1.0, zero), 0: (1.0, 2.0, 3.0), 1: (4.0, 5.0)})
+        with pytest.raises(NotMonicReducibleError, match=r"\(2,1\) vanishes"):
+            to_monic(M)
+
 
 class TestAWParameterMap:
     Q = F(3, 5)
