@@ -82,7 +82,8 @@ def big_q_jacobi(p: StructuredParams, count: int) -> MonicRecurrence:
     guard_size(q, count)
     c12 = c1 * c2
     # each denominator once, in increasing k, so the first refused is the least k
-    den = {k: _nonresonant(1, c12 * q**k, f"denominator 1-c1*c2*q^{k}") for k in range(1, 2 * count + 1)}
+    den = {k: _nonresonant(1, c12 * q**k, "denominator 1-c1*c2*q^{}", k)
+           for k in range(1, 2 * count + 1)}
 
     def D(n):
         num = (1 - c1 * q ** (n + 1)) * (1 - c12 * q ** (n + 1)) * (1 - c3 * q ** (n + 1))
@@ -111,7 +112,7 @@ def askey_wilson(p: AWParams, count: int) -> MonicRecurrence:
     guard_size(q, count)
     g = p.g
     # each denominator once, in increasing k, so the first refused is the least k
-    den = {k: _nonresonant(1, g * q**k, f"denominator 1-g*q^{k}") for k in range(-1, 2 * count - 1)}
+    den = {k: _nonresonant(1, g * q**k, "denominator 1-g*q^{}", k) for k in range(-1, 2 * count - 1)}
 
     def D(n):
         den_n = a1 * den[2 * n - 1] * den[2 * n]
@@ -177,8 +178,8 @@ def q_para_krawtchouk(c3, q, N: int) -> MonicRecurrence:
     den = {}
     for n in range(N + 1):
         k, m = 2 * n - N, n - half
-        den[n] = (_nonresonant(1, q**k, f"denominator 1-q^{k}"),
-                  _nonresonant(1, -(q**m), f"denominator 1+q^{m}"))
+        den[n] = (_nonresonant(1, q**k, "denominator 1-q^{}", k),
+                  _nonresonant(1, -(q**m), "denominator 1+q^{}", m))
 
     def D(n):
         return (1 - q ** (n - N)) * (1 - c3 * q ** (n + 1)) / (den[n][0] * den[n][1])

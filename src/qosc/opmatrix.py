@@ -1,20 +1,21 @@
 """Banded operator matrices and residual checks.
 
 The band kernel is pure Python and duck-typed: entries may be floats,
-fractions.Fraction, or any ring element supporting +, -, *.  Exact inputs
-therefore produce exact residuals through the very same code paths the float
-build uses.  Products, sums, scalings and row sums walk each band as a slice
-under a C-level ``map`` rather than one Python statement per entry; the
-operand order and the order of every sum are those of per-entry loops, so the
-results are the same bit for bit.  ``band_sub`` and ``_q_bracket`` (past its
-two products) form each band of a difference in one pass, with the bits of
-the band_add/band_scale compositions they replaced (kept in
-tests/test_band_kernels.py).  The residual scan ``_worst`` stays a loop:
-a max() over a mapped list measured slower than the interpreter's specialized
-float compare.  The package has no numpy: the eigenvectors behind
-``decompose`` are read off the adjugate of a tridiagonal matrix by its minor
-recurrences (``_adjugate_vectors`` in representation.py), and numpy enters
-only in tests.
+fractions.Fraction, or any ring element supporting +, -, *, so exact inputs
+produce exact residuals.  Products, sums, scalings and row sums walk each band
+as a slice under a C-level ``map`` rather than one Python statement per entry;
+the operand order and the order of every sum are those of per-entry loops, so
+the results are the same bit for bit.  On entries of type int and Fraction,
+``band_mul`` and ``char_poly_eval`` take an exact route on plain integers
+instead, with the value and type of that loop and far fewer gcds.
+``band_sub`` and ``_q_bracket`` (past its two products) form each band of a
+difference in one pass, with the bits of the band_add/band_scale
+compositions they replaced (kept in tests/test_band_kernels.py).  The
+residual scan ``_worst`` stays a loop: a max() over a mapped list measured
+slower than the interpreter's specialized float compare.  The package has
+no numpy: the eigenvectors behind ``decompose`` are read off the adjugate of
+a tridiagonal matrix by its minor recurrences (``_adjugate_vectors`` in
+representation.py), and numpy enters only in tests.
 
 Every reader of a tridiagonal matrix's three bands goes through
 ``_tridiagonal``, which refuses a matrix storing any wider band.
@@ -23,9 +24,10 @@ Truncation bookkeeping: all infinite-matrix identities checked here hold on a
 size x size truncation except for rows coupled to the cut, so residual checks
 take an explicit row window and default to rows 0..size-2.
 
-``char_poly_eval`` (its exact integer route) and ``eigenvalues`` (its two
-paths) say how each works.  The real-root kernels of both eigen paths are in
-_real_roots.py; the complex ones of the Aberth path are here.
+``band_mul`` and ``char_poly_eval`` (their exact integer routes) and
+``eigenvalues`` (its two paths) say how each works.  The real-root kernels
+of both eigen paths are in _real_roots.py; the complex ones of the Aberth
+path are here.
 """
 
 from __future__ import annotations
@@ -225,8 +227,19 @@ def band_mul(A: BandMatrix, B: BandMatrix) -> BandMatrix:
     Band pair (ka, kb) adds a_i * b_i into output band ka + kb over the rows
     i_lo .. i_lo + n - 1 it reaches, as one map over three aligned slices.
     Each output entry starts at int 0 and takes its terms in band-pair order.
+
+    When every entry is of type int or fractions.Fraction and one is a
+    Fraction, ``_exact_band_mul`` forms the same entries on integer pairs.
+    The type of A's first band head sends floats to the loop with no other
+    test; any other input (complex, bool, a Fraction subclass, one float
+    among Fractions) takes the loop too.
     """
     size = _check_same_size(A, B)
+    head = next(iter(A.bands.values()), (0.0,))[0]
+    if type(head) is not float:
+        kind = _exact_kind(head, [*A.bands.values(), *B.bands.values()])
+        if kind not in (None, int):
+            return _exact_band_mul(A, B, size, kind)
     out: dict = {}
     for ka, banda in A.bands.items():
         for kb, bandb in B.bands.items():
@@ -240,6 +253,37 @@ def band_mul(A: BandMatrix, B: BandMatrix) -> BandMatrix:
             acc[o:o + n] = map(operator.add, acc[o:o + n],
                                map(operator.mul, banda[a0:a0 + n], bandb[b0:b0 + n]))
     return BandMatrix(size, {k: tuple(v) for k, v in out.items()})
+
+
+def _exact_band_mul(A: BandMatrix, B: BandMatrix, size: int, fraction) -> BandMatrix:
+    """``band_mul`` on int and ``fraction`` entries, over the same band pairs and rows.
+
+    Each entry is read as an integer pair (``_ratios``), and each output entry
+    sums its terms x/y * u/v as N/D on plain integers, N <- N y v + x u D and
+    D <- D y v, with no gcd; one Fraction(N, D) is reduced per entry at the
+    end.  An entry whose terms are all int * int stays an int, and one that no
+    band pair reaches stays int 0, as in the loop.
+    """
+    pa, pb = [{k: (_ratios(band), [type(v) is not int for v in band])
+               for k, band in M.bands.items()} for M in (A, B)]
+    out: dict = {}
+    for ka, (ra, fa) in pa.items():
+        for kb, (rb, fb) in pb.items():
+            k = ka + kb
+            if abs(k) > size - 1:
+                continue
+            m = size - abs(k)
+            num, den, frac = out.setdefault(k, ([0] * m, [1] * m, [False] * m))
+            i_lo = max(0, -ka, -k)
+            n = size - max(0, ka, k) - i_lo
+            a0, b0, o = i_lo + min(0, ka), i_lo + ka + min(0, kb), i_lo + min(0, k)
+            for t, (x, y), (u, v) in zip(range(o, o + n), ra[a0:a0 + n], rb[b0:b0 + n]):
+                yv, d = y * v, den[t]
+                num[t], den[t] = num[t] * yv + x * u * d, d * yv
+            frac[o:o + n] = map(operator.or_, frac[o:o + n],
+                                map(operator.or_, fa[a0:a0 + n], fb[b0:b0 + n]))
+    return BandMatrix(size, {k: [fraction(x, y) if f else x for x, y, f in zip(*acc)]
+                             for k, acc in out.items()})
 
 
 def inf_norm(M: BandMatrix) -> float:
@@ -359,11 +403,12 @@ def char_poly_eval(M: BandMatrix, x):
 
     When x and every entry are of type int or fractions.Fraction, the
     recurrence runs on plain integers (``_exact_det``) and one Fraction is
-    built at the end, or an int when every input is an int: the same value
-    and type as the loop below, without a gcd on the growing minors at every
-    step.  Any other input (floats, complex, bool, a Fraction subclass) takes
-    the duck-typed loop, unscaled, so it may overflow for large sizes with
-    wide entry ranges (eigenvalues() uses a rescaled variant).
+    built at the end, or an int when every input is an int, or Fraction(0)
+    at once when the minor is 0: the same value and type as the loop below,
+    without a gcd on the growing minors at every step.  Any other input
+    (floats, complex, bool, a Fraction subclass) takes the duck-typed loop,
+    unscaled, so it may overflow for large sizes with wide entry ranges
+    (eigenvalues() uses a rescaled variant).
     """
     sub, b, sup = _tridiagonal(M)
     kind = _exact_kind(x, (sub, b, sup))
@@ -371,7 +416,9 @@ def char_poly_eval(M: BandMatrix, x):
         X, d = x.as_integer_ratio()
         steps = list(_scaled_steps(*_exact_entries(sub, b, sup), d))
         P = _exact_det(steps, X)
-        return P if kind is int else kind(P, d ** len(steps) * math.prod(e for e, _, _ in steps))
+        if kind is int or P == 0:
+            return kind(P)
+        return kind(P, d ** len(steps) * math.prod(e for e, _, _ in steps))
     p0, p1 = 1, x - b[0]
     for bk, s, t in zip(b[1:], sub, sup):
         p0, p1 = p1, (x - bk) * p1 - s * t * p0
@@ -387,7 +434,7 @@ def _exact_kind(x, bands):
     exact = {int} if fractions is None else {int, fractions.Fraction}
     if type(x) not in exact:
         return None
-    kinds = {type(x)}.union(*(map(type, band) for band in bands))
+    kinds = {type(x)}.union(*[map(type, band) for band in bands])
     if not kinds <= exact:
         return None
     return int if kinds == {int} else fractions.Fraction

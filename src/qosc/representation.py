@@ -42,14 +42,15 @@ from .opmatrix import (
 _DEGENERACY_RTOL = 1e-10
 
 
-def _nonresonant(a, b, label: str):
+def _nonresonant(a, b, label: str, index: int):
     """a - b, refused with ResonanceError when it vanishes relative to |a| + |b|.
 
     The test runs in floats, so exact inputs pay no big-integer arithmetic for it.
+    The refusal names ``label.format(index)``, formatted only then.
     """
     d = a - b
     if abs(float(d)) <= _DEGENERACY_RTOL * (abs(float(a)) + abs(float(b))):
-        raise ResonanceError(f"{label} vanishes")
+        raise ResonanceError(f"{label.format(index)} vanishes")
     return d
 
 
@@ -125,8 +126,8 @@ def build_general(p: GeneralParams, size: int):
 
     qp = {k: q**k for k in range(-size, size + 2)}
 
-    gamma = [_nonresonant(xi0 * qp[-n], zeta0 * qp[n], f"gamma_{n}") for n in range(size + 1)]
-    y = [_nonresonant(xi0 * qp[-n], zeta0 * qp[n + 1], f"y_{n}") for n in range(size)]
+    gamma = [_nonresonant(xi0 * qp[-n], zeta0 * qp[n], "gamma_{}", n) for n in range(size + 1)]
+    y = [_nonresonant(xi0 * qp[-n], zeta0 * qp[n + 1], "y_{}", n) for n in range(size)]
 
     z = [xi0 * qp[-n] + zeta0 * qp[n + 1] for n in range(size)]
     xi = [xi0 * qp[-n] for n in range(size)]

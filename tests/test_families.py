@@ -539,9 +539,9 @@ def test_first_resonant_denominator_is_named(k, monkeypatch):
     calls = []
     checked = families._nonresonant
 
-    def counted(a, b, label):
-        calls.append(label)
-        return checked(a, b, label)
+    def counted(a, b, label, index):
+        calls.append(label.format(index))
+        return checked(a, b, label, index)
 
     monkeypatch.setattr(families, "_nonresonant", counted)
     builders = [("c1*c2", lambda c: big_q_jacobi(StructuredParams(0.5, c, 1.0, 0.3), 6), 12),
@@ -563,9 +563,9 @@ def test_q_para_krawtchouk_forms_each_denominator_once(monkeypatch):
     calls = []
     checked = families._nonresonant
 
-    def counted(a, b, label):
-        calls.append(label)
-        return checked(a, b, label)
+    def counted(a, b, label, index):
+        calls.append(label.format(index))
+        return checked(a, b, label, index)
 
     monkeypatch.setattr(families, "_nonresonant", counted)
     q_para_krawtchouk(0.2, 0.5, 21)
@@ -577,6 +577,22 @@ def test_q_para_krawtchouk_forms_each_denominator_once(monkeypatch):
     for N, m in [(5, -1), (7, -3), (9, -3), (11, -5)]:
         with pytest.raises(ResonanceError, match=rf"1\+q\^{m} vanishes"):
             q_para_krawtchouk(0.2, -(1 + 1e-12), N)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: build_general(GeneralParams(0.5, 1.0, 16.0, 0.1, 0.2), 6), "gamma_2 vanishes"),
+    (lambda: build_general(GeneralParams(0.5, 1.0, 8.0, 0.1, 0.2), 6), "y_1 vanishes"),
+    (lambda: big_q_jacobi(StructuredParams(0.5, 8.0, 1.0, 0.3), 6),
+     "denominator 1-c1*c2*q^3 vanishes"),
+    (lambda: askey_wilson(AWParams(0.5, 0.5, 0.5, 0.5, 32.0), 6), "denominator 1-g*q^2 vanishes"),
+    (lambda: q_para_krawtchouk(0.2, 1 + 1e-12, 5), "denominator 1-q^-5 vanishes"),
+    (lambda: q_para_krawtchouk(0.2, -(1 + 1e-12), 5), "denominator 1+q^-1 vanishes"),
+], ids=["gamma", "y", "c1*c2", "g", "1-q", "1+q"])
+def test_resonance_messages(build, message):
+    # labels are formatted only for the refusal, which names the index as before
+    with pytest.raises(ResonanceError) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("case", sorted(NEAR_RESONANT))

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from qosc import (
     BandMatrix,
+    GeneralParams,
     InvalidParameterError,
     NotMonicReducibleError,
     NumericFailureError,
@@ -30,9 +31,11 @@ from qosc import (
     band_sub,
     band_tridiagonal,
     big_q_jacobi,
+    build_general,
     canonical_pair,
     char_poly_eval,
     claimed_spectrum,
+    companion_b,
     diag_similarity,
     eigenvalues,
     inf_norm,
@@ -194,6 +197,10 @@ def outcome(f, *args):
         return type(exc), str(exc)
 
 
+class SubFraction(F):
+    """A Fraction subclass: not one of the exact routes' types."""
+
+
 SPECIALS = (math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 0, 1, -1)
 mixed_scalars = st.one_of(
     st.floats(width=64),
@@ -260,6 +267,51 @@ class TestKernelMatchesEntryLoops:
                     k = ka + kb
                     if abs(k) < size:
                         assert any(band_mul(A, B).bands[k])
+
+    # Exact route: int and Fraction entries summed on integer pairs, one Fraction per entry.
+
+    @pytest.mark.parametrize("n", [8, 24])
+    @pytest.mark.parametrize("pair", ["general", "big-q-jacobi"])
+    def test_exact_route_on_family_pairs(self, pair, n, monkeypatch):
+        # denominators of hundreds of bits, far past the strategies' 50
+        if pair == "general":
+            A, B = build_general(GeneralParams(F(10, 13), F(6, 7), -F(3, 10), F(2, 5), F(1, 9)), n)[:2]
+        else:
+            sp = StructuredParams(F(11, 13), F(1, 4), F(1, 3), -F(1, 5))
+            A = jacobi_matrix(big_q_jacobi(sp, n))
+            B = companion_b(A, sp)
+        assert max(F(v).denominator.bit_length() for band in B.bands.values() for v in band) > 200
+        routed = []
+        exact = opmatrix._exact_band_mul
+        monkeypatch.setattr(opmatrix, "_exact_band_mul", lambda *a: routed.append(1) or exact(*a))
+        for X, Y in [(A, B), (B, A), (A, A), (B, B)]:
+            assert exactly(band_mul(X, Y)) == exactly(loop_band_mul(X, Y))
+        assert len(routed) == 4
+
+    def test_exact_route_keeps_int_terms_and_unreached_entries(self):
+        # A's subdiagonal is int: A @ A's band -2 has only int * int terms, and
+        # A's band 1 times B's band -1 leaves the last diagonal entry unreached.
+        A = BandMatrix(3, {1: (F(1, 2), F(2, 3)), -1: (1, 2)})
+        B = BandMatrix(3, {-1: (F(3), 5)})
+        for X, Y in [(A, A), (A, B), (B, A)]:
+            assert exactly(band_mul(X, Y)) == exactly(loop_band_mul(X, Y))
+        assert exactly(band_mul(A, A).bands[-2]) == ((int, 2),)
+        assert exactly(band_mul(A, B).bands[0]) == ((F, F(3, 2)), (F, F(10, 3)), (int, 0))
+        assert exactly(band_mul(B, A).bands[-2]) == ((int, 5),)
+
+    @pytest.mark.parametrize("odd", [True, SubFraction(1, 3), 0.25],
+                             ids=["bool", "subclass", "float"])
+    @pytest.mark.parametrize("where", ["head", "inside"])
+    def test_other_types_take_the_loop(self, odd, where, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the exact route ran")
+
+        monkeypatch.setattr(opmatrix, "_exact_band_mul", refuse)
+        diag = (odd, F(1, 2), 3) if where == "head" else (F(1, 2), odd, 3)
+        A = BandMatrix(3, {0: diag, 1: (F(2, 7), 1)})
+        B = BandMatrix(3, {0: (F(5, 3), 2, F(1, 4)), -1: (F(1, 5), F(9, 2))})
+        for X, Y in [(A, B), (B, A)]:
+            assert exactly(band_mul(X, Y)) == exactly(loop_band_mul(X, Y))
 
 
 # Every matrix of size <= 2 is tridiagonal, whatever bandwidths it is drawn with.
@@ -446,10 +498,6 @@ def fraction_newton(M, z):
     ratio = complex(float((p1[0] * d1[0] + p1[1] * d1[1]) / dd),
                     float((p1[1] * d1[0] - p1[0] * d1[1]) / dd))
     return ratio, n * math.sqrt(float(pp / dd)), certified
-
-
-class SubFraction(F):
-    """A Fraction subclass: not one of char_poly_eval's exact types."""
 
 
 exact_ints = st.integers(min_value=-50, max_value=50)
