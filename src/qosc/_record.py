@@ -1,14 +1,14 @@
 """Frozen value records built without the dataclasses module.
 
-Every qosc process, and every CLI call in particular, imports all of qosc, so
-import cost is paid on each call.  ``dataclasses`` pulls in ``inspect``,
-``ast``, ``dis`` and ``tokenize`` (about 9 ms on Python 3.11, median of 25
-fresh processes on a 2-vCPU host), and ``@dataclass(frozen=True)`` ``exec``s
-generated source for every class it decorates (about 19 ms for 19 five-field
-classes, and a ``.pyc`` cache does not remove it).  ``record`` gives the same
-value semantics from closures; it imports nothing and runs no ``exec``.  With
-it, interpreter start plus ``import qosc.cli`` fell from 139 to 113 ms
-(medians of 25 fresh processes, same host).
+Every qosc module imports this one, and every CLI call imports the modules
+its command runs, so import cost is paid on each call.  ``dataclasses`` pulls
+in ``inspect``, ``ast``, ``dis`` and ``tokenize`` (about 9 ms on Python 3.11,
+median of 25 fresh processes on a 2-vCPU host), and ``@dataclass(frozen=True)``
+``exec``s generated source for every class it decorates (about 19 ms for 19
+five-field classes, and a ``.pyc`` cache does not remove it).  ``record``
+gives the same value semantics from closures; it imports nothing and runs no
+``exec``.  With it, interpreter start plus ``import qosc.cli`` fell from 139
+to 113 ms (medians of 25 fresh processes, same host).
 
 ``@record`` reads the field names from the class annotations, in order, and a
 field's default from the class attribute of the same name.  It adds

@@ -12,7 +12,6 @@ overflow or underflow, or a --params or --csv-dir path that cannot be used.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -20,22 +19,11 @@ import sys
 
 from . import __version__
 from ._record import field_names
-from .algebra import aw_algebra_residuals, big_qjacobi_algebra_residuals, big_qjacobi_constants
 from .errors import InvalidParameterError, NotDecomposableError, QoscError
-from .families import (
-    AWParams,
-    askey_wilson,
-    big_q_jacobi,
-    claimed_spectrum,
-    eval_monic,
-    jacobi_matrix,
-    q_hahn,
-    q_para_krawtchouk,
-    verify_spectrum,
-)
 from .numerics import TolerancePolicy, _worst_of
 from .opmatrix import _judge, q_commutator_residual
 from .representation import (
+    AWParams,
     GeneralParams,
     StructuredParams,
     build_general,
@@ -43,12 +31,9 @@ from .representation import (
     decompose,
     xi_residuals,
 )
-from .tridiagonalization import (
-    aw_match_residual,
-    companion_b,
-    qdiff_residuals,
-    r_coefficients,
-)
+
+# A command imports families, tridiagonalization and algebra itself, so a
+# call compiles only the modules its command runs.
 
 # -- deterministic JSON/CSV rendering -------------------------------------------
 
@@ -93,6 +78,8 @@ def _print_text(report: dict) -> None:
 
 
 def _write_csv(report: dict, csv_dir: str) -> None:
+    import csv
+
     os.makedirs(csv_dir, exist_ok=True)
     for table in report["tables"]:
         name = str(table["name"]).replace(" ", "-")
@@ -163,21 +150,24 @@ def _params(args, cls, *extra):
     return cls(*(params[n] for n in names)), params
 
 
-# family: (flags in report order, the last one sizing the family; builder taking them)
+# family: (flags in report order, the last one sizing the family;
+# builder taking the families module and them)
 _FAMILIES = {
     "big-q-jacobi": (
         ("q", *_STRUCTURED, "size"),
-        lambda *v: big_q_jacobi(StructuredParams(*v[:-1]), v[-1]),
+        lambda F, *v: F.big_q_jacobi(StructuredParams(*v[:-1]), v[-1]),
     ),
-    "askey-wilson": (("q", *_AW, "size"), lambda *v: askey_wilson(AWParams(*v[:-1]), v[-1])),
-    "q-hahn": (("q", "c1", "c2", "N"), lambda q, c1, c2, N: q_hahn(c1, c2, q, N)),
-    "q-para-krawtchouk": (("q", "c3", "N"), lambda q, c3, N: q_para_krawtchouk(c3, q, N)),
+    "askey-wilson": (("q", *_AW, "size"), lambda F, *v: F.askey_wilson(AWParams(*v[:-1]), v[-1])),
+    "q-hahn": (("q", "c1", "c2", "N"), lambda F, q, c1, c2, N: F.q_hahn(c1, c2, q, N)),
+    "q-para-krawtchouk": (("q", "c3", "N"), lambda F, q, c3, N: F.q_para_krawtchouk(c3, q, N)),
 }
 _FINITE = ("q-hahn", "q-para-krawtchouk")
 
 
 def _family(args, size=None):
     """(recurrence, params) of --family; ``size`` stands in for a missing --size."""
+    from . import families
+
     _require(args, "family", "q")
     flags, build = _FAMILIES[args.family]
     if args.family in _FINITE:
@@ -187,7 +177,7 @@ def _family(args, size=None):
             args.size = size
         _require(args, *flags[1:])
     values = [getattr(args, f) for f in flags]
-    return build(*values), {"family": args.family, **dict(zip(flags, values))}
+    return build(families, *values), {"family": args.family, **dict(zip(flags, values))}
 
 
 def _blocks(A, B, q, pol: TolerancePolicy) -> list:
@@ -201,6 +191,9 @@ def _blocks(A, B, q, pol: TolerancePolicy) -> list:
 def _block_check(rec, pol: TolerancePolicy):
     """(check, blocks): a finite family's pair splits into one block (q-Hahn)
     or two (q-para-Krawtchouk); no blocks when decompose refuses."""
+    from .families import jacobi_matrix
+    from .tridiagonalization import companion_b
+
     expected = 1 if rec.family == "q-hahn" else 2
     J = jacobi_matrix(rec)
     blocks = _blocks(J, companion_b(J, rec.params), rec.params.q, pol)
@@ -227,6 +220,10 @@ def cmd_build(args, pol: TolerancePolicy):
         A, B, trace, checks = _general_pair(p, args.size, pol)
         extra = {"name": "trace", "rows": _field_rows(trace)}
     else:
+        from .algebra import big_qjacobi_constants
+        from .families import big_q_jacobi, jacobi_matrix
+        from .tridiagonalization import companion_b, r_coefficients
+
         A = jacobi_matrix(big_q_jacobi(p, args.size))
         B = companion_b(A, p)
         checks = [_check("q-commutator", q_commutator_residual(A, B, p.q, pol=pol))]
@@ -248,6 +245,8 @@ def _suite_qosc(args, pol: TolerancePolicy):
 
 
 def _suite_bigqjacobi_algebra(args, pol: TolerancePolicy):
+    from .algebra import big_qjacobi_algebra_residuals, big_qjacobi_constants
+
     p, params = _params(args, StructuredParams, "size")
     reps = big_qjacobi_algebra_residuals(p, args.size, pol)
     checks = [_check(n, r) for n, r in zip(("q-oscillator", "bz-bracket", "za-bracket"), reps)]
@@ -255,6 +254,8 @@ def _suite_bigqjacobi_algebra(args, pol: TolerancePolicy):
 
 
 def _suite_aw_algebra(args, pol: TolerancePolicy):
+    from .algebra import aw_algebra_residuals
+
     _require(args, "size", "mu")
     p, params = _params(args, StructuredParams, "mu", "size")
     rep = aw_algebra_residuals(p, args.mu, args.size, pol)
@@ -274,6 +275,8 @@ def _suite_aw_algebra(args, pol: TolerancePolicy):
 
 
 def _suite_aw_match(args, pol: TolerancePolicy):
+    from .tridiagonalization import aw_match_residual
+
     _require(args, "q", *_AW)  # missing flags are named before a stray --size
     if args.size is not None:
         raise InvalidParameterError("--size is not used by --suite aw-match; pass --count")
@@ -287,6 +290,8 @@ def _suite_aw_match(args, pol: TolerancePolicy):
 
 
 def _suite_qdiff(args, pol: TolerancePolicy):
+    from .tridiagonalization import qdiff_residuals
+
     p, params = _params(args, StructuredParams)
     kmax = 10 if args.kmax is None else args.kmax
     nmax = 8 if args.nmax is None else args.nmax
@@ -314,6 +319,8 @@ def cmd_verify(args, pol: TolerancePolicy):
 
 
 def cmd_spectrum(args, pol: TolerancePolicy):
+    from .families import claimed_spectrum, verify_spectrum
+
     _require(args, "family")
     if args.family not in _FINITE:  # before its flags, which this command may not offer
         raise InvalidParameterError("spectrum requires a finite family (q-hahn or q-para-krawtchouk)")
@@ -336,6 +343,8 @@ def cmd_spectrum(args, pol: TolerancePolicy):
 
 
 def cmd_poly(args, pol: TolerancePolicy):
+    from .families import eval_monic
+
     n_max = 5 if args.n_max is None else args.n_max
     if n_max < 1:
         raise InvalidParameterError("--n-max must be >= 1")

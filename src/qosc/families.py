@@ -22,7 +22,7 @@ from .opmatrix import (
     eigenvalues,
     guard_size,
 )
-from .representation import StructuredParams, _check_q, _nonresonant, _scaled_minors
+from .representation import AWParams, StructuredParams, _check_q, _nonresonant, _scaled_minors
 
 _TINY = sys.float_info.min  # the smallest normal float
 
@@ -47,26 +47,6 @@ class MonicRecurrence:
     @property
     def size(self) -> int:
         return len(self.b)
-
-
-@record
-class AWParams:
-    """Askey-Wilson parameters (q, a1, a2, a3, a4)."""
-
-    q: object
-    a1: object
-    a2: object
-    a3: object
-    a4: object
-
-    def __post_init__(self) -> None:
-        _check_q(self.q)
-        if self.a1 == 0:
-            raise InvalidParameterError("a1 must be nonzero")
-
-    @property
-    def g(self):
-        return self.a1 * self.a2 * self.a3 * self.a4
 
 
 def big_q_jacobi(p: StructuredParams, count: int) -> MonicRecurrence:

@@ -91,6 +91,26 @@ class StructuredParams:
 
 
 @record
+class AWParams:
+    """Askey-Wilson parameters (q, a1, a2, a3, a4)."""
+
+    q: object
+    a1: object
+    a2: object
+    a3: object
+    a4: object
+
+    def __post_init__(self) -> None:
+        _check_q(self.q)
+        if self.a1 == 0:
+            raise InvalidParameterError("a1 must be nonzero")
+
+    @property
+    def g(self):
+        return self.a1 * self.a2 * self.a3 * self.a4
+
+
+@record
 class GeneralSolutionTrace:
     """All intermediate sequences of a build_general run.
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from ._record import record
 from .errors import InvalidParameterError, NotMonicReducibleError, ResonanceError, UnsupportedFamilyError
-from .families import AWParams, MonicRecurrence, askey_wilson, big_q_jacobi, expand_monic, jacobi_matrix
+from .families import MonicRecurrence, askey_wilson, big_q_jacobi, expand_monic, jacobi_matrix
 from .numerics import (
     LaurentPoly,
     TolerancePolicy,
@@ -37,7 +37,7 @@ from .opmatrix import (
     band_sub,
     guard_size,
 )
-from .representation import StructuredParams
+from .representation import AWParams, StructuredParams
 
 
 def eigenvalue_sequence(p: StructuredParams, size: int) -> tuple:

@@ -30,9 +30,9 @@ from qosc import (
     NumericFailureError, StructuredParams, UnsupportedSpectrumError, band_tridiagonal, big_q_jacobi,
     eigenvalues, jacobi_matrix, q_para_krawtchouk,
 )
-from qosc import _real_roots, opmatrix
+from qosc import _eigen, _real_roots, opmatrix
 from qosc._real_roots import _BIG, _BIG2, _DOWN, _EPS, _SMALL, _SMALL2, _SPLIT, _UP
-from qosc.opmatrix import _ERR_UNITS, _ABERTH_SWEEPS, _refuse_if_certified
+from qosc._eigen import _ERR_UNITS, _ABERTH_SWEEPS, _refuse_if_certified
 
 
 def ref_cp_float(b, w, x):
@@ -239,19 +239,19 @@ def test_complex_kernels_match_the_reference_loop(seed):
         ab, aw = [abs(v) for v in b], [abs(v) for v in w]
         for x in points:
             z = complex(x, rng.uniform(-1.0, 1.0) * abs(x))
-            got = call(opmatrix._cp_complex, b, w, ab, aw, z)
+            got = call(_eigen._cp_complex, b, w, ab, aw, z)
             want = call(ref_cp_complex, b, w, ab, aw, z)
             if want is OverflowError:
                 assert got is OverflowError
                 continue
             assert same(got, want)
             p, d, e = got
-            ratio = call(opmatrix._cp_ratio, b, w, z)
+            ratio = call(_eigen._cp_ratio, b, w, z)
             assert same(ratio, div(want[0], want[1]))
             assert (abs(p) <= e) == (abs(want[0]) <= want[2])
 
 
-class Spy(opmatrix._ExactCharPoly):
+class Spy(_eigen._ExactCharPoly):
     """Exact evaluation that records every point it is asked about."""
 
     def __init__(self, M, log):
@@ -284,7 +284,7 @@ def test_aberth_promotes_and_settles_as_the_reference(M):
     w = [s * t for s, t in zip(sub, sup)]
     ab, aw = [abs(v) for v in b], [abs(v) for v in w]
     results = []
-    for aberth in (opmatrix._aberth, ref_aberth):
+    for aberth in (_eigen._aberth, ref_aberth):
         log = []
         try:
             out = aberth(b, w, ab, aw, Spy(M, log))
@@ -348,7 +348,7 @@ def test_seeded_sturm_path_matches_the_bisection_reference(monkeypatch):
     for M in positive_w_matrices(21, 400):
         got = eigenvalues(M)
         with monkeypatch.context() as patch:
-            patch.setattr(opmatrix, "_sturm_path", ref_sturm_path)
+            patch.setattr(_eigen, "_sturm_path", ref_sturm_path)
             want = eigenvalues(M)
         assert hexes(got) == hexes(want), M.size
 
@@ -409,13 +409,13 @@ def outcome(M):
 def test_aberth_steps_by_the_radius_where_p_over_p_prime_is_infinite(M, monkeypatch):
     # The first root's first p/p' is inf (p' = 0 there): it moves by the
     # start radius instead, and every root still converges to the same bits.
-    want, ratio, calls = outcome(M), opmatrix._cp_ratio, []
+    want, ratio, calls = outcome(M), _eigen._cp_ratio, []
 
     def inf_once(b, w, z):
         calls.append(z)
         return math.inf if len(calls) == 1 else ratio(b, w, z)
 
-    monkeypatch.setattr(opmatrix, "_cp_ratio", inf_once)
+    monkeypatch.setattr(_eigen, "_cp_ratio", inf_once)
     assert outcome(M) == want and len(calls) > 1
 
 
@@ -423,7 +423,7 @@ def test_roots_converged_off_the_axis_in_floats_finish_exactly(monkeypatch):
     # Shifting every float p/p' by 1e-6j moves its fixed points 1e-6 off the
     # real axis, where the exact disc test certifies nothing: those roots
     # are promoted to exact evaluation, which finds the real roots.
-    ratio = opmatrix._cp_ratio
+    ratio = _eigen._cp_ratio
 
     def shifted(b, w, z):
         return ratio(b, w, z) + 1e-6j * max(1.0, abs(z))
@@ -433,15 +433,15 @@ def test_roots_converged_off_the_axis_in_floats_finish_exactly(monkeypatch):
         sub, b, sup = ([float(v) for v in band] for band in opmatrix._tridiagonal(M))
         w = [s * t for s, t in zip(sub, sup)]
         args = (b, w, [abs(v) for v in b], [abs(v) for v in w])
-        want, settled = outcome(M), sum(done for _, done in opmatrix._aberth(*args, Spy(M, [])))
+        want, settled = outcome(M), sum(done for _, done in _eigen._aberth(*args, Spy(M, [])))
         with monkeypatch.context() as patch:
-            patch.setattr(opmatrix, "_cp_ratio", shifted)
+            patch.setattr(_eigen, "_cp_ratio", shifted)
             assert outcome(M) == want
-            assert sum(done for _, done in opmatrix._aberth(*args, Spy(M, []))) > settled
+            assert sum(done for _, done in _eigen._aberth(*args, Spy(M, []))) > settled
 
 
 def test_a_nan_from_the_float_kernel_is_a_typed_failure(monkeypatch):
-    monkeypatch.setattr(opmatrix, "_cp_ratio", lambda b, w, z: math.nan)
+    monkeypatch.setattr(_eigen, "_cp_ratio", lambda b, w, z: math.nan)
     with pytest.raises(NumericFailureError, match="Ehrlich-Aberth iteration diverged"):
         eigenvalues(jacobi_matrix(q_para_krawtchouk(0.2, 0.5, 7)))
 

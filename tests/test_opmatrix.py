@@ -48,7 +48,7 @@ from qosc import (
     to_monic,
     xi_residuals,
 )
-from qosc import _real_roots, opmatrix
+from qosc import _eigen, _real_roots, opmatrix
 from qosc.representation import _adjugate_vectors
 
 entries = st.floats(min_value=-5.0, max_value=5.0)
@@ -458,7 +458,7 @@ def loop_char_poly(M, x):
 
 
 def exact_char_poly(M):
-    return opmatrix._ExactCharPoly(*opmatrix._exact_entries(*opmatrix._tridiagonal(M)))
+    return _eigen._ExactCharPoly(*opmatrix._exact_entries(*opmatrix._tridiagonal(M)))
 
 
 def fraction_sign(M, x):

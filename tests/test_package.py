@@ -1,0 +1,128 @@
+"""The package loads a submodule on the first read of one of its names, and a
+CLI call compiles only the modules its command runs.
+
+Each check starts a fresh interpreter: the test process has long since
+imported every module.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import qosc
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ENV = {**os.environ, "PYTHONPATH": SRC}
+
+# qosc.__all__ before the package became lazy, sorted.
+PUBLIC = """
+AWAlgebraConstants AWAlgebraReport AWParams BandMatrix BigQJacobiConstants DiagonalOperator
+GeneralParams GeneralSolutionTrace InvalidNormalizationError InvalidParameterError LaurentPoly
+MonicRecurrence NotAQOscillatorError NotDecomposableError NotMonicReducibleError
+NumericFailureError PencilParams PoleError QoscError ReducibleRepresentationError
+ResidualReport ResonanceError SizeGuardError SpectrumLattice SpectrumMismatchError
+SpectrumReport StructuredParams TolerancePolicy TooSmallError UnsupportedFamilyError
+UnsupportedSpectrumError WCoeffs XiResiduals __version__ askey_wilson aw_algebra_residuals
+aw_constants aw_match_residual aw_parameter_map band_add band_diagonal band_identity band_mul
+band_scale band_sub band_tridiagonal big_q_jacobi big_qjacobi_algebra_residuals
+big_qjacobi_constants build_B_from_A build_W build_Z build_general canonical_pair
+char_poly_eval claimed_spectrum classify companion_b companion_params decompose
+diag_similarity eigenvalue_sequence eigenvalues eval_monic expand_monic geometric_seq
+guard_size inf_norm jacobi_matrix laurent laurent_add laurent_eval laurent_mul laurent_scale
+laurent_scale_arg max_entry_diff pencil q_commutator_residual q_hahn q_para_krawtchouk
+qdiff_B_apply qdiff_Z_apply qdiff_residuals r_coefficients residual_report to_monic
+verify_spectrum xi_residuals
+""".split()
+
+GENERAL = ["--q", "0.7", "--xi0", "1.0", "--zeta0", "0.2", "--s1", "0.1", "--s2", "0.3",
+           "--size", "12"]
+STRUCTURED = ["--q", "0.5", "--c1", "0.25", "--c2", "0.5", "--c3", "0.25"]
+EIGEN = {"qosc._eigen", "qosc._real_roots"}
+BIG_Q_JACOBI = {"qosc.families", "qosc.tridiagonalization", "qosc.algebra"}
+
+
+def fresh(code: str) -> str:
+    """stdout of ``code`` run in a new interpreter."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=ENV)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def cli_loads(argv) -> set:
+    """The qosc modules a ``python -m qosc.cli argv`` run has loaded when it exits
+    (-X importtime does not see a module imported by ``from . import name``)."""
+    code = (
+        "import runpy, sys\n"
+        "sys.argv[0] = 'qosc'\n"
+        "try:\n"
+        "    runpy.run_module('qosc.cli', run_name='__main__', alter_sys=True)\n"
+        "finally:\n"
+        "    sys.stderr.write(' '.join(m for m in sys.modules if m.split('.')[0] == 'qosc'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env=ENV)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return set(proc.stderr.split())
+
+
+def test_import_loads_no_submodule():
+    out = fresh("import qosc, sys; print(sorted(m for m in sys.modules if m.startswith('qosc')))")
+    assert out == "['qosc']\n"
+
+
+def test_public_names_unchanged_and_each_is_its_submodules_object():
+    code = (
+        "import sys, qosc\n"
+        "print(set(qosc.__all__) <= set(dir(qosc)), sorted(qosc.__all__))\n"
+        "for name in qosc.__all__[1:]:\n"
+        "    value = getattr(qosc, name)\n"
+        "    assert value is getattr(sys.modules[value.__module__], name), name\n"
+        "    assert vars(qosc)[name] is value is getattr(qosc, name), name\n"
+    )
+    assert fresh(code) == f"True {PUBLIC}\n"
+    assert qosc.__all__[0] == "__version__" and len(qosc.__all__) == 88
+
+
+@pytest.mark.parametrize("name", ["errors", "numerics", "opmatrix", "representation",
+                                  "families", "tridiagonalization", "algebra", "_record",
+                                  "_real_roots", "_eigen"])
+def test_submodule_resolves_after_bare_import(name):
+    code = f"import sys, qosc\nprint(qosc.{name} is sys.modules['qosc.{name}'])\n"
+    assert fresh(code) == "True\n"
+
+
+def test_unknown_name_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        qosc.no_such_name
+    assert not hasattr(qosc, "no_such_name")
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--parameterization", "general", *GENERAL],
+    ["verify", "--suite", "qosc", *GENERAL],
+], ids=["build-general", "verify-qosc"])
+def test_general_pair_calls_load_no_family_or_eigen_module(argv):
+    loaded = cli_loads(argv)
+    assert "qosc.representation" in loaded
+    assert not loaded & (EIGEN | BIG_Q_JACOBI), sorted(loaded)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "bigqjacobi-algebra", *STRUCTURED, "--size", "10"],
+    ["verify", "--suite", "aw-match", "--q", "0.6", "--a1", "0.9", "--a2", "0.5", "--a3", "0.4",
+     "--a4", "0.3"],
+    ["verify", "--suite", "qdiff", *STRUCTURED],
+    ["poly", "--family", "big-q-jacobi", *STRUCTURED, "--size", "8"],
+], ids=["bigqjacobi-algebra", "aw-match", "qdiff", "poly"])
+def test_calls_without_an_eigenproblem_load_no_eigen_module(argv):
+    loaded = cli_loads(argv)
+    assert "qosc.families" in loaded
+    assert not loaded & EIGEN, sorted(loaded)
+
+
+def test_spectrum_loads_the_eigen_modules():
+    loaded = cli_loads(["spectrum", "--family", "q-hahn", "--q", "0.5", "--c1", "0.3",
+                        "--c2", "0.4", "--N", "3"])
+    assert EIGEN <= loaded
