@@ -473,7 +473,6 @@ def _cli_argvs():
         ("cli_verify_bigqjacobi_algebra", lambda rng: [
             "verify", "--suite", "bigqjacobi-algebra", *_structured_flags(rng),
             *_int(rng, "size", "aw_size")]),
-        ("cli_algebra", lambda rng: ["algebra", *_structured_flags(rng), *_int(rng, "size", "aw_size")]),
         ("cli_verify_aw_algebra", aw_algebra),
         ("cli_verify_aw_match", lambda rng: ["verify", "--suite", "aw-match", *_flags(rng, **aw),
                                              *_int(rng, "count", "aw_count")]),

@@ -12,23 +12,22 @@ __version__ = "0.1.0"
 # Each submodule and the public names it defines.
 _NAMES = {
     "errors": """InvalidNormalizationError InvalidParameterError NotAQOscillatorError
-        NotDecomposableError NotMonicReducibleError NumericFailureError PoleError QoscError
+        NotDecomposableError NotMonicReducibleError NumericFailureError QoscError
         ReducibleRepresentationError ResonanceError SizeGuardError SpectrumMismatchError
         TooSmallError UnsupportedFamilyError UnsupportedSpectrumError""",
-    "numerics": """LaurentPoly TolerancePolicy geometric_seq laurent laurent_add laurent_eval
-        laurent_mul laurent_scale laurent_scale_arg""",
-    "opmatrix": """BandMatrix ResidualReport band_add band_diagonal band_identity band_mul
-        band_scale band_sub band_tridiagonal char_poly_eval diag_similarity eigenvalues
-        guard_size inf_norm max_entry_diff q_commutator_residual residual_report""",
+    "numerics": """LaurentPoly TolerancePolicy laurent_add laurent_mul laurent_scale
+        laurent_scale_arg""",
+    "opmatrix": """BandMatrix ResidualReport band_add band_identity band_mul band_scale
+        band_sub band_tridiagonal char_poly_eval eigenvalues guard_size inf_norm
+        q_commutator_residual residual_report""",
     "representation": """AWParams GeneralParams GeneralSolutionTrace StructuredParams
         XiResiduals build_general canonical_pair classify decompose xi_residuals""",
     "families": """MonicRecurrence SpectrumLattice SpectrumReport askey_wilson big_q_jacobi
         claimed_spectrum eval_monic expand_monic jacobi_matrix q_hahn q_para_krawtchouk
         verify_spectrum""",
     "tridiagonalization": """DiagonalOperator PencilParams WCoeffs aw_match_residual
-        aw_parameter_map build_B_from_A build_W build_Z companion_b companion_params
-        eigenvalue_sequence pencil qdiff_B_apply qdiff_Z_apply qdiff_residuals
-        r_coefficients to_monic""",
+        aw_parameter_map build_W build_Z companion_b companion_params eigenvalue_sequence
+        pencil qdiff_B_apply qdiff_Z_apply qdiff_residuals r_coefficients to_monic""",
     "algebra": """AWAlgebraConstants AWAlgebraReport BigQJacobiConstants aw_algebra_residuals
         aw_constants big_qjacobi_algebra_residuals big_qjacobi_constants""",
 }

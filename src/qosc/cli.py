@@ -434,11 +434,10 @@ def _build_parser():
     sp = sub.add_parser("build", parents=[common])
     sp.add_argument("--parameterization", choices=["general", "structured"], default=None)
     _add(sp, _finite_float, *_GENERAL, *_STRUCTURED)
-    for name in ("verify", "algebra"):
-        sp = sub.add_parser(name, parents=[common])
-        sp.add_argument("--suite", choices=sorted(_SUITES), default=None)
-        _add(sp, _finite_float, *_GENERAL, *_STRUCTURED, *_AW, "mu", "a")
-        _add(sp, int, "count", "kmax", "nmax")
+    sp = sub.add_parser("verify", parents=[common])
+    sp.add_argument("--suite", choices=sorted(_SUITES), default=None)
+    _add(sp, _finite_float, *_GENERAL, *_STRUCTURED, *_AW, "mu", "a")
+    _add(sp, int, "count", "kmax", "nmax")
     for name, floats in (
         ("spectrum", _STRUCTURED),
         ("poly", _STRUCTURED + _AW),
@@ -496,9 +495,6 @@ def main(argv=None) -> int:
         _merge_param_file(args, commands[args.command])
         given = {n: getattr(args, n) for n in _TOLERANCES if getattr(args, n) is not None}
         pol = TolerancePolicy(**given)  # the record's defaults fill the flags left unset
-        if args.command == "algebra":  # a pure alias: its reports are verify reports
-            args.command = "verify"
-            args.suite = args.suite or "bigqjacobi-algebra"
         params, checks, tables = _COMMANDS[args.command](args, pol)
         params.update((n, getattr(pol, n)) for n in _TOLERANCES)
         if getattr(args, "decompose", None):  # spectrum echoes --decompose after the tolerances

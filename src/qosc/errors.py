@@ -22,10 +22,6 @@ class TooSmallError(InvalidParameterError):
     kind = "too-small"
 
 
-class PoleError(InvalidParameterError):
-    kind = "pole"
-
-
 class SizeGuardError(InvalidParameterError):
     """Requested size exceeds the overflow guard for the given q."""
 

@@ -1,4 +1,4 @@
-"""Shared numeric plumbing: tolerance policy, geometric sequences, Laurent polynomials.
+"""Shared numeric plumbing: tolerance policy, Laurent polynomials.
 
 All arithmetic here is duck-typed on purpose: the same code paths run with
 floats and with exact types such as fractions.Fraction, which keeps exact-input
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from ._record import record
-from .errors import InvalidParameterError, PoleError
+from .errors import InvalidParameterError
 
 @record
 class TolerancePolicy:
@@ -48,20 +48,6 @@ def _worst_of(values) -> tuple:
             if v != v:
                 break
     return worst, loc
-
-
-def geometric_seq(base, ratio, count: int) -> list:
-    """[base, base*ratio, ..., base*ratio**(count-1)], computed by running product."""
-    if count < 0:
-        raise InvalidParameterError("count must be nonnegative")
-    if ratio == 0:
-        raise InvalidParameterError("ratio must be nonzero")
-    out = []
-    term = base
-    for _ in range(count):
-        out.append(term)
-        term = term * ratio
-    return out
 
 
 class LaurentPoly:
@@ -109,11 +95,6 @@ def _pruned(coeffs: dict) -> LaurentPoly:
     return LaurentPoly({k: c for k, c in sorted(coeffs.items()) if c != 0})
 
 
-def laurent(coeffs: dict) -> LaurentPoly:
-    """Normalized constructor: sorts by degree and drops exact zeros."""
-    return _pruned(dict(coeffs))
-
-
 def laurent_scale_arg(p: LaurentPoly, q) -> LaurentPoly:
     """f(x) -> f(q*x): multiplies the degree-k coefficient by q**k."""
     if q == 0:
@@ -139,15 +120,3 @@ def laurent_mul(p1: LaurentPoly, p2: LaurentPoly) -> LaurentPoly:
 
 def laurent_scale(c, p: LaurentPoly) -> LaurentPoly:
     return _pruned({k: c * v for k, v in p.coeffs.items()})
-
-
-def laurent_eval(p: LaurentPoly, x):
-    if x == 0 and p.min_deg < 0:
-        raise PoleError("evaluation at x = 0 with negative-degree terms")
-    total = 0
-    for k, c in sorted(p.coeffs.items()):
-        if x == 0:
-            total = total + (c if k == 0 else 0)
-        else:
-            total = total + c * x**k
-    return total

@@ -53,7 +53,10 @@ def guard_size(q, size: int) -> None:
     aq = abs(float(q))
     if aq == 0.0:
         raise InvalidParameterError("q must be nonzero")
-    spread = max(aq, 1.0 / aq) ** size
+    try:
+        spread = max(aq, 1.0 / aq) ** size
+    except OverflowError:  # a spread past the float range is past the limit too
+        spread = math.inf
     if spread > SIZE_GUARD_LIMIT:
         raise SizeGuardError(
             f"size {size} with q = {float(q)!r} spans {spread:.3e} > {SIZE_GUARD_LIMIT:.0e}"
@@ -112,16 +115,10 @@ class BandMatrix:
 
     def to_dense(self) -> list:
         out = [[0] * self.size for _ in range(self.size)]
-        for i, j, v in _entries(self):
-            out[i][j] = v
+        for k, entries in self.bands.items():
+            for i, v in enumerate(entries, max(0, -k)):
+                out[i][i + k] = v
         return out
-
-
-def _entries(M: BandMatrix):
-    """(i, j, M_ij) of every stored entry, band by band."""
-    for k, entries in M.bands.items():
-        for i, v in enumerate(entries, max(0, -k)):
-            yield i, i + k, v
 
 
 def _worst(M: BandMatrix, rows: tuple | None = None, ref: BandMatrix | None = None):
@@ -150,11 +147,6 @@ def _worst(M: BandMatrix, rows: tuple | None = None, ref: BandMatrix | None = No
 
 def band_identity(size: int) -> BandMatrix:
     return BandMatrix(size, {0: (1,) * size})
-
-
-def band_diagonal(diag) -> BandMatrix:
-    diag = tuple(diag)
-    return BandMatrix(len(diag), {0: diag})
 
 
 def band_tridiagonal(sub, diag, sup) -> BandMatrix:
@@ -289,11 +281,6 @@ def inf_norm(M: BandMatrix) -> float:
     return total if total != total else max(sums)
 
 
-def max_entry_diff(A: BandMatrix, B: BandMatrix):
-    """(max |A_ij - B_ij|, location); scans the union of the stored bands."""
-    return _worst(band_sub(A, B))
-
-
 @record
 class ResidualReport:
     """Outcome of one matrix-identity check over a row window."""
@@ -366,19 +353,6 @@ def q_commutator_residual(
     if rows is None:
         rows = (0, size - 2)
     return residual_report(R, pol, rows, max(inf_norm(A) * inf_norm(B), 1.0))  # keeps a NaN
-
-
-def diag_similarity(M: BandMatrix, d) -> BandMatrix:
-    """Conjugation diag(d)^-1 M diag(d): entry (n, n+k) picks up d_{n+k}/d_n."""
-    d = tuple(d)
-    if len(d) != M.size:
-        raise InvalidParameterError("diagonal length must equal matrix size")
-    if any(x == 0 for x in d):
-        raise InvalidParameterError("similarity diagonal must be nonzero")
-    out = {}
-    for i, j, v in _entries(M):
-        out.setdefault(j - i, []).append(v * d[j] / d[i])
-    return BandMatrix(M.size, out)
 
 
 def _tridiagonal(M: BandMatrix):

@@ -109,12 +109,6 @@ def companion_b(A: BandMatrix, p: StructuredParams) -> BandMatrix:
     return band_add(band_scale(r1, _q_bracket(Z, A, p.q)), band_scale(r0, band_identity(A.size)))
 
 
-def build_B_from_A(p: StructuredParams, size: int) -> BandMatrix:
-    """Companion B over the big q-Jacobi realization of A at these parameters."""
-    A = jacobi_matrix(big_q_jacobi(p, size))
-    return companion_b(A, p)
-
-
 @record
 class WCoeffs:
     """Coefficients of the pencil W = tau1*Z@A + tau2*A@Z + tau3*A + tau0*I."""

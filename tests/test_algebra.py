@@ -19,7 +19,6 @@ from qosc import (
     big_q_jacobi,
     big_qjacobi_algebra_residuals,
     big_qjacobi_constants,
-    build_B_from_A,
     build_Z,
     companion_b,
     jacobi_matrix,
@@ -98,7 +97,7 @@ class TestBigQJacobiResiduals:
         # Dropping the gamma1*A term must leave a visible residual.
         size = 10
         A = jacobi_matrix(big_q_jacobi(FLOAT_P, size))
-        B = build_B_from_A(FLOAT_P, size)
+        B = companion_b(jacobi_matrix(big_q_jacobi(FLOAT_P, size)), FLOAT_P)
         Z = build_Z(FLOAT_P, size).matrix()
         I = band_identity(size)
         k = big_qjacobi_constants(FLOAT_P)

@@ -135,12 +135,16 @@ class TestDeterminismAndExitCodes:
         report = json.loads(out)
         assert not all(c["pass"] for c in report["checks"])
 
-    def test_exit_two_on_overflow_guard(self, capsys):
-        argv = [a if a != "10" else "200" for a in STRUCTURED]
+    @pytest.mark.parametrize("argv", [
+        [a if a != "10" else "200" for a in STRUCTURED],
+        # 0.5 ** 1100 is past the float range: the guard refuses it all the same
+        ["build", "--parameterization", "general", "--q", "0.5", "--xi0", "1", "--zeta0", "-0.3",
+         "--s1", "0.4", "--s2", "0.1", "--size", "1100"],
+    ], ids=["size-200", "past-float-range"])
+    def test_exit_two_on_overflow_guard(self, capsys, argv):
         code, out, err = run(capsys, argv)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error[overflow-guard]:")
+        assert (code, out) == (2, "")
+        assert err.startswith("error[overflow-guard]: ") and err.count("\n") == 1
 
     def test_exit_two_on_missing_parameters(self, capsys):
         argv = ["build", "--parameterization", "general", "--q", "0.7", "--size", "8"]
@@ -173,6 +177,15 @@ class TestDeterminismAndExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["build", "--no-such-flag", "1"])
         assert exc.value.code == 2
+
+    def test_algebra_is_not_a_command(self, capsys):
+        # the bigqjacobi-algebra suite is spelled verify --suite bigqjacobi-algebra
+        with pytest.raises(SystemExit) as exc:
+            main(["algebra", "--q", "0.5", "--c1", "0.25", "--c2", "0.5", "--c3", "0.25",
+                  "--size", "10"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "argument command: invalid choice: 'algebra'" in err
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -445,27 +458,6 @@ class TestVerifySuites:
         assert row(tab, "ML")[2] is True
         assert row(tab, "LM")[2] is False
         assert row(tab, "passing-variant")[1] == "ML"
-
-    def test_algebra_alias_defaults_to_bigqjacobi(self, capsys):
-        argv = [
-            "algebra",
-            "--q",
-            "0.5",
-            "--c1",
-            "0.25",
-            "--c2",
-            "0.5",
-            "--c3",
-            "0.25",
-            "--size",
-            "10",
-        ]
-        code, out, _ = run(capsys, argv)
-        assert code == 0
-        report = json.loads(out)
-        assert report["command"] == "verify"
-        names = [c["name"] for c in report["checks"]]
-        assert names == ["q-oscillator", "bz-bracket", "za-bracket"]
 
     def test_qdiff_suite(self, capsys):
         argv = [

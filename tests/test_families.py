@@ -32,7 +32,6 @@ from qosc import (
     eval_monic,
     expand_monic,
     jacobi_matrix,
-    laurent_eval,
     q_hahn,
     q_para_krawtchouk,
     verify_spectrum,
@@ -305,7 +304,8 @@ class TestEvalAndExpand:
         for n in range(7):
             poly = expand_monic(self.rec, n)
             for x in (F(0), F(1, 3), F(1), F(5, 2)):
-                assert laurent_eval(poly, x) == eval_monic(self.rec, n, x)
+                value = sum(c * x**k for k, c in poly.coeffs.items())  # exact: order is moot
+                assert value == eval_monic(self.rec, n, x)
 
     def test_expand_degree_and_leading_coefficient(self):
         poly = expand_monic(self.rec, 5)

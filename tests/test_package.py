@@ -1,11 +1,13 @@
 """The package loads a submodule on the first read of one of its names, and a
-CLI call compiles only the modules its command runs.
+CLI call compiles only the modules its command runs.  Every public name is
+used by something other than the tests.
 
-Each check starts a fresh interpreter: the test process has long since
+Each load check starts a fresh interpreter: the test process has long since
 imported every module.
 """
 
 import os
+import re
 import subprocess
 import sys
 
@@ -13,28 +15,32 @@ import pytest
 
 import qosc
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 ENV = {**os.environ, "PYTHONPATH": SRC}
 
-# qosc.__all__ before the package became lazy, sorted.
+# qosc.__all__, sorted.
 PUBLIC = """
 AWAlgebraConstants AWAlgebraReport AWParams BandMatrix BigQJacobiConstants DiagonalOperator
 GeneralParams GeneralSolutionTrace InvalidNormalizationError InvalidParameterError LaurentPoly
 MonicRecurrence NotAQOscillatorError NotDecomposableError NotMonicReducibleError
-NumericFailureError PencilParams PoleError QoscError ReducibleRepresentationError
-ResidualReport ResonanceError SizeGuardError SpectrumLattice SpectrumMismatchError
-SpectrumReport StructuredParams TolerancePolicy TooSmallError UnsupportedFamilyError
-UnsupportedSpectrumError WCoeffs XiResiduals __version__ askey_wilson aw_algebra_residuals
-aw_constants aw_match_residual aw_parameter_map band_add band_diagonal band_identity band_mul
-band_scale band_sub band_tridiagonal big_q_jacobi big_qjacobi_algebra_residuals
-big_qjacobi_constants build_B_from_A build_W build_Z build_general canonical_pair
-char_poly_eval claimed_spectrum classify companion_b companion_params decompose
-diag_similarity eigenvalue_sequence eigenvalues eval_monic expand_monic geometric_seq
-guard_size inf_norm jacobi_matrix laurent laurent_add laurent_eval laurent_mul laurent_scale
-laurent_scale_arg max_entry_diff pencil q_commutator_residual q_hahn q_para_krawtchouk
-qdiff_B_apply qdiff_Z_apply qdiff_residuals r_coefficients residual_report to_monic
-verify_spectrum xi_residuals
+NumericFailureError PencilParams QoscError ReducibleRepresentationError ResidualReport
+ResonanceError SizeGuardError SpectrumLattice SpectrumMismatchError SpectrumReport
+StructuredParams TolerancePolicy TooSmallError UnsupportedFamilyError UnsupportedSpectrumError
+WCoeffs XiResiduals __version__ askey_wilson aw_algebra_residuals aw_constants
+aw_match_residual aw_parameter_map band_add band_identity band_mul band_scale band_sub
+band_tridiagonal big_q_jacobi big_qjacobi_algebra_residuals big_qjacobi_constants build_W
+build_Z build_general canonical_pair char_poly_eval claimed_spectrum classify companion_b
+companion_params decompose eigenvalue_sequence eigenvalues eval_monic expand_monic guard_size
+inf_norm jacobi_matrix laurent_add laurent_mul laurent_scale laurent_scale_arg pencil
+q_commutator_residual q_hahn q_para_krawtchouk qdiff_B_apply qdiff_Z_apply qdiff_residuals
+r_coefficients residual_report to_monic verify_spectrum xi_residuals
 """.split()
+
+# Public names taken out of the package: no library code path, README line,
+# script or benchmark used them.
+RETIRED = ["PoleError", "band_diagonal", "build_B_from_A", "diag_similarity", "geometric_seq",
+           "laurent", "laurent_eval", "max_entry_diff"]
 
 GENERAL = ["--q", "0.7", "--xi0", "1.0", "--zeta0", "0.2", "--s1", "0.1", "--s2", "0.3",
            "--size", "12"]
@@ -82,7 +88,36 @@ def test_public_names_unchanged_and_each_is_its_submodules_object():
         "    assert vars(qosc)[name] is value is getattr(qosc, name), name\n"
     )
     assert fresh(code) == f"True {PUBLIC}\n"
-    assert qosc.__all__[0] == "__version__" and len(qosc.__all__) == 88
+    assert qosc.__all__[0] == "__version__" and len(qosc.__all__) == 80
+
+
+@pytest.mark.parametrize("name", RETIRED)
+def test_retired_name_raises_attribute_error_naming_it(name):
+    with pytest.raises(AttributeError, match=f"'{name}'"):
+        getattr(qosc, name)
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # The README, scripts/, perfbench/ and the modules of src/qosc, less
+    # __init__.py (which lists every name) and each name's own def/class line.
+    paths = [os.path.join(ROOT, "README.md")]
+    for top in ("src/qosc", "scripts", "perfbench"):
+        for folder, _, files in os.walk(os.path.join(ROOT, top)):
+            paths += [os.path.join(folder, f) for f in files if f.endswith((".py", ".md"))]
+    paths.remove(os.path.join(SRC, "qosc", "__init__.py"))
+    texts = {}
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            texts[path] = fh.read()
+    unused = []
+    for name in qosc.__all__[1:]:
+        own = os.path.join(SRC, "qosc", f"{qosc._OWNER[name]}.py")
+        word = re.compile(rf"\b{name}\b")
+        defined = re.compile(rf"^(?:def|class) {name}\b.*$", re.M)
+        if not any(word.search(defined.sub("", text) if path == own else text)
+                   for path, text in texts.items()):
+            unused.append(name)
+    assert unused == []
 
 
 @pytest.mark.parametrize("name", ["errors", "numerics", "opmatrix", "representation",

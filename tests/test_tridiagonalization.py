@@ -28,7 +28,6 @@ from qosc import (
     aw_parameter_map,
     askey_wilson,
     big_q_jacobi,
-    build_B_from_A,
     build_W,
     build_Z,
     build_general,
@@ -165,11 +164,6 @@ class TestCompanion:
             for i in range(size)
         ]
         assert dense(B) == want
-
-    def test_build_B_from_A_is_companion_over_family(self):
-        size = 7
-        A = jacobi_matrix(big_q_jacobi(EXACT_P, size))
-        assert dense(build_B_from_A(EXACT_P, size)) == dense(companion_b(A, EXACT_P))
 
     def test_pair_satisfies_oscillator_relation(self):
         size = 9
