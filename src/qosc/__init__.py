@@ -25,9 +25,9 @@ _NAMES = {
     "families": """MonicRecurrence SpectrumLattice SpectrumReport askey_wilson big_q_jacobi
         claimed_spectrum eval_monic expand_monic jacobi_matrix q_hahn q_para_krawtchouk
         verify_spectrum""",
-    "tridiagonalization": """DiagonalOperator PencilParams WCoeffs aw_match_residual
-        aw_parameter_map build_W build_Z companion_b companion_params eigenvalue_sequence
-        pencil qdiff_B_apply qdiff_Z_apply qdiff_residuals r_coefficients to_monic""",
+    "tridiagonalization": """WCoeffs aw_match_residual aw_parameter_map build_W build_Z
+        companion_b companion_params eigenvalue_sequence qdiff_B_apply qdiff_Z_apply
+        qdiff_residuals r_coefficients to_monic""",
     "algebra": """AWAlgebraConstants AWAlgebraReport BigQJacobiConstants aw_algebra_residuals
         aw_constants big_qjacobi_algebra_residuals big_qjacobi_constants""",
 }

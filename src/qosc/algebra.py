@@ -70,7 +70,7 @@ def big_qjacobi_algebra_residuals(
         raise TooSmallError("algebra residuals need size >= 3")
     A = jacobi_matrix(big_q_jacobi(p, size))
     B = companion_b(A, p)
-    Z = build_Z(p, size).matrix()
+    Z = build_Z(p, size)
     I = band_identity(size)
     k = big_qjacobi_constants(p)
     rows = (0, size - 2)
@@ -146,7 +146,7 @@ def aw_algebra_residuals(
     q = p.q
     A = jacobi_matrix(big_q_jacobi(p, size))
     B = companion_b(A, p)
-    Z = build_Z(p, size).matrix()
+    Z = build_Z(p, size)
     I = band_identity(size)
     k = aw_constants(p, mu)
 

@@ -75,17 +75,6 @@ class LaurentPoly:
     def __repr__(self) -> str:
         return f"{self.__class__.__qualname__}(coeffs={self.coeffs!r})"
 
-    @property
-    def min_deg(self) -> int:
-        return min(self.coeffs) if self.coeffs else 0
-
-    @property
-    def max_deg(self) -> int:
-        return max(self.coeffs) if self.coeffs else 0
-
-    def coeff(self, k: int):
-        return self.coeffs.get(k, 0)
-
     def mass(self) -> float:
         """Sum of absolute coefficient values (the l1 mass)."""
         return sum(abs(c) for c in self.coeffs.values())

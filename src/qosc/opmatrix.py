@@ -47,14 +47,22 @@ SIZE_GUARD_LIMIT = 1e12
 
 
 def guard_size(q, size: int) -> None:
-    """Reject sizes whose q-geometric entries would span > SIZE_GUARD_LIMIT."""
+    """Reject sizes whose q-geometric entries would span > SIZE_GUARD_LIMIT.
+
+    An exact q whose |q| overflows the float range, or underflows it to 0,
+    spans more than any float at every size."""
     if size < 1:
         raise InvalidParameterError("size must be >= 1")
-    aq = abs(float(q))
-    if aq == 0.0:
+    if not q:
         raise InvalidParameterError("q must be nonzero")
     try:
-        spread = max(aq, 1.0 / aq) ** size
+        aq = abs(float(q))
+        inverse = 1.0 / aq
+    except (OverflowError, ZeroDivisionError):
+        raise SizeGuardError(f"size {size} with an exact q outside the float range spans inf"
+                             f" > {SIZE_GUARD_LIMIT:.0e}") from None
+    try:
+        spread = max(aq, inverse) ** size
     except OverflowError:  # a spread past the float range is past the limit too
         spread = math.inf
     if spread > SIZE_GUARD_LIMIT:
@@ -112,13 +120,6 @@ class BandMatrix:
         if band is None:
             return 0
         return band[min(i, j)]
-
-    def to_dense(self) -> list:
-        out = [[0] * self.size for _ in range(self.size)]
-        for k, entries in self.bands.items():
-            for i, v in enumerate(entries, max(0, -k)):
-                out[i][i + k] = v
-        return out
 
 
 def _worst(M: BandMatrix, rows: tuple | None = None, ref: BandMatrix | None = None):

@@ -3,11 +3,12 @@
 Z is the diagonal eigenvalue operator z_n = c1*c2*q**(n+1) + q**-n in the
 polynomial eigenbasis; the companion operator B = r1*(Z@A - q*A@Z) + r0*I
 completes A (multiplication by x) to a q-oscillator pair.  General pencils
-W = tau1*Z@A + tau2*A@Z + tau3*A + tau0*I reduce to monic form by a diagonal
-similarity; the Askey-Wilson parameter map lands exactly on the Askey-Wilson
-recurrence (``aw_match_residual``).  The same operators act on Laurent
-polynomials through the q-difference realization at the bottom, whose
-identities ``qdiff_residuals`` reports.
+W = tau1*Z@A + tau2*A@Z + tau3*A + tau0*I (``build_W``; the shifted pencil
+A + mu*B + lam*I is W at tau = (mu*r0 + lam, mu*r1, -q*mu*r1, 1)) reduce to
+monic form by a diagonal similarity; the Askey-Wilson parameter map lands
+exactly on the Askey-Wilson recurrence (``aw_match_residual``).  The same
+operators act on Laurent polynomials through the q-difference realization at
+the bottom, whose identities ``qdiff_residuals`` reports.
 """
 
 from __future__ import annotations
@@ -51,9 +52,8 @@ def _z_matrix(p: StructuredParams, size: int) -> BandMatrix:
     return BandMatrix(size, {0: eigenvalue_sequence(p, size)})
 
 
-@record
-class DiagonalOperator:
-    """Diagonal matrix diag(z_0, ..., z_{n-1}) with pairwise-distinct entries.
+def _check_distinct(z) -> None:
+    """Raise ResonanceError unless the entries of ``z`` are pairwise distinct.
 
     z_i and z_j coincide when |z_i - z_j| <= 1e-12 * max(1, |z_i|, |z_j|).  When
     every gap between neighbours in sorted order exceeds twice that, no pair
@@ -61,37 +61,26 @@ class DiagonalOperator:
     fails that test too) every pair is compared, so the first coinciding
     (i, j) is the one named.
     """
-
-    z: tuple
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "z", tuple(self.z))
-        zf = [float(v) for v in self.z]
-        s = sorted(zf)
-        if all(b - a > 2e-12 * max(1.0, abs(a), abs(b)) for a, b in zip(s, s[1:])):
-            return
-        for i in range(len(zf)):
-            for j in range(i + 1, len(zf)):
-                if abs(zf[i] - zf[j]) <= 1e-12 * max(1.0, abs(zf[i]), abs(zf[j])):
-                    raise ResonanceError(f"z_{i} and z_{j} coincide")
-
-    @property
-    def size(self) -> int:
-        return len(self.z)
-
-    def matrix(self) -> BandMatrix:
-        return BandMatrix(len(self.z), {0: self.z})
+    zf = [float(v) for v in z]
+    s = sorted(zf)
+    if all(b - a > 2e-12 * max(1.0, abs(a), abs(b)) for a, b in zip(s, s[1:])):
+        return
+    for i in range(len(zf)):
+        for j in range(i + 1, len(zf)):
+            if abs(zf[i] - zf[j]) <= 1e-12 * max(1.0, abs(zf[i]), abs(zf[j])):
+                raise ResonanceError(f"z_{i} and z_{j} coincide")
 
 
-def build_Z(p: StructuredParams, size: int) -> DiagonalOperator:
-    """Diagonal operator with entries z_n; entries must be pairwise distinct.
+def build_Z(p: StructuredParams, size: int) -> BandMatrix:
+    """diag(z_0, ..., z_{size-1}), whose entries must be pairwise distinct.
 
     Distinctness backs the eigenbasis arguments; pencil constructions that only
     need the diagonal values (companion_b, build_W) skip the check, since e.g.
     the q-para-Krawtchouk specialization has a palindromic z sequence.
     """
-    guard_size(p.q, size)
-    return DiagonalOperator(eigenvalue_sequence(p, size))
+    Z = _z_matrix(p, size)
+    _check_distinct(Z.bands[0])
+    return Z
 
 
 def r_coefficients(p: StructuredParams):
@@ -193,24 +182,6 @@ def companion_params(rec: MonicRecurrence) -> StructuredParams:
     if rec.family in ("big-q-jacobi", "q-hahn", "q-para-krawtchouk"):
         return rec.params
     raise UnsupportedFamilyError(f"no companion parameters for family {rec.family!r}")
-
-
-@record
-class PencilParams:
-    mu: object
-    lam: object
-
-
-def pencil(p: StructuredParams, pp: PencilParams, size: int) -> BandMatrix:
-    """C = A + mu*B + lam*I over the big q-Jacobi realization.
-
-    Equals build_W at tau = (mu*r0 + lam, mu*r1, -q*mu*r1, 1) since B is itself
-    a Z-pencil of A.
-    """
-    A = jacobi_matrix(big_q_jacobi(p, size))
-    B = companion_b(A, p)
-    C = band_add(A, band_scale(pp.mu, B))
-    return band_add(C, band_scale(pp.lam, band_identity(size)))
 
 
 # -- q-difference realization --------------------------------------------------

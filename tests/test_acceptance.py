@@ -267,7 +267,7 @@ def test_criterion_08_algebra_relations():
     p = StructuredParams(0.6, 0.3, 0.25, 0.2)
     A = jacobi_matrix(big_q_jacobi(p, size))
     B = companion_b(A, p)
-    Z = build_Z(p, size).matrix()
+    Z = build_Z(p, size)
     I = band_identity(size)
     k = big_qjacobi_constants(p)
     bz = band_sub(band_mul(B, Z), band_scale(p.q, band_mul(Z, B)))

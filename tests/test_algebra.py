@@ -67,7 +67,7 @@ class TestBigQJacobiResiduals:
         size = 8
         A = jacobi_matrix(big_q_jacobi(EXACT_P, size))
         B = companion_b(A, EXACT_P)
-        Z = build_Z(EXACT_P, size).matrix()
+        Z = build_Z(EXACT_P, size)
         I = band_identity(size)
         k = big_qjacobi_constants(EXACT_P)
         q = EXACT_P.q
@@ -98,7 +98,7 @@ class TestBigQJacobiResiduals:
         size = 10
         A = jacobi_matrix(big_q_jacobi(FLOAT_P, size))
         B = companion_b(jacobi_matrix(big_q_jacobi(FLOAT_P, size)), FLOAT_P)
-        Z = build_Z(FLOAT_P, size).matrix()
+        Z = build_Z(FLOAT_P, size)
         I = band_identity(size)
         k = big_qjacobi_constants(FLOAT_P)
         good = band_sub(
@@ -158,7 +158,7 @@ class TestAWAlgebraResiduals:
         # definition; relation2_lm is the reversed ordering, which does not close
         q, mu, size = FLOAT_P.q, 0.7, 12
         A = jacobi_matrix(big_q_jacobi(FLOAT_P, size))
-        Z, I = build_Z(FLOAT_P, size).matrix(), band_identity(size)
+        Z, I = build_Z(FLOAT_P, size), band_identity(size)
         k = aw_constants(FLOAT_P, mu)
         L = band_add(A, band_scale(mu, companion_b(A, FLOAT_P)))
         M = band_sub(bracket(L, Z, q), band_scale(k.omega0, I))

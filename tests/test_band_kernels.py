@@ -3,9 +3,9 @@
 The reference functions below are the band expressions as the package built
 them before each became one pass per band: ``band_add`` as its own loop,
 ``band_sub`` as band_add(A, band_scale(-1, B)), and a q-bracket residual as
-band_sub(band_sub(X@Y, band_scale(q, Y@X)), rhs).  The builders on top of
-the q-bracket (companion_b, and pencil through it) are checked against the
-same compositions end to end.
+band_sub(band_sub(X@Y, band_scale(q, Y@X)), rhs).  The builder on top of
+the q-bracket, companion_b, is checked against the same compositions end to
+end.
 
 The kernels must return the same band offsets in the same order and the same
 entries: the same type, and for floats the same bits (``float.hex``; a NaN
@@ -26,7 +26,6 @@ import pytest
 from qosc import (
     BandMatrix,
     InvalidParameterError,
-    PencilParams,
     StructuredParams,
     TolerancePolicy,
     band_add,
@@ -38,7 +37,6 @@ from qosc import (
     companion_b,
     inf_norm,
     jacobi_matrix,
-    pencil,
     q_commutator_residual,
     r_coefficients,
     residual_report,
@@ -78,12 +76,6 @@ def ref_companion_b(A, p):
     r0, r1 = r_coefficients(p)
     Bq = ref_q_bracket(_z_matrix(p, A.size), A, p.q)
     return ref_band_add(ref_band_scale(r1, Bq), ref_band_scale(r0, band_identity(A.size)))
-
-
-def ref_pencil(p, pp, size):
-    A = jacobi_matrix(big_q_jacobi(p, size))
-    C = ref_band_add(A, ref_band_scale(pp.mu, ref_companion_b(A, p)))
-    return ref_band_add(C, ref_band_scale(pp.lam, band_identity(size)))
 
 
 # -- inputs and the sameness test ----------------------------------------------
@@ -238,5 +230,3 @@ def test_builders(p):
     size = 9
     A = jacobi_matrix(big_q_jacobi(p, size))
     assert_same(companion_b(A, p), ref_companion_b(A, p))
-    pp = PencilParams(mu=p.c3 / 2, lam=-p.q)
-    assert_same(pencil(p, pp, size), ref_pencil(p, pp, size))

@@ -73,8 +73,8 @@ class TestLaurentBasics:
         p = LaurentPoly({3: 3.0, 1: -1.0})
         got = laurent_scale_arg(p, 0.7)
         q = F(0.7)  # the exact binary value the float path multiplies by
-        assert got.coeff(3) == pytest.approx(float(3 * q**3), rel=1e-15)
-        assert got.coeff(1) == pytest.approx(float(-q), rel=1e-15)
+        assert got.coeffs.get(3, 0) == pytest.approx(float(3 * q**3), rel=1e-15)
+        assert got.coeffs.get(1, 0) == pytest.approx(float(-q), rel=1e-15)
 
     def test_scale_arg_zero_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -90,7 +90,7 @@ class TestLaurentBasics:
 
     def test_degree_bounds_and_mass(self):
         p = LaurentPoly({-2: 1.5, 3: -0.5})
-        assert (p.min_deg, p.max_deg) == (-2, 3)
+        assert (min(p.coeffs), max(p.coeffs)) == (-2, 3)
         assert p.mass() == 2.0
 
     @pytest.mark.parametrize("c", [math.nan, math.inf, 1e-300])
@@ -121,14 +121,14 @@ class TestLaurentProperties:
     def test_scale_arg_roundtrip(self, p, q):
         back = laurent_scale_arg(laurent_scale_arg(p, q), 1.0 / q)
         for k in set(p.coeffs) | set(back.coeffs):
-            assert back.coeff(k) == pytest.approx(p.coeff(k), rel=1e-9, abs=1e-12)
+            assert back.coeffs.get(k, 0) == pytest.approx(p.coeffs.get(k, 0), rel=1e-9, abs=1e-12)
 
     @given(p1=polys, p2=polys)
     def test_mul_commutative(self, p1, p2):
         a = laurent_mul(p1, p2)
         b = laurent_mul(p2, p1)
         for k in set(a.coeffs) | set(b.coeffs):
-            assert a.coeff(k) == pytest.approx(b.coeff(k), rel=1e-9, abs=1e-12)
+            assert a.coeffs.get(k, 0) == pytest.approx(b.coeffs.get(k, 0), rel=1e-9, abs=1e-12)
 
     @given(p1=polys, p2=polys, p3=polys)
     def test_mul_associative(self, p1, p2, p3):
@@ -136,7 +136,7 @@ class TestLaurentProperties:
         b = laurent_mul(p1, laurent_mul(p2, p3))
         scale = max(1.0, p1.mass() * p2.mass() * p3.mass())
         for k in set(a.coeffs) | set(b.coeffs):
-            assert abs(a.coeff(k) - b.coeff(k)) <= 1e-9 * scale
+            assert abs(a.coeffs.get(k, 0) - b.coeffs.get(k, 0)) <= 1e-9 * scale
 
     @given(p=polys, x=st.floats(min_value=0.25, max_value=3.0))
     def test_eval_is_ring_homomorphism(self, p, x):

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from exact_oracles import dense
+
 from qosc import (
     BandMatrix,
     GeneralParams,
@@ -76,7 +78,7 @@ class TestBandMatrix:
         M = band_tridiagonal((1.0, 2.0), (5.0, 6.0, 7.0), (3.0, 4.0))
         assert M.entry(1, 0) == 1.0 and M.entry(2, 1) == 2.0
         assert M.entry(0, 1) == 3.0 and M.entry(0, 2) == 0.0
-        assert M.to_dense() == [[5.0, 3.0, 0.0], [1.0, 6.0, 4.0], [0.0, 2.0, 7.0]]
+        assert dense(M) == [[5.0, 3.0, 0.0], [1.0, 6.0, 4.0], [0.0, 2.0, 7.0]]
 
     def test_band_length_validated(self):
         with pytest.raises(InvalidParameterError):
@@ -85,8 +87,8 @@ class TestBandMatrix:
             BandMatrix(2, {5: (1.0,)})
 
     def test_identity_and_diagonal(self):
-        assert band_identity(2).to_dense() == [[1, 0], [0, 1]]
-        assert BandMatrix(2, {0: (2.0, 3.0)}).to_dense() == [[2.0, 0], [0, 3.0]]
+        assert dense(band_identity(2)) == [[1, 0], [0, 1]]
+        assert dense(BandMatrix(2, {0: (2.0, 3.0)})) == [[2.0, 0], [0, 3.0]]
 
     def test_norms(self):
         M = band_tridiagonal((1.0,), (-2.0, 0.5), (3.0,))
@@ -103,9 +105,9 @@ class TestBandMatrix:
     def test_add_sub_scale(self):
         A = BandMatrix(2, {0: (1.0, 2.0)})
         B = band_tridiagonal((4.0,), (0.0, 0.0), (0.0,))
-        assert band_add(A, B).to_dense() == [[1.0, 0.0], [4.0, 2.0]]
-        assert band_sub(A, A).to_dense() == [[0.0, 0.0], [0.0, 0.0]]
-        assert band_scale(2, A).to_dense() == [[2.0, 0.0], [0.0, 4.0]]
+        assert dense(band_add(A, B)) == [[1.0, 0.0], [4.0, 2.0]]
+        assert dense(band_sub(A, A)) == [[0.0, 0.0], [0.0, 0.0]]
+        assert dense(band_scale(2, A)) == [[2.0, 0.0], [0.0, 4.0]]
         with pytest.raises(InvalidParameterError):
             band_add(A, band_identity(3))
 
@@ -118,8 +120,8 @@ class TestBandMul:
         B = data.draw(band_matrices(max_size=A.size))
         if B.size != A.size:
             B = BandMatrix(A.size, {0: tuple(1.0 for _ in range(A.size))})
-        got = np.array(band_mul(A, B).to_dense())
-        want = np.array(A.to_dense()) @ np.array(B.to_dense())
+        got = np.array(dense(band_mul(A, B)))
+        want = np.array(dense(A)) @ np.array(dense(B))
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_bandwidth_adds(self):
@@ -335,7 +337,7 @@ class TestBandLU:
             if n > 1:
                 bands[0][1] = 0.0
         M = BandMatrix(n, bands)
-        D = np.array(M.to_dense(), dtype=float)
+        D = np.array(dense(M), dtype=float)
         v, y = (np.array(x) for x in _adjugate_vectors(M, 0.0))
         if zero_lead and (lo == 0 or up == 0 or n == 1):  # triangular with a zero diagonal
             with pytest.raises(np.linalg.LinAlgError):
@@ -385,6 +387,25 @@ class TestGuardSize:
         # max(|q|, 1/|q|) ** size raises OverflowError here: the spread counts as inf
         with pytest.raises(SizeGuardError, match=r"spans inf > 1e\+12$"):
             guard_size(q, size)
+
+    def test_float_message_and_zero_q(self):
+        with pytest.raises(SizeGuardError, match=r"^size 200 with q = 0\.5 spans 1\.607e\+60 > 1e\+12$"):
+            guard_size(0.5, 200)
+        for q in (0.0, 0, F(0)):
+            with pytest.raises(InvalidParameterError, match="^q must be nonzero$"):
+                guard_size(q, 5)
+
+    @pytest.mark.parametrize("q", [F(10**400), F(-(10**400), 3), 10**400, F(1, 10**400),
+                                   F(-1, 10**400)],
+                             ids=["huge", "huge-negative", "huge-int", "tiny", "tiny-negative"])
+    @pytest.mark.parametrize("size", [1, 5])
+    def test_exact_q_outside_the_float_range_is_refused(self, q, size):
+        # float(q) overflows, or underflows to 0 for a q that is not 0: the spread is inf
+        want = rf"^size {size} with an exact q outside the float range spans inf > 1e\+12$"
+        with pytest.raises(SizeGuardError, match=want):
+            guard_size(q, size)
+        with pytest.raises(SizeGuardError, match=want):
+            big_q_jacobi(StructuredParams(q, F(1, 4), F(1, 2), F(1, 4)), size)
 
 
 class TestCharPolyAndSimilarity:
@@ -720,7 +741,7 @@ class TestEigenvalues:
             b = rng.uniform(-2, 2, size=6)
             u = rng.uniform(0.05, 1.0, size=5)  # positive u: real simple spectrum
             M = band_tridiagonal(tuple(np.ones(5)), tuple(b), tuple(u))
-            want = np.sort(np.linalg.eigvals(np.array(M.to_dense())).real)
+            want = np.sort(np.linalg.eigvals(np.array(dense(M))).real)
             got = np.array(eigenvalues(M))
             assert np.allclose(got, want, rtol=1e-8, atol=1e-10)
 
@@ -905,7 +926,7 @@ class TestSturmPath:
     def test_close_pairs_are_resolved(self):
         # Wilkinson W21+: its top eigenvalues pair up within 1e-14.
         M = band_tridiagonal((1.0,) * 20, tuple(abs(10.0 - i) for i in range(21)), (1.0,) * 20)
-        want = np.linalg.eigvalsh(np.array(M.to_dense()))
+        want = np.linalg.eigvalsh(np.array(dense(M)))
         assert np.allclose(eigenvalues(M), want, rtol=0, atol=1e-13)
 
 
@@ -919,7 +940,7 @@ class TestAberthPath:
             eigenvalues(J)
         z, r = certified_disc(err.value)
         assert newton_radius(J, z) <= 1.001 * r < abs(z.imag)
-        ev = np.linalg.eigvals(np.array(J.to_dense(), dtype=float))
+        ev = np.linalg.eigvals(np.array(dense(J), dtype=float))
         assert np.abs(ev.imag).max() > 1e-3
 
     def test_q_para_krawtchouk_invented_roots_refused(self):
@@ -930,7 +951,7 @@ class TestAberthPath:
             eigenvalues(J)
         z, r = certified_disc(err.value)
         assert newton_radius(J, z) <= 1.001 * r < abs(z.imag)
-        ev = np.linalg.eigvals(np.array(J.to_dense(), dtype=float))
+        ev = np.linalg.eigvals(np.array(dense(J), dtype=float))
         assert np.abs(ev.imag).max() > 1e-3
 
     def test_exact_entries_are_taken_as_given(self):
@@ -958,7 +979,7 @@ class TestAberthPath:
                 tuple(rng.uniform(-3, 3, n)),
                 tuple(rng.uniform(-2, 2, n - 1)),
             )
-            ev = np.linalg.eigvals(np.array(M.to_dense()))
+            ev = np.linalg.eigvals(np.array(dense(M)))
             if np.abs(ev.imag).max() > 1e-6:
                 with pytest.raises(UnsupportedSpectrumError):
                     eigenvalues(M)
@@ -1026,7 +1047,7 @@ class TestAdjugateVectors:
         rng = np.random.default_rng(100 * n + zeros)
         for _ in range(4):
             M = random_tridiagonal(rng, n, zeros)
-            D = np.array(M.to_dense(), dtype=float)
+            D = np.array(dense(M), dtype=float)
             lam, U = np.linalg.eig(D)
             lamt, W = np.linalg.eig(D.T)  # the left eigenvectors
             assert not lam.imag.any()
@@ -1043,7 +1064,7 @@ class TestAdjugateVectors:
         # det(M - lam I) ~ 2**(200 n): the minors leave the float range unless rescaled
         rng = np.random.default_rng(5)
         M = random_tridiagonal(rng, 12, 1)
-        D = np.array(M.to_dense(), dtype=float)
+        D = np.array(dense(M), dtype=float)
         lam, U = np.linalg.eig(D)
         for scale in (2.0**200, 2.0**-200):
             big = BandMatrix(12, {k: tuple(x * scale for x in band) for k, band in M.bands.items()})

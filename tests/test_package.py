@@ -1,6 +1,7 @@
 """The package loads a submodule on the first read of one of its names, and a
-CLI call compiles only the modules its command runs.  Every public name is
-used by something other than the tests.
+CLI call compiles only the modules its command runs.  Every public name, and
+every public method or property of a public class, is used by something other
+than the tests.
 
 Each load check starts a fresh interpreter: the test process has long since
 imported every module.
@@ -10,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -21,26 +23,25 @@ ENV = {**os.environ, "PYTHONPATH": SRC}
 
 # qosc.__all__, sorted.
 PUBLIC = """
-AWAlgebraConstants AWAlgebraReport AWParams BandMatrix BigQJacobiConstants DiagonalOperator
-GeneralParams GeneralSolutionTrace InvalidNormalizationError InvalidParameterError LaurentPoly
-MonicRecurrence NotAQOscillatorError NotDecomposableError NotMonicReducibleError
-NumericFailureError PencilParams QoscError ReducibleRepresentationError ResidualReport
-ResonanceError SizeGuardError SpectrumLattice SpectrumMismatchError SpectrumReport
-StructuredParams TolerancePolicy TooSmallError UnsupportedFamilyError UnsupportedSpectrumError
-WCoeffs XiResiduals __version__ askey_wilson aw_algebra_residuals aw_constants
-aw_match_residual aw_parameter_map band_add band_identity band_mul band_scale band_sub
-band_tridiagonal big_q_jacobi big_qjacobi_algebra_residuals big_qjacobi_constants build_W
-build_Z build_general canonical_pair char_poly_eval claimed_spectrum classify companion_b
-companion_params decompose eigenvalue_sequence eigenvalues eval_monic expand_monic guard_size
-inf_norm jacobi_matrix laurent_add laurent_mul laurent_scale laurent_scale_arg pencil
-q_commutator_residual q_hahn q_para_krawtchouk qdiff_B_apply qdiff_Z_apply qdiff_residuals
-r_coefficients residual_report to_monic verify_spectrum xi_residuals
+AWAlgebraConstants AWAlgebraReport AWParams BandMatrix BigQJacobiConstants GeneralParams
+GeneralSolutionTrace InvalidNormalizationError InvalidParameterError LaurentPoly MonicRecurrence
+NotAQOscillatorError NotDecomposableError NotMonicReducibleError NumericFailureError QoscError
+ReducibleRepresentationError ResidualReport ResonanceError SizeGuardError SpectrumLattice
+SpectrumMismatchError SpectrumReport StructuredParams TolerancePolicy TooSmallError
+UnsupportedFamilyError UnsupportedSpectrumError WCoeffs XiResiduals __version__ askey_wilson
+aw_algebra_residuals aw_constants aw_match_residual aw_parameter_map band_add band_identity
+band_mul band_scale band_sub band_tridiagonal big_q_jacobi big_qjacobi_algebra_residuals
+big_qjacobi_constants build_W build_Z build_general canonical_pair char_poly_eval claimed_spectrum
+classify companion_b companion_params decompose eigenvalue_sequence eigenvalues eval_monic
+expand_monic guard_size inf_norm jacobi_matrix laurent_add laurent_mul laurent_scale
+laurent_scale_arg q_commutator_residual q_hahn q_para_krawtchouk qdiff_B_apply qdiff_Z_apply
+qdiff_residuals r_coefficients residual_report to_monic verify_spectrum xi_residuals
 """.split()
 
 # Public names taken out of the package: no library code path, README line,
 # script or benchmark used them.
-RETIRED = ["PoleError", "band_diagonal", "build_B_from_A", "diag_similarity", "geometric_seq",
-           "laurent", "laurent_eval", "max_entry_diff"]
+RETIRED = ["DiagonalOperator", "PencilParams", "PoleError", "band_diagonal", "build_B_from_A",
+           "diag_similarity", "geometric_seq", "laurent", "laurent_eval", "max_entry_diff", "pencil"]
 
 GENERAL = ["--q", "0.7", "--xi0", "1.0", "--zeta0", "0.2", "--s1", "0.1", "--s2", "0.3",
            "--size", "12"]
@@ -88,7 +89,7 @@ def test_public_names_unchanged_and_each_is_its_submodules_object():
         "    assert vars(qosc)[name] is value is getattr(qosc, name), name\n"
     )
     assert fresh(code) == f"True {PUBLIC}\n"
-    assert qosc.__all__[0] == "__version__" and len(qosc.__all__) == 80
+    assert qosc.__all__[0] == "__version__" and len(qosc.__all__) == 77
 
 
 @pytest.mark.parametrize("name", RETIRED)
@@ -97,9 +98,9 @@ def test_retired_name_raises_attribute_error_naming_it(name):
         getattr(qosc, name)
 
 
-def test_every_public_name_is_used_outside_the_tests():
-    # The README, scripts/, perfbench/ and the modules of src/qosc, less
-    # __init__.py (which lists every name) and each name's own def/class line.
+def outside_texts() -> dict:
+    """path -> text of the README and of every .py or .md file in src/qosc,
+    scripts/ and perfbench/, less __init__.py (which lists every name)."""
     paths = [os.path.join(ROOT, "README.md")]
     for top in ("src/qosc", "scripts", "perfbench"):
         for folder, _, files in os.walk(os.path.join(ROOT, top)):
@@ -109,6 +110,12 @@ def test_every_public_name_is_used_outside_the_tests():
     for path in paths:
         with open(path, encoding="utf-8") as fh:
             texts[path] = fh.read()
+    return texts
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # Each name's own def/class line does not count.
+    texts = outside_texts()
     unused = []
     for name in qosc.__all__[1:]:
         own = os.path.join(SRC, "qosc", f"{qosc._OWNER[name]}.py")
@@ -118,6 +125,26 @@ def test_every_public_name_is_used_outside_the_tests():
                    for path, text in texts.items()):
             unused.append(name)
     assert unused == []
+
+
+def test_every_public_member_is_read_outside_the_tests():
+    # Each method or property declared in the body of a public class is read as
+    # .name somewhere; record fields and dunders are exempt.  Its own module
+    # counts, and its def line cannot match: no dot precedes the name there.
+    texts = outside_texts()
+    unread = []
+    for name in qosc.__all__[1:]:
+        cls = getattr(qosc, name)
+        if not isinstance(cls, type):
+            continue
+        for member, value in vars(cls).items():
+            if (member.startswith("_") or member in getattr(cls, "__record_fields__", ())
+                    or not isinstance(value, (property, types.FunctionType))):
+                continue
+            read = re.compile(rf"\.{member}\b")
+            if not any(read.search(text) for text in texts.values()):
+                unread.append(f"{name}.{member}")
+    assert unread == []
 
 
 @pytest.mark.parametrize("name", ["errors", "numerics", "opmatrix", "representation",

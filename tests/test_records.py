@@ -18,7 +18,6 @@ from qosc import (
     LaurentPoly,
     MonicRecurrence,
     ResidualReport,
-    ResonanceError,
     TolerancePolicy,
 )
 
@@ -59,9 +58,7 @@ RECORDS = {
         ("K", (7.0,)), ("s0", 8.0), ("b", (9.0,)), ("eta", (10.0,)), ("u", (0,)),
     ),
     "XiResiduals": (("xi1", ()), ("xi2", (0.0,)), ("xi3", (1e-17,)), ("xi4", ()), ("xi5", ())),
-    "DiagonalOperator": (("z", (1.0, 2.0, 4.0)),),
     "WCoeffs": (("tau0", 1), ("tau1", 2), ("tau2", 3), ("tau3", 4)),
-    "PencilParams": (("mu", 0.5), ("lam", 0.1)),
 }
 
 
@@ -118,7 +115,7 @@ def test_equal_records_hash_equal(case):
 def test_records_differ_by_value_and_class():
     base = qosc.StructuredParams(0.5, 0.25, 0.5, 0.25)
     assert base != qosc.StructuredParams(0.5, 0.25, 0.5, 0.3)
-    assert qosc.PencilParams(0.5, 0.1) != qosc.PencilParams(0.1, 0.5)
+    assert qosc.WCoeffs(1, 2, 3, 4) != qosc.WCoeffs(4, 3, 2, 1)
     # same values, different class
     assert qosc.WCoeffs(1, 2, 3, 4) != qosc.BigQJacobiConstants(1, 2, 3, 4)
 
@@ -143,18 +140,17 @@ def test_post_init_normalises_keyword_construction():
     rec = MonicRecurrence(b=[1.0, 2.0], u=[0.5])
     assert rec.b == (1.0, 2.0) and rec.u == (0.5,)
     assert qosc.SpectrumLattice(points=[1.0, 2.0], kind="x").points == (1.0, 2.0)
-    assert qosc.DiagonalOperator(z=[1.0, 2.0]).z == (1.0, 2.0)
 
 
 def test_bad_calls_raise_type_error():
     with pytest.raises(TypeError):
-        qosc.PencilParams(0.5)
+        qosc.WCoeffs(1, 2, 3)
     with pytest.raises(TypeError):
-        qosc.PencilParams(0.5, 0.1, 0.2)
+        qosc.WCoeffs(1, 2, 3, 4, 5)
     with pytest.raises(TypeError):
-        qosc.PencilParams(0.5, mu=0.1)
+        qosc.WCoeffs(1, 2, 3, tau0=4)
     with pytest.raises(TypeError):
-        qosc.PencilParams(0.5, 0.1, nu=0.2)
+        qosc.WCoeffs(1, 2, 3, 4, nu=5)
 
 
 @pytest.mark.parametrize(
@@ -178,7 +174,6 @@ def test_bad_calls_raise_type_error():
          "xi0 and zeta0 must be nonzero"),
         (lambda: qosc.StructuredParams(q=0.5, c1=1, c2=1, c3=0), InvalidParameterError,
          "c1 and c3 must be nonzero"),
-        (lambda: qosc.DiagonalOperator((1.0, 1.0)), ResonanceError, "z_0 and z_1 coincide"),
         (lambda: BandMatrix(0), InvalidParameterError, "size must be >= 1"),
         (lambda: BandMatrix(2, {2: (1,)}), InvalidParameterError, "band offset 2 out of range"),
         (lambda: BandMatrix(size=2, bands={0: (1,)}), InvalidParameterError,

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from exact_oracles import GENERAL_RATIONAL_FIXTURES, general_solution
+from exact_oracles import GENERAL_RATIONAL_FIXTURES, dense, general_solution
 
 from qosc import (
     BandMatrix,
@@ -354,12 +354,12 @@ class TestDecompose:
                 for rec in (q_hahn(0.3, 0.4, q, N), q_para_krawtchouk(0.2, q, N)):
                     A = jacobi_matrix(rec)
                     B = companion_b(A, companion_params(rec))
-                    lam, V = np.linalg.eig(np.array(A.to_dense(), dtype=float))
+                    lam, V = np.linalg.eig(np.array(dense(A), dtype=float))
                     if lam.imag.any():
                         continue
                     chains = sorted(_geometric_chains(list(lam.real), q), key=min)
                     V = V[:, [int(np.argmin(abs(lam.real - x))) for c in chains for x in c]].real
-                    Bt = np.linalg.inv(V) @ np.array(B.to_dense(), dtype=float) @ V
+                    Bt = np.linalg.inv(V) @ np.array(dense(B), dtype=float) @ V
                     off, end = 0.0, 0
                     for c in chains:
                         start, end = end, end + len(c)

@@ -13,13 +13,12 @@ from exact_oracles import askey_wilson_bu, big_q_jacobi_bu, dense, mat_mul
 from qosc import (
     AWParams,
     BandMatrix,
-    DiagonalOperator,
     InvalidParameterError,
     LaurentPoly,
     MonicRecurrence,
     NotMonicReducibleError,
-    PencilParams,
     ResonanceError,
+    SizeGuardError,
     StructuredParams,
     WCoeffs,
     TolerancePolicy,
@@ -41,7 +40,6 @@ from qosc import (
     laurent_add,
     laurent_mul,
     laurent_scale,
-    pencil,
     q_commutator_residual,
     q_hahn,
     q_para_krawtchouk,
@@ -51,6 +49,7 @@ from qosc import (
     r_coefficients,
     to_monic,
 )
+from qosc.tridiagonalization import _check_distinct
 
 EXACT_P = StructuredParams(F(1, 2), F(1, 4), F(1, 2), F(1, 4))
 FLOAT_P = StructuredParams(0.5, 0.25, 0.5, 0.25)
@@ -70,22 +69,20 @@ class TestZOperator:
         assert zs == tuple(z_of(EXACT_P, n) for n in range(6))
 
     def test_build_Z_returns_checked_diagonal(self):
-        Z = build_Z(EXACT_P, 6)
-        assert isinstance(Z, DiagonalOperator)
-        assert Z.size == 6
-        M = Z.matrix()
-        assert isinstance(M, BandMatrix)
-        assert all(M.entry(n, n) == z_of(EXACT_P, n) for n in range(6))
+        M = build_Z(EXACT_P, 6)
+        assert M == BandMatrix(6, {0: tuple(z_of(EXACT_P, n) for n in range(6))})
         assert M.entry(0, 1) == 0
 
     def test_coincident_eigenvalues_rejected(self):
         # c1*c2 = q**-2 makes z_0 = z_1.
-        with pytest.raises(ResonanceError):
+        with pytest.raises(ResonanceError, match="^z_0 and z_1 coincide$"):
             build_Z(StructuredParams(0.5, 4.0, 1.0, 0.3), 4)
+        with pytest.raises(SizeGuardError):  # the size guard runs before the check
+            build_Z(StructuredParams(0.5, 4.0, 1.0, 0.3), 200)
 
-    def test_diagonal_operator_distinctness_guard(self):
-        with pytest.raises(ResonanceError):
-            DiagonalOperator((1.0, 2.0, 1.0 + 1e-15))
+    def test_distinctness_guard(self):
+        with pytest.raises(ResonanceError, match="^z_0 and z_2 coincide$"):
+            _check_distinct((1.0, 2.0, 1.0 + 1e-15))
 
 
 def pairwise_verdict(z):
@@ -101,7 +98,7 @@ def pairwise_verdict(z):
 
 def verdict(z):
     try:
-        DiagonalOperator(z)
+        _check_distinct(z)
     except ResonanceError as exc:
         return str(exc)
     return None
@@ -335,11 +332,17 @@ class TestAWParameterMap:
             assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
 
+def shifted_pencil(p: StructuredParams, mu, lam, size: int):
+    """A + mu*B + lam*I over the big q-Jacobi realization: build_W at the induced tau."""
+    r0, r1 = r_coefficients(p)
+    return build_W(p, WCoeffs(tau0=mu * r0 + lam, tau1=mu * r1, tau2=-p.q * mu * r1, tau3=1), size)
+
+
 class TestPencil:
     def test_mu_zero_shifts_A(self):
         size = 6
         A = jacobi_matrix(big_q_jacobi(EXACT_P, size))
-        C = pencil(EXACT_P, PencilParams(mu=F(0), lam=F(2, 7)), size)
+        C = shifted_pencil(EXACT_P, F(0), F(2, 7), size)
         for n in range(size):
             assert C.entry(n, n) == A.entry(n, n) + F(2, 7)
         for n in range(size - 1):
@@ -349,14 +352,11 @@ class TestPencil:
     def test_pencil_is_W_at_induced_taus(self):
         size = 8
         mu, lam = F(2, 3), F(-1, 5)
-        r0, r1 = r_coefficients(EXACT_P)
-        C = pencil(EXACT_P, PencilParams(mu, lam), size)
-        W = build_W(
-            EXACT_P,
-            WCoeffs(tau0=mu * r0 + lam, tau1=mu * r1, tau2=-EXACT_P.q * mu * r1, tau3=1),
-            size,
-        )
-        assert dense(C) == dense(W)
+        A = jacobi_matrix(big_q_jacobi(EXACT_P, size))
+        B = companion_b(A, EXACT_P)
+        want = [[a + mu * b + (lam if i == j else 0) for j, (a, b) in enumerate(zip(ra, rb))]
+                for i, (ra, rb) in enumerate(zip(dense(A), dense(B)))]
+        assert dense(shifted_pencil(EXACT_P, mu, lam, size)) == want
 
     def test_pencil_band_closed_forms(self):
         size = 8
@@ -365,7 +365,7 @@ class TestPencil:
         r0, r1 = r_coefficients(EXACT_P)
         rec = big_q_jacobi(EXACT_P, size)
         z = [z_of(EXACT_P, n) for n in range(size)]
-        C = pencil(EXACT_P, PencilParams(mu, lam), size)
+        C = shifted_pencil(EXACT_P, mu, lam, size)
         for n in range(size - 1):
             assert C.entry(n + 1, n) == 1 + mu * r1 * (z[n + 1] - q * z[n])
             assert C.entry(n, n + 1) == (1 + mu * r1 * (z[n] - q * z[n + 1])) * rec.u[n]
@@ -379,7 +379,7 @@ class TestPencil:
         p = StructuredParams(q, c1, c2, c3)
         mu, lam = 0.7, 0.3
         _, r1 = r_coefficients(p)
-        mono, _ = to_monic(pencil(p, PencilParams(mu, lam), size))
+        mono, _ = to_monic(shifted_pencil(p, mu, lam, size))
         a1 = math.sqrt(mu * r1 * q**2 * c1 * c3 * (q - 1.0 / q))
         a2, a3, a4 = q * c1 / a1, q * c3 / a1, c2 * a1 / c3
         aw = askey_wilson(AWParams(q, a1, a2, a3, a4), size)
