@@ -267,6 +267,8 @@ def eigenvalues(M) -> list:
         b, w = _exact_entries(*_tridiagonal(M))
     except (OverflowError, ValueError):  # the ratio of an inf or a NaN
         raise InvalidParameterError("matrix entries must be finite") from None
+    except TypeError:  # float() of a complex or a None entry
+        raise InvalidParameterError("matrix entries must be real numbers") from None
     k = _prescale(b, w)
     if k >= 0:
         exact = _ExactCharPoly([(n, d << k) for n, d in b], [(n, d << 2 * k) for n, d in w], k)

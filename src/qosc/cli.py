@@ -1,12 +1,12 @@
 """Command-line front end: build operators, run suites, emit structured reports.
 
-Each run prints a single JSON report to stdout with top-level fields
-{command, params, checks, tables, version}.  Numbers are serialized as
-decimals with 17 significant digits (null when not finite), so a rerun with
-the same inputs is byte-identical.  The CLI decides no verdict: each check
-copies max_abs, tolerance and pass from a library report.  Exit status: 0 when
-every check passes, 1 when some check fails, 2 on a parameter error, a float
-overflow or underflow, or a --params or --csv-dir path that cannot be used.
+Each run prints a single JSON report to stdout with top-level fields {command, params,
+checks, tables, version}.  Numbers are 17-significant-digit decimals (null when not
+finite), so a rerun with the same inputs is byte-identical.  Most checks copy max_abs,
+tolerance and pass from a library report; the CLI judges five itself, by _judge on
+numbers it picks: xi-conditions, block-count, decomposed, p0-is-one, p1-is-x-minus-b0.
+Exit status: 0 when every check passes, 1 when some check fails, 2 on a parameter error,
+a float overflow or underflow, or a --params or --csv-dir path that cannot be used.
 """
 
 from __future__ import annotations

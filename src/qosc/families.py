@@ -180,23 +180,16 @@ def q_para_krawtchouk(c3, q, N: int) -> MonicRecurrence:
 
 def jacobi_matrix(rec: MonicRecurrence) -> BandMatrix:
     """Monic Jacobi matrix: unit subdiagonal, diagonal b, superdiagonal u."""
-    size = rec.size
-    if size == 1:
-        return BandMatrix(1, {0: rec.b})
-    return band_tridiagonal((1,) * (size - 1), rec.b, rec.u)
+    return band_tridiagonal((1,) * (rec.size - 1), rec.b, rec.u)
 
 
 def eval_monic(rec: MonicRecurrence, n: int, x):
-    """P_n(x) by the monic three-term recurrence; n may reach rec.size."""
+    """P_n(x) = det(xI - J), J the leading n x n block of the Jacobi matrix; n <= rec.size."""
     if n < 0 or n > rec.size:
         raise InvalidParameterError(f"degree {n} outside 0..{rec.size}")
-    p0, p1 = 1, None
     if n == 0:
-        return p0
-    p1 = x - rec.b[0]
-    for k in range(1, n):
-        p0, p1 = p1, (x - rec.b[k]) * p1 - rec.u[k - 1] * p0
-    return p1
+        return 1
+    return char_poly_eval(band_tridiagonal((1,) * (n - 1), rec.b[:n], rec.u[:n - 1]), x)
 
 
 def expand_monic(rec: MonicRecurrence, n: int) -> LaurentPoly:

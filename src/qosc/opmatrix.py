@@ -105,14 +105,6 @@ class BandMatrix:
     def __repr__(self) -> str:
         return f"{self.__class__.__qualname__}(size={self.size!r}, bands={self.bands!r})"
 
-    @property
-    def lower(self) -> int:
-        return max((-k for k in self.bands if k < 0), default=0)
-
-    @property
-    def upper(self) -> int:
-        return max((k for k in self.bands if k > 0), default=0)
-
     def entry(self, i: int, j: int):
         if not (0 <= i < self.size and 0 <= j < self.size):
             raise InvalidParameterError("index out of range")
@@ -151,18 +143,13 @@ def band_identity(size: int) -> BandMatrix:
 
 
 def band_tridiagonal(sub, diag, sup) -> BandMatrix:
-    diag = tuple(diag)
-    size = len(diag)
-    bands = {0: diag}
+    """Bands stored in the order 0, -1, +1 that band_mul sums them in; a size-1
+    matrix stores no empty off-diagonal, and BandMatrix refuses a wrong length."""
+    bands = {0: tuple(diag)}
     sub, sup = tuple(sub), tuple(sup)
-    if size > 1:
-        if len(sub) != size - 1 or len(sup) != size - 1:
-            raise InvalidParameterError("sub/super diagonals must have size-1 entries")
-        bands[-1] = sub
-        bands[1] = sup
-    elif sub or sup:
-        raise InvalidParameterError("size-1 matrix admits no off-diagonals")
-    return BandMatrix(size, bands)
+    if len(bands[0]) > 1 or sub or sup:
+        bands[-1], bands[1] = sub, sup
+    return BandMatrix(len(bands[0]), bands)
 
 
 def _check_same_size(A: BandMatrix, B: BandMatrix) -> int:
@@ -359,7 +346,7 @@ def q_commutator_residual(
 def _tridiagonal(M: BandMatrix):
     """(sub, diag, super) of a tridiagonal matrix, a band not stored reading as
     zeros; InvalidParameterError when a band beyond +-1 is stored."""
-    if M.lower > 1 or M.upper > 1:
+    if any(abs(k) > 1 for k in M.bands):
         raise InvalidParameterError("matrix is not tridiagonal")
     zeros = (0,) * M.size
     return M.bands.get(-1, zeros[1:]), M.bands.get(0, zeros), M.bands.get(1, zeros[1:])

@@ -313,6 +313,14 @@ class TestParamFileAndOutputs:
         _, direct, _ = run(capsys, STRUCTURED)
         assert out == direct
 
+    def test_null_param_file_value_is_not_given(self, capsys, tmp_path):
+        # a JSON null leaves the flag at its default, as if the key were absent
+        cfg = tmp_path / "null.json"
+        cfg.write_text(json.dumps({**STRUCTURED_FILE, "rel_tol": None}))
+        code, out, _ = run(capsys, ["build", "--params", str(cfg)])
+        cfg.write_text(json.dumps(STRUCTURED_FILE))
+        assert code == 0 and run(capsys, ["build", "--params", str(cfg)]) == (0, out, "")
+
     def test_unknown_param_file_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"quux": 1}))

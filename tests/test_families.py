@@ -138,6 +138,10 @@ class TestAskeyWilson:
         assert rec.b == tuple(b)
         assert rec.u == tuple(u)
 
+    def test_count_must_be_positive(self):
+        with pytest.raises(InvalidParameterError, match="^count must be >= 1$"):
+            askey_wilson(AWParams(0.5, 0.5, 0.5, 0.5, 0.3), 0)
+
     def test_a1_zero_rejected(self):
         with pytest.raises(InvalidParameterError):
             AWParams(0.5, 0.0, 0.5, 0.4, 0.3)
@@ -284,6 +288,20 @@ class TestEvalAndExpand:
         assert eval_monic(self.rec, 0, x) == 1
         assert eval_monic(self.rec, 1, x) == x - b[0]
         assert eval_monic(self.rec, 2, x) == (x - b[1]) * (x - b[0]) - u[0]
+
+    @pytest.mark.parametrize("x", [0.3, -2, F(3, 7), 1.5 + 0.5j])
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_matches_the_recurrence_loop_in_value_and_type(self, x, exact):
+        # the monic recurrence, one step per degree: eval_monic's value and type
+        rec = self.rec
+        if not exact:
+            rec = MonicRecurrence(tuple(map(float, rec.b)), tuple(map(float, rec.u)))
+        p0, p1 = 1, x - rec.b[0]
+        for n in range(1, rec.size + 1):
+            got = eval_monic(rec, n, x)
+            assert got == p1 and type(got) is type(p1), n
+            if n < rec.size:
+                p0, p1 = p1, (x - rec.b[n]) * p1 - rec.u[n - 1] * p0
 
     def test_degree_out_of_range(self):
         with pytest.raises(InvalidParameterError):

@@ -79,12 +79,30 @@ class TestBandMatrix:
         assert M.entry(1, 0) == 1.0 and M.entry(2, 1) == 2.0
         assert M.entry(0, 1) == 3.0 and M.entry(0, 2) == 0.0
         assert dense(M) == [[5.0, 3.0, 0.0], [1.0, 6.0, 4.0], [0.0, 2.0, 7.0]]
+        for i, j in [(3, 0), (0, -1)]:
+            with pytest.raises(InvalidParameterError, match="^index out of range$"):
+                M.entry(i, j)
 
     def test_band_length_validated(self):
         with pytest.raises(InvalidParameterError):
             BandMatrix(3, {0: (1.0, 2.0)})
         with pytest.raises(InvalidParameterError):
             BandMatrix(2, {5: (1.0,)})
+
+    @pytest.mark.parametrize("sub, diag, sup, message", [
+        ((1.0,), (1.0, 2.0, 3.0), (1.0, 1.0), "band -1 has 1 entries, expected 2"),
+        ((1.0, 1.0), (1.0, 2.0, 3.0), (1.0,), "band 1 has 1 entries, expected 2"),
+        ((1.0,), (2.0,), (), "band offset -1 out of range"),
+    ], ids=["short-sub", "short-sup", "size-1-with-sub"])
+    def test_malformed_tridiagonal_refused(self, sub, diag, sup, message):
+        # band_tridiagonal leaves every length check to BandMatrix
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+            band_tridiagonal(sub, diag, sup)
+
+    def test_tridiagonal_band_order(self):
+        # band_mul sums band pairs in storage order, so the order fixes the bits
+        assert list(band_tridiagonal((1.0,), (2.0, 3.0), (4.0,)).bands) == [0, -1, 1]
+        assert band_tridiagonal((), (2.0,), ()) == BandMatrix(1, {0: (2.0,)})
 
     def test_identity_and_diagonal(self):
         assert dense(band_identity(2)) == [[1, 0], [0, 1]]
@@ -377,6 +395,8 @@ class TestGuardSize:
 
     def test_overflow_guard_raises(self):
         guard_size(0.5, 20)
+        with pytest.raises(InvalidParameterError, match="^size must be >= 1$"):
+            guard_size(0.5, 0)
         with pytest.raises(SizeGuardError):
             guard_size(0.5, 200)
         with pytest.raises(SizeGuardError):
@@ -682,6 +702,11 @@ class TestQCommutatorResidual:
         assert rep.max_abs == 0.0 and not rep.passed
         assert residual_report(BandMatrix(3), TolerancePolicy(), (0, 2), 1e300).passed
 
+    @pytest.mark.parametrize("rows", [(-1, 1), (2, 1), (0, 3)])
+    def test_row_window_out_of_range(self, rows):
+        with pytest.raises(InvalidParameterError, match="^row window out of range$"):
+            residual_report(BandMatrix(3), TolerancePolicy(), rows, 1.0)
+
     @pytest.mark.parametrize("size", [3, 5])
     def test_nan_outside_the_row_window_fails(self, size):
         # B's last diagonal entry touches only the last residual row, which the
@@ -897,6 +922,30 @@ class TestSturmPath:
             eigenvalues(band_tridiagonal((1e308,), (1e308, 1e308), (1e308,)))
         with pytest.raises(InvalidParameterError, match="must be finite"):
             eigenvalues(band_tridiagonal((1.0,), (0.0, math.nan), (1.0,)))
+
+    @pytest.mark.parametrize("entry", [1j, None])
+    def test_entry_that_is_not_a_real_number_is_refused(self, entry):
+        with pytest.raises(InvalidParameterError, match="^matrix entries must be real numbers$"):
+            eigenvalues(band_tridiagonal([1, 1], [entry, 2, 3], [1, 1]))
+
+    def test_recurrence_values_below_the_up_scale_bound(self):
+        # A diagonal clustered within 87 ulp of 1 and w = 1e-24: near the cluster
+        # each step of the recurrence scales p and its derivatives by about 1e-12,
+        # so they reach the subnormals by n = 30 unless the kernels scale them up.
+        # Without the up-scale the worst relative error was 6.4e-14.
+        n = 30
+        diag = [1 + 3 * k * 2.0**-52 for k in range(n)]
+        got = eigenvalues(band_tridiagonal([1.0] * (n - 1), diag, [1e-24] * (n - 1)))
+        with mpmath.workdps(60):
+            off = mpmath.sqrt(mpmath.mpf(1e-24))  # the symmetrized matrix
+            T = mpmath.matrix(n, n)
+            for i in range(n):
+                T[i, i] = mpmath.mpf(diag[i])
+                if i:
+                    T[i, i - 1] = T[i - 1, i] = off
+            want = sorted(mpmath.eigsy(T, eigvals_only=True))
+            err = max(abs((x - y) / y) for x, y in zip(got, want))
+        assert err <= 1e-15, float(err)
 
     @pytest.mark.parametrize("d", [0.0, 1.0, 1e-50])
     def test_degenerate_hull_is_refused(self, d):

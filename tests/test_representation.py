@@ -202,6 +202,32 @@ class TestXiResiduals:
                 else:
                     assert abs(val) < 1e-10, (name, i)
 
+    @pytest.mark.parametrize("case, error, message", [
+        ("size-mismatch", InvalidParameterError, "^size mismatch$"),
+        ("size-2", TooSmallError, "^band sequences need size >= 3$"),
+        ("non-unit-subdiagonal", InvalidNormalizationError, "^A must have unit subdiagonal$"),
+        ("u_2-zero", ReducibleRepresentationError, "^u_2 = 0: pair is not irreducible$"),
+    ], ids=["size-mismatch", "size-2", "non-unit-subdiagonal", "u_2-zero"])
+    def test_malformed_pairs_refused(self, case, error, message):
+        A, B, _ = build_general(GeneralParams(**SAFE), 6)
+        if case == "size-mismatch":
+            B = build_general(GeneralParams(**SAFE), 5)[1]
+        elif case == "size-2":
+            A = B = BandMatrix(2, {-1: (1.0,), 0: (0.5, 0.25), 1: (0.1,)})
+        elif case == "non-unit-subdiagonal":
+            A = scaled_entry(A, -1, 3, 2.0)
+        else:
+            A = scaled_entry(A, 1, 1, 0.0)
+        with pytest.raises(error, match=message):
+            xi_residuals(A, B, SAFE["q"])
+
+
+def scaled_entry(M, k, t, factor):
+    """M with entry t of band k multiplied by ``factor``."""
+    band = list(M.bands[k])
+    band[t] *= factor
+    return BandMatrix(M.size, {**M.bands, k: tuple(band)})
+
 
 class TestClassify:
     @given(q=qs, xi0=amps, zeta0=amps, s1=srange, s2=srange)
@@ -231,6 +257,20 @@ class TestClassify:
         A, B, _ = build_general(GeneralParams(**{**SAFE, "s1": float("nan")}), 6)
         with pytest.raises(NotAQOscillatorError):
             classify(A, B, SAFE["q"])
+
+    @pytest.mark.parametrize("k, t, factor, size, message", [
+        (-1, 2, 1 + 1e-8, 12, "^xi_3 violates the geometric law$"),
+        # zeta0 is read off zeta_1, so zeta_2 is the first entry off the law
+        (1, 0, 1 + 1e-7, 12, "^zeta_2 violates the geometric law$"),
+        # at size 30 the commutator tolerance, relative to ||A|| ||B||, is 0.8
+        (1, 0, 0.0, 30, "^first band entries xi_1, zeta_1 must be nonzero$"),
+    ], ids=["xi_3-scaled", "zeta_1-scaled", "zeta_1-zero"])
+    def test_rejects_a_broken_band_law_the_commutator_misses(self, k, t, factor, size, message):
+        A, B, _ = build_general(GeneralParams(0.5, 1.0, -0.3, 0.4, 0.1), size)
+        B = scaled_entry(B, k, t, factor)
+        assert q_commutator_residual(A, B, 0.5).passed
+        with pytest.raises(NotAQOscillatorError, match=message):
+            classify(A, B, 0.5)
 
     def test_rejects_non_monic(self):
         A, B, _ = build_general(GeneralParams(**SAFE), 6)
@@ -265,6 +305,8 @@ class TestCanonicalPair:
             canonical_pair(0.0, 0.5, 4)
         with pytest.raises(InvalidParameterError):
             canonical_pair(1.0, 1.0, 4)
+        with pytest.raises(InvalidParameterError, match="^size must be >= 1$"):
+            canonical_pair(1.0, 0.5, 0)
 
 
 class TestDecompose:
@@ -337,6 +379,16 @@ class TestDecompose:
         At, Bt = (BandMatrix(size, {-k: band for k, band in M.bands.items()}) for M in (A, B))
         [(spectrum, n)] = decompose(Bt, At, q)
         assert n == size and spectrum == pytest.approx(sorted(B.bands[0]), rel=1e-14)
+
+    def test_eigenvectors_whose_overlap_underflows_are_refused(self):
+        # The transposed canonical pair at a = 1e100: A is lower bidiagonal with
+        # unit subdiagonal and eigenvalues 1e-100 apart, so each eigenvector grows
+        # by about 1e100 an entry, and y . v underflows to 0.0 once both are
+        # scaled to a largest entry near 1.
+        A, B = canonical_pair(1e100, 0.5, 5)
+        At, Bt = (BandMatrix(5, {-k: band for k, band in M.bands.items()}) for M in (A, B))
+        with pytest.raises(NotDecomposableError, match="^eigenvector matrix is singular$"):
+            decompose(Bt, At, 0.5)
 
     def test_verdicts_match_a_numpy_similarity(self):
         # decompose against inv(V) B V with V from numpy.linalg.eig, on the chains
