@@ -12,11 +12,13 @@ char_poly_eval (on float, int, Fraction and mixed tridiagonals at drawn points,
 and at every point of a finite family's lattice) and the finite families (claimed_spectrum,
 companion_params, verify_spectrum and decompose on q-Hahn and odd-N
 q-para-Krawtchouk with float or Fraction parameters, and decompose on
-build_general pairs) return on seeded random inputs; the recurrences
-themselves are not digested, only what these functions return.  It also
-digests the exit status, stdout and stderr of ``qosc.cli.main`` run
-in-process on seeded argvs: every subcommand and suite, some with --no-json
-or a tolerance flag, and some with a flag value that overflows or underflows
+build_general pairs) return on seeded random inputs, and the recurrences
+themselves: the b and u of big_q_jacobi, askey_wilson, q_hahn and
+q_para_krawtchouk, build_general's A, B and trace, and eigenvalue_sequence,
+each with float or (exact_share) Fraction parameters.  It also digests the
+exit status, stdout and stderr of ``qosc.cli.main`` run in-process on
+seeded argvs: every subcommand and suite, some with --no-json or a
+tolerance flag, and some with a flag value that overflows or underflows
 (1e300, 1e-300), which drives reports to inf and NaN.  A second mode compares
 two such records.  The digested text is the output with every float written
 by float.hex and every other value by repr, or the error's type and message.
@@ -198,12 +200,28 @@ def _residual_pair(Q, rng):
     return matrix(), matrix(), q
 
 
+def _general_params(Q, rng, exact_share=0.0):
+    """(GeneralParams, size) of float draws, or with exact_share each a nearby Fraction."""
+    q = rng.uniform(*rng.choice(RANGES["general_q"]))
+    args = (q, rng.uniform(*RANGES["general_xi0"]), rng.uniform(*RANGES["general_zeta0"]),
+            rng.uniform(*RANGES["general_s"]), rng.uniform(*RANGES["general_s"]))
+    size = rng.randint(*RANGES["general_size"])
+    if exact_share and rng.random() < exact_share:
+        args = tuple(Fraction(v).limit_denominator(40) for v in args)
+    return Q.GeneralParams(*args), size
+
+
+def _aw_params(Q, rng):
+    """(AWParams, count), float or (exact_share) Fraction."""
+    args = [rng.uniform(*RANGES["aw_q"])] + [rng.uniform(*rng.choice(RANGES["aw_a"])) for _ in range(4)]
+    if rng.random() < RANGES["exact_share"]:
+        args = [Fraction(v).limit_denominator(40) for v in args]
+    return Q.AWParams(*args), rng.randint(*RANGES["aw_count"])
+
+
 def _general(Q, rng):
     """A build_general pair, sometimes with one entry perturbed or made NaN."""
-    q = rng.uniform(*rng.choice(RANGES["general_q"]))
-    gp = Q.GeneralParams(q, rng.uniform(*RANGES["general_xi0"]), rng.uniform(*RANGES["general_zeta0"]),
-                         rng.uniform(*RANGES["general_s"]), rng.uniform(*RANGES["general_s"]))
-    size = rng.randint(*RANGES["general_size"])
+    gp, size = _general_params(Q, rng)
     try:
         A, B, _ = Q.build_general(gp, size)
     except Q.QoscError:
@@ -221,7 +239,7 @@ def _general(Q, rng):
             A = Q.BandMatrix(size, bands)
         else:
             B = Q.BandMatrix(size, bands)
-    return A, B, q
+    return A, B, gp.q
 
 
 def _tridiagonal(Q, rng, positive: bool, exact_only: bool = False):
@@ -339,7 +357,7 @@ def cases(Q):
         return lambda x: None if x is None else run(*x)
 
     def family(run):
-        """run(rec) on the drawn finite family; the recurrence itself is not digested."""
+        """run(rec) on the drawn finite family."""
         return lambda x: run(getattr(Q, x[0])(*x[1]))
 
     def verify(rec):
@@ -354,6 +372,12 @@ def cases(Q):
         return Q.decompose(J, Q.companion_b(J, p), p.q)
 
     return [
+        ("big_q_jacobi", bqj, lambda x: Q.big_q_jacobi(*x)),
+        ("askey_wilson", lambda rng: _aw_params(Q, rng), lambda x: Q.askey_wilson(*x)),
+        ("finite_recurrence", _finite, family(lambda rec: rec)),
+        ("build_general", lambda rng: _general_params(Q, rng, RANGES["exact_share"]),
+         lambda x: Q.build_general(*x)),
+        ("eigenvalue_sequence", bqj, lambda x: tri.eigenvalue_sequence(*x)),
         ("band_mul", pair, lambda ab: Q.band_mul(*ab)),
         ("band_add", pair, lambda ab: Q.band_add(*ab)),
         ("band_sub", pair, lambda ab: Q.band_sub(*ab)),

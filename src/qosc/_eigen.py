@@ -267,7 +267,7 @@ def eigenvalues(M) -> list:
         b, w = _exact_entries(*_tridiagonal(M))
     except (OverflowError, ValueError):  # the ratio of an inf or a NaN
         raise InvalidParameterError("matrix entries must be finite") from None
-    except TypeError:  # float() of a complex or a None entry
+    except TypeError:  # an entry that is no numbers.Real: complex, None, str
         raise InvalidParameterError("matrix entries must be real numbers") from None
     k = _prescale(b, w)
     if k >= 0:

@@ -60,19 +60,21 @@ def big_q_jacobi(p: StructuredParams, count: int) -> MonicRecurrence:
         raise InvalidParameterError("count must be >= 1")
     q, c1, c2, c3 = p.q, p.c1, p.c2, p.c3
     guard_size(q, count)
+    qp = [q**k for k in range(2 * count + 1)]  # each power of q once
     c12 = c1 * c2
     # each denominator once, in increasing k, so the first refused is the least k
-    den = {k: _nonresonant(1, c12 * q**k, "denominator 1-c1*c2*q^{}", k)
+    den = {k: _nonresonant(1, c12 * qp[k], "denominator 1-c1*c2*q^{}", k)
            for k in range(1, 2 * count + 1)}
+    m13, c12_3 = -c1 * c3, c12 / c3
 
     def D(n):
-        num = (1 - c1 * q ** (n + 1)) * (1 - c12 * q ** (n + 1)) * (1 - c3 * q ** (n + 1))
+        num = (1 - c1 * qp[n + 1]) * (1 - c12 * qp[n + 1]) * (1 - c3 * qp[n + 1])
         return num / (den[2 * n + 1] * den[2 * n + 2])
 
     def C(n):
         if n == 0:
             return 0
-        num = -c1 * c3 * q ** (n + 1) * (1 - q**n) * (1 - c2 * q**n) * (1 - c12 / c3 * q**n)
+        num = m13 * qp[n + 1] * (1 - qp[n]) * (1 - c2 * qp[n]) * (1 - c12_3 * qp[n])
         return num / (den[2 * n + 1] * den[2 * n])
 
     Ds = [D(n) for n in range(count)]
@@ -91,31 +93,21 @@ def askey_wilson(p: AWParams, count: int) -> MonicRecurrence:
     q, a1, a2, a3, a4 = p.q, p.a1, p.a2, p.a3, p.a4
     guard_size(q, count)
     g = p.g
+    qp = {k: q**k for k in range(-1, 2 * count - 1)}  # each power of q once
     # each denominator once, in increasing k, so the first refused is the least k
-    den = {k: _nonresonant(1, g * q**k, "denominator 1-g*q^{}", k) for k in range(-1, 2 * count - 1)}
+    den = {k: _nonresonant(1, g * qp[k], "denominator 1-g*q^{}", k) for k in range(-1, 2 * count - 1)}
+    a12, a13, a14, a23, a24, a34 = a1 * a2, a1 * a3, a1 * a4, a2 * a3, a2 * a4, a3 * a4
 
     def D(n):
         den_n = a1 * den[2 * n - 1] * den[2 * n]
-        return (
-            (1 - a1 * a2 * q**n)
-            * (1 - a1 * a3 * q**n)
-            * (1 - a1 * a4 * q**n)
-            * (1 - g * q ** (n - 1))
-            / den_n
-        )
+        return (1 - a12 * qp[n]) * (1 - a13 * qp[n]) * (1 - a14 * qp[n]) * (1 - g * qp[n - 1]) / den_n
 
     def C(n):
         if n == 0:
             return 0
         den_n = den[2 * n - 1] * den[2 * n - 2]
-        return (
-            a1
-            * (1 - q**n)
-            * (1 - a2 * a3 * q ** (n - 1))
-            * (1 - a2 * a4 * q ** (n - 1))
-            * (1 - a3 * a4 * q ** (n - 1))
-            / den_n
-        )
+        r = qp[n - 1]
+        return a1 * (1 - qp[n]) * (1 - a23 * r) * (1 - a24 * r) * (1 - a34 * r) / den_n
 
     Ds = [D(n) for n in range(count)]
     Cs = [C(n) for n in range(count)]
@@ -151,6 +143,7 @@ def q_para_krawtchouk(c3, q, N: int) -> MonicRecurrence:
         raise InvalidParameterError("c3 must be nonzero")
     guard_size(q, N + 1)
     half = (N - 1) // 2
+    qp = {k: q**k for k in range(-N - 1, N + 2)}  # each power of q once
 
     # each denominator once, in D(n) order, so the first refused is D(n)'s: D(n)
     # divides by (1 - q^(2n-N)) * (1 + q^(n-half)), and C(n) by its own first
@@ -158,23 +151,24 @@ def q_para_krawtchouk(c3, q, N: int) -> MonicRecurrence:
     den = {}
     for n in range(N + 1):
         k, m = 2 * n - N, n - half
-        den[n] = (_nonresonant(1, q**k, "denominator 1-q^{}", k),
-                  _nonresonant(1, -(q**m), "denominator 1+q^{}", m))
+        den[n] = (_nonresonant(1, qp[k], "denominator 1-q^{}", k),
+                  _nonresonant(1, -qp[m], "denominator 1+q^{}", m))
+    m3 = -c3
 
     def D(n):
-        return (1 - q ** (n - N)) * (1 - c3 * q ** (n + 1)) / (den[n][0] * den[n][1])
+        return (1 - qp[n - N]) * (1 - c3 * qp[n + 1]) / (den[n][0] * den[n][1])
 
     def C(n):
         if n == 0:
             return 0
-        num = -c3 * q ** (n - half) * (1 - q**n) * (1 - q ** (n - N - 1) / c3)
+        num = m3 * qp[n - half] * (1 - qp[n]) * (1 - qp[n - N - 1] / c3)
         return num / (den[n][0] * den[n - 1][1])
 
     Ds = [D(n) for n in range(N + 1)]
     Cs = [C(n) for n in range(N + 1)]
     b = tuple(1 - Ds[n] - Cs[n] for n in range(N + 1))
     u = tuple(Ds[n - 1] * Cs[n] for n in range(1, N + 1))
-    c = q ** (-(N + 1) // 2)
+    c = qp[-(N + 1) // 2]
     return MonicRecurrence(b, u, family="q-para-krawtchouk", params=StructuredParams(q, c, c, c3))
 
 

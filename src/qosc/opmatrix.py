@@ -7,7 +7,8 @@ as a slice under a C-level ``map`` rather than one Python statement per entry;
 the operand order and the order of every sum are those of per-entry loops, so
 the results are the same bit for bit.  On entries of type int and Fraction,
 ``band_mul`` and ``char_poly_eval`` take an exact route on plain integers
-instead, with the value and type of that loop and far fewer gcds.
+instead, with the value and type of that loop and far fewer gcds (and
+``char_poly_eval`` lifts a matrix once, kept on it until a band is replaced).
 ``band_sub`` and ``_q_bracket`` (past its two products) form each band of a
 difference in one pass, with the bits of the band_add/band_scale
 compositions they replaced (kept in tests/test_band_kernels.py).  The
@@ -96,6 +97,7 @@ class BandMatrix:
             clean[k] = entries
         self.size = size
         self.bands = clean
+        self._lift = None  # char_poly_eval's integer steps (see _lift)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -356,27 +358,41 @@ def char_poly_eval(M: BandMatrix, x):
     """det(xI - M) for tridiagonal M by the three-term minor recurrence.
 
     When x and every entry are of type int or fractions.Fraction, the
-    recurrence runs on plain integers (``_exact_det``) and one Fraction is
-    built at the end, or an int when every input is an int, or Fraction(0)
-    at once when the minor is 0: the same value and type as the loop below,
-    without a gcd on the growing minors at every step.  Any other input
-    (floats, complex, bool, a Fraction subclass) takes the duck-typed loop,
-    unscaled, so it may overflow for large sizes with wide entry ranges
-    (eigenvalues() uses a rescaled variant).
+    recurrence runs on plain integers (``_exact_det``) over M's integer lift
+    (``_lift``), taken once and kept on M for every later point until a band
+    it read is replaced, and one Fraction is built at the end, or an int when
+    every input is an int, or Fraction(0) at once when the minor is 0: the
+    same value and type as the loop below, without a gcd on the growing
+    minors at any step.  Any other input (floats, complex, bool, a Fraction
+    subclass) takes the duck-typed loop, unscaled, so it may overflow for
+    large sizes with wide entry ranges (eigenvalues() uses a rescaled variant).
     """
-    sub, b, sup = _tridiagonal(M)
-    kind = _exact_kind(x, (sub, b, sup))
+    bands = sub, b, sup = _tridiagonal(M)
+    kind = _exact_kind(x, bands)
     if kind is not None:
         X, d = x.as_integer_ratio()
-        steps = list(_scaled_steps(*_exact_entries(sub, b, sup), d))
-        P = _exact_det(steps, X)
+        steps, E = _lift(M, bands)
+        P = _exact_det(steps, X, d)
         if kind is int or P == 0:
             return kind(P)
-        return kind(P, d ** len(steps) * math.prod(e for e, _, _ in steps))
+        return kind(P, d ** len(steps) * E)
     p0, p1 = 1, x - b[0]
     for bk, s, t in zip(b[1:], sub, sup):
         p0, p1 = p1, (x - bk) * p1 - s * t * p0
     return p1
+
+
+def _lift(M: BandMatrix, bands) -> tuple:
+    """(steps, e_0 ... e_{n-1}) of ``_scaled_steps`` on M's three bands, made on
+    the first exact call and kept on M.  It is keyed on the identity of the
+    band tuples it read, so replacing a band in M.bands misses it, and a tuple
+    cannot change in place; a band of another type is not kept."""
+    kept = M._lift
+    if kept is None or not all(map(operator.is_, kept[0], bands)):
+        steps = list(_scaled_steps(*_exact_entries(*bands)))
+        kept = bands, (steps, math.prod(e for e, _, _ in steps))
+        M._lift = kept if all(type(band) is tuple for band in bands) else None
+    return kept[1]
 
 
 def _exact_kind(x, bands):
@@ -396,10 +412,14 @@ def _exact_kind(x, bands):
 
 def _ratios(band) -> list:
     """Each entry as an exact (numerator, denominator) pair; floats, ints and
-    Fractions are exact, other types are read at their float value."""
+    Fractions are exact, other numbers.Real entries (mpmath.mpf, sympy.Rational,
+    numpy ints) are read at their float value, and others are a TypeError."""
     try:
         return [v.as_integer_ratio() for v in band]
     except AttributeError:
+        import numbers  # loaded only when an entry has no as_integer_ratio
+        if not all(isinstance(v, numbers.Real) for v in band):
+            raise TypeError("matrix entries must be real numbers") from None
         return [(v if hasattr(v, "as_integer_ratio") else float(v)).as_integer_ratio() for v in band]
 
 
@@ -410,30 +430,30 @@ def _exact_entries(sub, diag, sup):
     return _ratios(diag), [(0, 1)] + w
 
 
-def _scaled_steps(b, w, d: int):
-    """(e_k, B_k, W_k) of each step of the minor recurrence at a point X / d.
+def _scaled_steps(b, w):
+    """(e_k, B_k, W_k) of each step of the minor recurrence, for every point.
 
-    Step k scales by its own denominator c_k, the lcm of d, den b_k and the
-    part of den w_k that c_{k-1} lacks.  Then e_k = c_k / d, B_k = c_k b_k
-    and W_k = c_k c_{k-1} w_k are integers, and P_k = (X e_k - B_k) P_{k-1}
-    - W_k P_{k-2} (P_{-1} = 1) is the leading minor of order k + 1 of
-    xI - M times c_0 ... c_k.  The gcds are on entry denominators only,
-    never on the growing P_k.
+    Step k scales by its own denominator c_k, the lcm of den b_k and the
+    part of den w_k that c_{k-1} lacks.  Then e_k = c_k, B_k = c_k b_k and
+    W_k = c_k c_{k-1} w_k are integers, and at a point X / d,
+    P_k = (X e_k - d B_k) P_{k-1} - d^2 W_k P_{k-2} (P_{-1} = 1) is the
+    leading minor of order k + 1 of xI - M times d^(k+1) c_0 ... c_k.  The
+    gcds are on entry denominators only, never on the growing P_k.
     """
     c = 1
     for (bn, bd), (wn, wd) in zip(b, w):
-        ck = math.lcm(d, bd, wd // math.gcd(wd, c))
-        yield ck // d, bn * (ck // bd), wn * (ck * c // wd)
+        ck = math.lcm(bd, wd // math.gcd(wd, c))
+        yield ck, bn * (ck // bd), wn * (ck * c // wd)
         c = ck
 
 
-def _exact_det(steps, X: int) -> int:
-    """P_n of the ``_scaled_steps`` recurrence at X (or of ``_ExactCharPoly``'s
-    lifted steps, every c_k = S): det(xI - M) times c_0 ... c_{n-1} > 0, so
-    its sign is that of det(xI - M)."""
-    P0, P1 = 0, 1
+def _exact_det(steps, X: int, d: int = 1) -> int:
+    """P_n of the ``_scaled_steps`` recurrence at X / d (or at X of
+    ``_ExactCharPoly``'s lifted steps (1, S b_k, S^2 w_k)): det(xI - M) times
+    a positive integer, so its sign is that of det(xI - M)."""
+    P0, P1, d2 = 0, 1, d * d
     for e, B, W in steps:
-        P0, P1 = P1, (X * e - B) * P1 - W * P0
+        P0, P1 = P1, (X * e - d * B) * P1 - d2 * W * P0
     return P1
 
 

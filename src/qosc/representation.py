@@ -145,24 +145,22 @@ def build_general(p: GeneralParams, size: int):
     guard_size(q, size)
 
     qp = {k: q**k for k in range(-size, size + 2)}
+    xi = [xi0 * qp[-n] for n in range(size + 1)]  # n = 0..size, each formed once
+    zeta = [zeta0 * qp[n] for n in range(size + 1)]
 
-    gamma = [_nonresonant(xi0 * qp[-n], zeta0 * qp[n], "gamma_{}", n) for n in range(size + 1)]
-    y = [_nonresonant(xi0 * qp[-n], zeta0 * qp[n + 1], "y_{}", n) for n in range(size)]
+    gamma = [_nonresonant(xi[n], zeta[n], "gamma_{}", n) for n in range(size + 1)]
+    y = [_nonresonant(xi[n], zeta[n + 1], "y_{}", n) for n in range(size)]
 
-    z = [xi0 * qp[-n] + zeta0 * qp[n + 1] for n in range(size)]
-    xi = [xi0 * qp[-n] for n in range(size)]
-    zeta = [zeta0 * qp[n] for n in range(size)]
+    z = [xi[n] + zeta[n + 1] for n in range(size)]
 
     b, eta = [], []
+    s1xi0, s1zeta0, q1s2, s1xz = s1 * xi0, s1 * zeta0, (q + 1) * s2, s1 * xi0 * zeta0 * (q + 1)
     for n in range(size):
         den = gamma[n] * gamma[n + 1]
-        b.append((s1 * z[n] + (q + 1) * s2) / den)
-        eta.append((s1 * xi0 * zeta0 * (q + 1) + s2 * z[n]) / den)
+        b.append((s1 * z[n] + q1s2) / den)
+        eta.append((s1xz + s2 * z[n]) / den)
 
-    K = [
-        qp[2 - n] * (s2 + s1 * zeta0 * qp[n]) * (s2 * qp[n] + s1 * xi0) / gamma[n] ** 2
-        for n in range(size)
-    ]
+    K = [qp[2 - n] * (s2 + s1zeta0 * qp[n]) * (s2 * qp[n] + s1xi0) / gamma[n] ** 2 for n in range(size)]
     s0 = q * (xi0 + zeta0) / (q - 1) - K[0]
 
     u = [0]
@@ -179,10 +177,10 @@ def build_general(p: GeneralParams, size: int):
         u.append(un)
 
     A = band_tridiagonal((1,) * (size - 1), b, u[1:])
-    B = band_tridiagonal(xi[1:], eta, tuple(zeta[n] * u[n] for n in range(1, size)))
+    B = band_tridiagonal(xi[1:size], eta, tuple(zeta[n] * u[n] for n in range(1, size)))
     trace = GeneralSolutionTrace(
-        xi=tuple(xi),
-        zeta=tuple(zeta),
+        xi=tuple(xi[:size]),
+        zeta=tuple(zeta[:size]),
         z=tuple(z),
         gamma=tuple(gamma),
         y=tuple(y),
@@ -375,8 +373,8 @@ def decompose(A: BandMatrix, B: BandMatrix, q, pol: TolerancePolicy = ToleranceP
     eigenvectors, read off the three-term minor recurrences in O(size).  With
     every v at unit 2-norm, Bt = V^-1 B V has entries (y_s . B v_t) /
     (y_s . v_s); its off-block mass is judged at the scale of Bt.  Raises
-    NotDecomposableError when some y_s . v_s vanishes (V is singular) or the
-    off-block mass fails at that scale (a NaN in Bt fails).
+    NotDecomposableError when some y_s . v_s is 0.0 (V is singular or too
+    ill-conditioned) or the off-block mass fails at that scale (a NaN in Bt fails).
     """
     _require_q_oscillator(A, B, q, pol)
     ev = eigenvalues(A)
@@ -390,7 +388,8 @@ def decompose(A: BandMatrix, B: BandMatrix, q, pol: TolerancePolicy = ToleranceP
         v, y = _adjugate_vectors(A, lam)
         yv = sum(map(operator.mul, y, v))
         if yv == 0.0:
-            raise NotDecomposableError("eigenvector matrix is singular")
+            raise NotDecomposableError("in floats the left and right eigenvectors are orthogonal:"
+                                       " V is singular or too ill-conditioned to certify")
         norm = math.hypot(*v)
         Y.append([x * norm / yv for x in y])
         bv = [0.0] * size

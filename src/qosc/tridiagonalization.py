@@ -43,8 +43,9 @@ from .representation import AWParams, StructuredParams
 
 def eigenvalue_sequence(p: StructuredParams, size: int) -> tuple:
     """z_n = c1*c2*q**(n+1) + q**-n for n = 0..size-1."""
-    q, c1, c2 = p.q, p.c1, p.c2
-    return tuple(c1 * c2 * q ** (n + 1) + q**-n for n in range(size))
+    q, c12 = p.q, p.c1 * p.c2
+    qp = {k: q**k for k in range(1 - size, size + 1)}  # each power of q once
+    return tuple(c12 * qp[n + 1] + qp[-n] for n in range(size))
 
 
 def _z_matrix(p: StructuredParams, size: int) -> BandMatrix:

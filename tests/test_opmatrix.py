@@ -623,6 +623,86 @@ class TestExactCharPoly:
         assert exact_char_poly(M).newton(z) == fraction_newton(M, z)
 
 
+def fraction_char_poly(M, x):
+    """det(xI - M) by the duck-typed loop on the entries and x read as Fractions,
+    typed as char_poly_eval types it: an int when x and every entry are ints."""
+    bands = opmatrix._tridiagonal(M)
+    value = loop_char_poly(band_tridiagonal(*([F(v) for v in band] for band in bands)), F(x))
+    ints = type(x) is int and all(type(v) is int for band in bands for v in band)
+    return int(value) if ints else value
+
+
+def random_exact_tridiagonal(rng, n, kind):
+    """band_tridiagonal of int, Fraction or mixed entries, some of them 0."""
+    def entry():
+        if rng.random() < 0.1:
+            return 0
+        v = F(rng.randint(-60, 60), rng.randint(1, 40))
+        return {"int": round(v * 7), "fraction": v, "mixed": rng.choice((v, round(v)))}[kind]
+
+    return band_tridiagonal([entry() for _ in range(n - 1)], [entry() for _ in range(n)],
+                            [entry() for _ in range(n - 1)])
+
+
+class TestExactLift:
+    """char_poly_eval lifts a matrix to integers once and keeps the lift on it,
+    keyed on the band tuples it read; every value equals the Fraction loop."""
+
+    def test_seeded_tridiagonals_match_the_fraction_loop(self, monkeypatch):
+        lifts, scaled_steps = [], opmatrix._scaled_steps
+        monkeypatch.setattr(opmatrix, "_scaled_steps",
+                            lambda b, w: lifts.append(1) or scaled_steps(b, w))
+        rng = random.Random(26)
+        for n in range(1, 26):
+            for kind in ("int", "fraction", "mixed"):
+                M = random_exact_tridiagonal(rng, n, kind)
+                points = [rng.randint(-9, 9), F(rng.randint(-90, 90), rng.randint(1, 30)),
+                          *rng.sample(M.bands[0], min(n, 3))]  # a diagonal entry, the lattice of w = 0
+                del lifts[:]
+                for x in points:
+                    assert exactly(char_poly_eval(M, x)) == exactly(fraction_char_poly(M, x))
+                assert len(lifts) == 1
+
+    @pytest.mark.parametrize("N", [3, 9, 15, 23])
+    def test_finite_families_vanish_on_their_lattices_and_match_elsewhere(self, N):
+        rng = random.Random(N)
+        q = F(rng.randint(5, 9), 10)
+        for rec in (q_hahn(F(3, 10), F(2, 5), q, N), q_para_krawtchouk(F(1, 5), q, N)):
+            J = jacobi_matrix(rec)
+            assert all(exactly(char_poly_eval(J, x)) == (F, 0) for x in claimed_spectrum(rec).points)
+            for x in (F(rng.randint(-50, 50), rng.randint(1, 13)), rng.randint(-3, 3)):
+                assert exactly(char_poly_eval(J, x)) == exactly(fraction_char_poly(J, x))
+
+    @pytest.mark.parametrize("k", [-1, 0, 1])
+    def test_a_replaced_band_is_read_anew(self, k):
+        rng = random.Random(k)
+        M = random_exact_tridiagonal(rng, 6, "fraction")
+        x = F(3, 7)
+        assert char_poly_eval(M, x) == fraction_char_poly(M, x)
+        M.bands[k] = tuple(v + 1 for v in M.bands[k])
+        assert char_poly_eval(M, x) == fraction_char_poly(M, x)
+        band = M.bands[k] = list(M.bands[k])  # a list may change in place: it is not kept
+        assert char_poly_eval(M, x) == fraction_char_poly(M, x)
+        band[2] += F(1, 3)
+        assert char_poly_eval(M, x) == fraction_char_poly(M, x)
+
+    def test_int_then_fraction_points_keep_their_types(self):
+        M = band_tridiagonal((1, 2, 3), (4, -5, 6, 0), (7, -1, 2))
+        for x in (2, -3, F(1, 2), F(6), 5, F(-7, 3)):
+            got = char_poly_eval(M, x)
+            assert exactly(got) == exactly(fraction_char_poly(M, x))
+            assert type(got) is (int if type(x) is int else F)
+        M = band_tridiagonal((1, F(2, 3)), (F(1, 2), 0, 1), (1, 1))
+        for x in (0, 2, F(1, 2)):
+            assert type(char_poly_eval(M, x)) is F
+
+    def test_q_para_krawtchouk_at_n_81_vanishes_on_all_its_points(self):
+        rec = q_para_krawtchouk(F(1, 5), F(9, 10), 81)
+        J = jacobi_matrix(rec)
+        values = [char_poly_eval(J, x) for x in claimed_spectrum(rec).points]
+        assert len(values) == 82 and all(exactly(v) == (F, 0) for v in values)
+
+
 class TestJudge:
     """opmatrix._judge is the one pass/fail rule of every report."""
 
@@ -794,6 +874,9 @@ class TestEigenvalues:
         thirds = tuple(sympy.Rational(d, 3) for d in (1, 31, 61, 91))
         got = eigenvalues(band_tridiagonal(sub, thirds, sup))
         assert [x.hex() for x in got] == [x.hex() for x in want]
+        # numpy ints have no as_integer_ratio either, and are numbers.Real
+        got = eigenvalues(band_tridiagonal(sub, tuple(map(np.int64, (1, 31, 61, 91))), sup))
+        assert got == eigenvalues(band_tridiagonal(sub, (1.0, 31.0, 61.0, 91.0), sup))
 
     def test_complex_pair_unsupported(self):
         M = band_tridiagonal((1.0,), (0.0, 0.0), (-1.0,))  # eigenvalues +/- i
@@ -923,7 +1006,7 @@ class TestSturmPath:
         with pytest.raises(InvalidParameterError, match="must be finite"):
             eigenvalues(band_tridiagonal((1.0,), (0.0, math.nan), (1.0,)))
 
-    @pytest.mark.parametrize("entry", [1j, None])
+    @pytest.mark.parametrize("entry", [1j, None, "1.5", "abc"])
     def test_entry_that_is_not_a_real_number_is_refused(self, entry):
         with pytest.raises(InvalidParameterError, match="^matrix entries must be real numbers$"):
             eigenvalues(band_tridiagonal([1, 1], [entry, 2, 3], [1, 1]))
