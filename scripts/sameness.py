@@ -15,7 +15,11 @@ q-para-Krawtchouk with float or Fraction parameters, and decompose on
 build_general pairs) return on seeded random inputs, and the recurrences
 themselves: the b and u of big_q_jacobi, askey_wilson, q_hahn and
 q_para_krawtchouk, build_general's A, B and trace, and eigenvalue_sequence,
-each with float or (exact_share) Fraction parameters.  It also digests the
+each with float or (exact_share) Fraction parameters, and those builders with
+Fraction parameters on a resonance line (gamma_m = 0 and u_n = 0 of
+build_general, 1 - c1*c2*q^k = 0 of big_q_jacobi and q_hahn, 1 - g*q^k = 0
+of askey_wilson) or moved off it by a relative resonance_offsets, so that a
+refusal that moves to another input or index shows.  It also digests the
 exit status, stdout and stderr of ``qosc.cli.main`` run in-process on
 seeded argvs: every subcommand and suite, some with --no-json or a
 tolerance flag, and some with a flag value that overflows or underflows
@@ -106,6 +110,8 @@ RANGES = {
     "poly_n_max": [0, 8],
     "poly_x": [-2.0, 2.0],
     "poly_points": [1, 4],
+    "resonance_offsets": [0, 1e-12, 1e-11, 5e-11, 1e-10, 2e-10, 1e-9],
+    "resonance_size": [3, 12],
 }
 
 
@@ -317,6 +323,52 @@ def _structured(Q, rng, size_range):
     return Q.StructuredParams(q, *c), rng.randint(*size_range)
 
 
+def _resonant(Q, rng):
+    """(builder name, arguments) with Fraction parameters on one resonance line, or a
+    relative resonance_offsets off it: gamma_m = 0 or u_n = 0 of build_general,
+    1 - c1*c2*q^k = 0 of big_q_jacobi or q_hahn, 1 - g*q^k = 0 of askey_wilson.  The
+    u_n line is reached to float accuracy: the numerator of u_n is quadratic in s2."""
+    def draw(key):
+        span = RANGES[key]
+        if isinstance(span[0], list):
+            span = rng.choice(span)
+        return Fraction(rng.uniform(*span)).limit_denominator(40)
+
+    q = draw("structured_q")
+    off = 1 + rng.choice((-1, 1)) * Fraction(rng.choice(RANGES["resonance_offsets"]))
+    size = rng.randint(*RANGES["resonance_size"])
+    line = rng.choice(("gamma", "u", "c1*c2", "g"))
+    if line in ("gamma", "u"):
+        xi0, zeta0, s1, s2 = (draw(k) for k in ("general_xi0", "general_zeta0", "general_s",
+                                                 "general_s"))
+        if line == "gamma":
+            zeta0 = xi0 * q ** (-2 * rng.randint(0, size)) * off
+        else:
+            n = rng.randint(1, size - 1)
+
+            def numerator(s):  # of u_n, at s2 = s
+                def K(j):
+                    return (q ** (2 - j) * (s + s1 * zeta0 * q**j) * (s * q**j + s1 * xi0)
+                            / (xi0 * q**-j - zeta0 * q**j) ** 2)
+                return ((xi0 * q**-n + zeta0 * q**n) / (1 / q - 1) + K(n) - K(0)
+                        + q * (xi0 + zeta0) / (q - 1))
+
+            c, ab, a_b = numerator(0), numerator(1), numerator(-1)
+            a, b = (ab + a_b) / 2 - c, (ab - a_b) / 2
+            if a and b * b >= 4 * a * c:
+                s2 = Fraction((-float(b) + math.sqrt(float(b * b - 4 * a * c))) / float(2 * a)) * off
+        return "build_general", (Q.GeneralParams(q, xi0, zeta0, s1, s2), size)
+    if line == "c1*c2":
+        c2, c3 = draw("structured_c"), draw("structured_c")
+        c1 = off / (c2 * q ** rng.randint(1, 2 * size))
+        if rng.random() < 0.5:
+            return "q_hahn", (c1, c2, q, size - 1)
+        return "big_q_jacobi", (Q.StructuredParams(q, c1, c2, c3), size)
+    a1, a2, a3 = (draw("aw_a") for _ in range(3))
+    a4 = off / (a1 * a2 * a3 * q ** rng.randint(-1, 2 * size - 2))
+    return "askey_wilson", (Q.AWParams(q, a1, a2, a3, a4), size)
+
+
 # -- cases ------------------------------------------------------------------------
 
 
@@ -377,6 +429,7 @@ def cases(Q):
         ("finite_recurrence", _finite, family(lambda rec: rec)),
         ("build_general", lambda rng: _general_params(Q, rng, RANGES["exact_share"]),
          lambda x: Q.build_general(*x)),
+        ("resonance_lines", lambda rng: _resonant(Q, rng), lambda x: getattr(Q, x[0])(*x[1])),
         ("eigenvalue_sequence", bqj, lambda x: tri.eigenvalue_sequence(*x)),
         ("band_mul", pair, lambda ab: Q.band_mul(*ab)),
         ("band_add", pair, lambda ab: Q.band_add(*ab)),

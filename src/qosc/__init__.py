@@ -32,7 +32,7 @@ _NAMES = {
         aw_constants big_qjacobi_algebra_residuals big_qjacobi_constants""",
 }
 _OWNER = {name: module for module, names in _NAMES.items() for name in names.split()}
-_SUBMODULES = {*_NAMES, "_eigen", "_real_roots", "_record"}
+_SUBMODULES = {*_NAMES, "_eigen", "_real_roots", "_ratio", "_record"}
 
 __all__ = ["__version__", *_OWNER]
 

@@ -4,6 +4,13 @@ Recurrences are stored monically: x P_n = P_{n+1} + b_n P_n + u_n P_{n-1},
 so the Jacobi matrix has unit subdiagonal, diagonal b_n and superdiagonal u_n.
 The finite families (q-Hahn, q-para-Krawtchouk) carry explicit eigenvalue
 lattices which verify_spectrum certifies against the Jacobi matrix.
+
+When every parameter is exactly a fractions.Fraction, big_q_jacobi (and so
+q_hahn), askey_wilson and q_para_krawtchouk run their code on unreduced
+integer ratios (``representation._ratio_route``) and reduce each b_n and u_n
+to one Fraction on the way out: the value and type of Fraction arithmetic,
+with no gcd before that, and every refusal where Fraction arithmetic puts it.
+Any other parameters keep their own arithmetic.
 """
 
 from __future__ import annotations
@@ -22,7 +29,8 @@ from .opmatrix import (
     eigenvalues,
     guard_size,
 )
-from .representation import AWParams, StructuredParams, _check_q, _nonresonant, _scaled_minors
+from .representation import (AWParams, StructuredParams, _check_q, _nonresonant, _ratio_route,
+                             _scaled_minors)
 
 _TINY = sys.float_info.min  # the smallest normal float
 
@@ -58,8 +66,8 @@ def big_q_jacobi(p: StructuredParams, count: int) -> MonicRecurrence:
     """
     if count < 1:
         raise InvalidParameterError("count must be >= 1")
-    q, c1, c2, c3 = p.q, p.c1, p.c2, p.c3
-    guard_size(q, count)
+    guard_size(p.q, count)
+    (q, c1, c2, c3), out = _ratio_route(p.q, p.c1, p.c2, p.c3)
     qp = [q**k for k in range(2 * count + 1)]  # each power of q once
     c12 = c1 * c2
     # each denominator once, in increasing k, so the first refused is the least k
@@ -79,8 +87,8 @@ def big_q_jacobi(p: StructuredParams, count: int) -> MonicRecurrence:
 
     Ds = [D(n) for n in range(count)]
     Cs = [C(n) for n in range(count)]
-    b = tuple(1 - Ds[n] - Cs[n] for n in range(count))
-    u = tuple(Ds[n - 1] * Cs[n] for n in range(1, count))
+    b = out(1 - Ds[n] - Cs[n] for n in range(count))
+    u = out(Ds[n - 1] * Cs[n] for n in range(1, count))
     return MonicRecurrence(b, u, family="big-q-jacobi", params=p)
 
 
@@ -90,9 +98,8 @@ def askey_wilson(p: AWParams, count: int) -> MonicRecurrence:
     u_n = D_{n-1} C_n / 4."""
     if count < 1:
         raise InvalidParameterError("count must be >= 1")
-    q, a1, a2, a3, a4 = p.q, p.a1, p.a2, p.a3, p.a4
-    guard_size(q, count)
-    g = p.g
+    guard_size(p.q, count)
+    (q, a1, a2, a3, a4, g), out = _ratio_route(p.q, p.a1, p.a2, p.a3, p.a4, p.g)
     qp = {k: q**k for k in range(-1, 2 * count - 1)}  # each power of q once
     # each denominator once, in increasing k, so the first refused is the least k
     den = {k: _nonresonant(1, g * qp[k], "denominator 1-g*q^{}", k) for k in range(-1, 2 * count - 1)}
@@ -112,8 +119,8 @@ def askey_wilson(p: AWParams, count: int) -> MonicRecurrence:
     Ds = [D(n) for n in range(count)]
     Cs = [C(n) for n in range(count)]
     inv_a1 = 1 / a1
-    b = tuple((a1 + inv_a1 - Ds[n] - Cs[n]) / 2 for n in range(count))
-    u = tuple(Ds[n - 1] * Cs[n] / 4 for n in range(1, count))
+    b = out((a1 + inv_a1 - Ds[n] - Cs[n]) / 2 for n in range(count))
+    u = out(Ds[n - 1] * Cs[n] / 4 for n in range(1, count))
     return MonicRecurrence(b, u, family="askey-wilson", params=p)
 
 
@@ -142,6 +149,9 @@ def q_para_krawtchouk(c3, q, N: int) -> MonicRecurrence:
     if c3 == 0:
         raise InvalidParameterError("c3 must be nonzero")
     guard_size(q, N + 1)
+    c = q ** (-(N + 1) // 2)
+    params = StructuredParams(q, c, c, c3)
+    (q, c3), out = _ratio_route(q, c3)
     half = (N - 1) // 2
     qp = {k: q**k for k in range(-N - 1, N + 2)}  # each power of q once
 
@@ -166,10 +176,9 @@ def q_para_krawtchouk(c3, q, N: int) -> MonicRecurrence:
 
     Ds = [D(n) for n in range(N + 1)]
     Cs = [C(n) for n in range(N + 1)]
-    b = tuple(1 - Ds[n] - Cs[n] for n in range(N + 1))
-    u = tuple(Ds[n - 1] * Cs[n] for n in range(1, N + 1))
-    c = qp[-(N + 1) // 2]
-    return MonicRecurrence(b, u, family="q-para-krawtchouk", params=StructuredParams(q, c, c, c3))
+    b = out(1 - Ds[n] - Cs[n] for n in range(N + 1))
+    u = out(Ds[n - 1] * Cs[n] for n in range(1, N + 1))
+    return MonicRecurrence(b, u, family="q-para-krawtchouk", params=params)
 
 
 def jacobi_matrix(rec: MonicRecurrence) -> BandMatrix:

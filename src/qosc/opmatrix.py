@@ -384,14 +384,16 @@ def char_poly_eval(M: BandMatrix, x):
 
 def _lift(M: BandMatrix, bands) -> tuple:
     """(steps, e_0 ... e_{n-1}) of ``_scaled_steps`` on M's three bands, made on
-    the first exact call and kept on M.  It is keyed on the identity of the
-    band tuples it read, so replacing a band in M.bands misses it, and a tuple
-    cannot change in place; a band of another type is not kept."""
+    the first exact call and kept on M.  It is keyed on the identity of what
+    M.bands stores at -1, 0 and +1, None for a band not stored, so replacing,
+    adding or deleting a band misses it, and a tuple cannot change in place;
+    a band of another type is not kept."""
+    stored = [M.bands.get(k) for k in (-1, 0, 1)]
     kept = M._lift
-    if kept is None or not all(map(operator.is_, kept[0], bands)):
+    if kept is None or not all(map(operator.is_, kept[0], stored)):
         steps = list(_scaled_steps(*_exact_entries(*bands)))
-        kept = bands, (steps, math.prod(e for e, _, _ in steps))
-        M._lift = kept if all(type(band) is tuple for band in bands) else None
+        kept = stored, (steps, math.prod(e for e, _, _ in steps))
+        M._lift = kept if all(band is None or type(band) is tuple for band in stored) else None
     return kept[1]
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 
 from ._record import record
 from .errors import (
@@ -52,6 +53,22 @@ def _nonresonant(a, b, label: str, index: int):
     if abs(float(d)) <= _DEGENERACY_RTOL * (abs(float(a)) + abs(float(b))):
         raise ResonanceError(f"{label.format(index)} vanishes")
     return d
+
+
+def _ratio_route(*values):
+    """(values, out) for an exact builder.  When every value is exactly a
+    fractions.Fraction, the values come back as unreduced ``_ratio.Ratio``
+    pairs and ``out`` reduces each entry of an iterable to one Fraction (an
+    int stays an int); otherwise they come back as they are and ``out`` is
+    ``tuple``.  Types are matched exactly, so ints, bool, subclasses and a
+    float or complex among Fractions keep their own arithmetic."""
+    # None while the fractions module is not loaded, when no value can be a Fraction
+    fraction = getattr(sys.modules.get("fractions"), "Fraction", None)
+    if type(values[0]) is not fraction or any(type(v) is not fraction for v in values[1:]):
+        return values, tuple  # a float q costs one test
+    from ._ratio import Ratio, reduced
+
+    return [Ratio(v.numerator, v.denominator) for v in values], reduced
 
 
 def _check_q(q) -> None:
@@ -138,11 +155,17 @@ def build_general(p: GeneralParams, size: int):
     B has subdiagonal xi_n, diagonal eta_n, superdiagonal zeta_{n+1} * u_{n+1}.
     Raises ResonanceError when a gamma_n or y_n denominator vanishes in range
     and ReducibleRepresentationError when some u_n vanishes (n = 1..size-1).
+
+    When every parameter is exactly a Fraction, the same code runs on
+    unreduced integer ratios (``_ratio_route``), and each entry of A, B and
+    the trace is reduced to one Fraction on the way out: the value and type
+    of Fraction arithmetic (u_0 stays the int 0), every refusal at the same
+    index.  Any other parameters keep their own arithmetic.
     """
     if size < 3:
         raise TooSmallError("size must be >= 3")
-    q, xi0, zeta0, s1, s2 = p.q, p.xi0, p.zeta0, p.s1, p.s2
-    guard_size(q, size)
+    guard_size(p.q, size)
+    (q, xi0, zeta0, s1, s2), out = _ratio_route(p.q, p.xi0, p.zeta0, p.s1, p.s2)
 
     qp = {k: q**k for k in range(-size, size + 2)}
     xi = [xi0 * qp[-n] for n in range(size + 1)]  # n = 0..size, each formed once
@@ -176,21 +199,11 @@ def build_general(p: GeneralParams, size: int):
             raise ReducibleRepresentationError(f"u_{n} vanishes: truncation is reducible")
         u.append(un)
 
+    xi, zeta, z, gamma, y, K, (s0,), b, eta, u = map(
+        out, (xi[:size], zeta[:size], z, gamma, y, K, (s0,), b, eta, u))
     A = band_tridiagonal((1,) * (size - 1), b, u[1:])
-    B = band_tridiagonal(xi[1:size], eta, tuple(zeta[n] * u[n] for n in range(1, size)))
-    trace = GeneralSolutionTrace(
-        xi=tuple(xi[:size]),
-        zeta=tuple(zeta[:size]),
-        z=tuple(z),
-        gamma=tuple(gamma),
-        y=tuple(y),
-        K=tuple(K),
-        s0=s0,
-        b=tuple(b),
-        eta=tuple(eta),
-        u=tuple(u),
-    )
-    return A, B, trace
+    B = band_tridiagonal(xi[1:], eta, tuple(zeta[n] * u[n] for n in range(1, size)))
+    return A, B, GeneralSolutionTrace(xi, zeta, z, gamma, y, K, s0, b, eta, u)
 
 
 def _read_tridiagonal_pair(A: BandMatrix, B: BandMatrix):

@@ -1,6 +1,7 @@
 """Family coefficient tables, finite truncations, and spectrum certification."""
 
 import math
+import random
 import re
 from fractions import Fraction as F
 
@@ -619,3 +620,76 @@ def test_one_relative_resonance_rule(case):
     with pytest.raises(ResonanceError):
         NEAR_RESONANT[case](1 - 2 * 1e-11)
     NEAR_RESONANT[case](1 - 2 * 1e-9)
+
+
+# -- the unreduced-ratio route: all-Fraction parameters --------------------------
+
+
+def leaves(x):
+    """Every value inside x: a tuple's entries and a record's fields, recursively."""
+    fields = getattr(type(x), "__record_fields__", None)
+    if fields is not None:
+        for name in fields:
+            yield from leaves(getattr(x, name))
+    elif isinstance(x, tuple):
+        for v in x:
+            yield from leaves(v)
+    else:
+        yield x
+
+
+def typed(values):
+    return [(type(v), v) for v in values]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_fraction_builders_match_the_oracles_in_value_and_type(seed):
+    # All-Fraction parameters take the unreduced-ratio route; what comes out is
+    # the reduced Fraction that Fraction arithmetic gives, and the caller's params.
+    rng = random.Random(seed)
+    q = F(rng.randint(2, 9), rng.choice((10, 11))) * rng.choice((1, -1))
+    c1, c2, c3, a2, a3, a4 = (F(rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 40))
+                              for _ in range(6))
+    n, N = rng.randint(1, 16), 2 * rng.randint(0, 8) + 1
+    sp_, aw = StructuredParams(q, c1, c2, c3), AWParams(q, c1, a2, a3, a4)
+    c = q ** (-(N + 1) // 2)
+    cases = [
+        (big_q_jacobi(sp_, n), big_q_jacobi_bu(q, c1, c2, c3, n), sp_),
+        (askey_wilson(aw, n), askey_wilson_bu(q, c1, a2, a3, a4, n), aw),
+        (q_hahn(c1, c2, q, N), big_q_jacobi_bu(q, c1, c2, q ** (-N - 1), N + 1),
+         StructuredParams(q, c1, c2, q ** (-N - 1))),
+        (q_para_krawtchouk(c3, q, N), q_para_krawtchouk_bu(c3, q, N),
+         StructuredParams(q, c, c, c3)),
+    ]
+    for rec, (b, u), params in cases:
+        assert typed(rec.b) == typed(b) and typed(rec.u) == typed(u)
+        assert typed(leaves(rec.params)) == typed(leaves(params))
+        assert {type(v) for v in leaves(rec)} == {F, str}  # no ratio escapes
+    assert cases[0][0].params is sp_ and cases[1][0].params is aw
+
+
+# Exactly on a resonance line, and 1e-11 off it in relative terms: the same
+# refusal, naming the same first index, as Fraction arithmetic gave.
+# q-para-Krawtchouk's lines 1 -+ q^k = 0 need q = +-1, which is refused, so
+# its cases sit 1e-12 off them.
+ON_RESONANCE = {
+    "big-q-jacobi": (lambda e: big_q_jacobi(StructuredParams(F(1, 2), 24 * e, F(1, 3), F(3, 10)), 6),
+                     "denominator 1-c1*c2*q^3 vanishes"),
+    "askey-wilson": (lambda e: askey_wilson(AWParams(F(1, 2), F(1, 2), F(1, 2), F(1, 2), 32 * e), 6),
+                     "denominator 1-g*q^2 vanishes"),
+    "q-hahn": (lambda e: q_hahn(8 * e, F(1), F(1, 2), 6), "denominator 1-c1*c2*q^3 vanishes"),
+    "q-para-krawtchouk 1-q": (lambda e: q_para_krawtchouk(F(1, 5), e + F(1, 10**12), 5),
+                              "denominator 1-q^-5 vanishes"),
+    "q-para-krawtchouk 1+q": (lambda e: q_para_krawtchouk(F(1, 5), -e - F(1, 10**12), 5),
+                              "denominator 1+q^-1 vanishes"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ON_RESONANCE))
+@pytest.mark.parametrize("off", [0, 1, -1])
+def test_fraction_refusals_keep_their_messages(case, off):
+    build, message = ON_RESONANCE[case]
+    with pytest.raises(ResonanceError) as exc:
+        build(1 + off * F(1, 10**11))
+    assert str(exc.value) == message
+    build(1 + F(1, 10**8))  # outside the 1e-10 rule it builds

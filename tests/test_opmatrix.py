@@ -673,6 +673,23 @@ class TestExactLift:
             for x in (F(rng.randint(-50, 50), rng.randint(1, 13)), rng.randint(-3, 3)):
                 assert exactly(char_poly_eval(J, x)) == exactly(fraction_char_poly(J, x))
 
+    @pytest.mark.parametrize("bands", [
+        {0: (F(1, 3), F(2), F(5, 7), F(1))},
+        {-1: (F(1, 3), F(-2, 9), F(4))},
+        {1: (F(3, 2), F(1, 5), F(-7, 4))},
+    ], ids=["diagonal", "sub", "super"])
+    def test_a_band_not_stored_keeps_the_lift(self, bands, monkeypatch):
+        lifts, scaled_steps = [], opmatrix._scaled_steps
+        monkeypatch.setattr(opmatrix, "_scaled_steps",
+                            lambda b, w: lifts.append(1) or scaled_steps(b, w))
+        M = BandMatrix(4, bands)
+        for x in (F(1, 2), 3, F(-5, 3), F(2), 0):
+            assert exactly(char_poly_eval(M, x)) == exactly(fraction_char_poly(M, x))
+        assert len(lifts) == 1
+        M.bands[0] = (F(1),) * 4  # a band stored anew, or in place of an absent one, misses it
+        assert char_poly_eval(M, F(1, 2)) == fraction_char_poly(M, F(1, 2))
+        assert len(lifts) == 2
+
     @pytest.mark.parametrize("k", [-1, 0, 1])
     def test_a_replaced_band_is_read_anew(self, k):
         rng = random.Random(k)

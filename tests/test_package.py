@@ -47,6 +47,7 @@ GENERAL = ["--q", "0.7", "--xi0", "1.0", "--zeta0", "0.2", "--s1", "0.1", "--s2"
            "--size", "12"]
 STRUCTURED = ["--q", "0.5", "--c1", "0.25", "--c2", "0.5", "--c3", "0.25"]
 EIGEN = {"qosc._eigen", "qosc._real_roots"}
+RATIO = "qosc._ratio"  # loaded only by a builder whose parameters are all Fractions
 BIG_Q_JACOBI = {"qosc.families", "qosc.tridiagonalization", "qosc.algebra"}
 
 
@@ -149,7 +150,7 @@ def test_every_public_member_is_read_outside_the_tests():
 
 @pytest.mark.parametrize("name", ["errors", "numerics", "opmatrix", "representation",
                                   "families", "tridiagonalization", "algebra", "_record",
-                                  "_real_roots", "_eigen"])
+                                  "_real_roots", "_eigen", "_ratio"])
 def test_submodule_resolves_after_bare_import(name):
     code = f"import sys, qosc\nprint(qosc.{name} is sys.modules['qosc.{name}'])\n"
     assert fresh(code) == "True\n"
@@ -168,7 +169,7 @@ def test_unknown_name_raises_attribute_error_naming_it():
 def test_general_pair_calls_load_no_family_or_eigen_module(argv):
     loaded = cli_loads(argv)
     assert "qosc.representation" in loaded
-    assert not loaded & (EIGEN | BIG_Q_JACOBI), sorted(loaded)
+    assert not loaded & (EIGEN | BIG_Q_JACOBI | {RATIO}), sorted(loaded)
 
 
 @pytest.mark.parametrize("argv", [
@@ -177,14 +178,37 @@ def test_general_pair_calls_load_no_family_or_eigen_module(argv):
      "--a4", "0.3"],
     ["verify", "--suite", "qdiff", *STRUCTURED],
     ["poly", "--family", "big-q-jacobi", *STRUCTURED, "--size", "8"],
-], ids=["bigqjacobi-algebra", "aw-match", "qdiff", "poly"])
+    ["verify", "--suite", "aw-algebra", *STRUCTURED, "--mu", "0.1", "--size", "8"],
+    ["build", "--parameterization", "structured", *STRUCTURED, "--size", "8"],
+], ids=["bigqjacobi-algebra", "aw-match", "qdiff", "poly", "aw-algebra", "build-structured"])
 def test_calls_without_an_eigenproblem_load_no_eigen_module(argv):
     loaded = cli_loads(argv)
     assert "qosc.families" in loaded
-    assert not loaded & EIGEN, sorted(loaded)
+    assert not loaded & (EIGEN | {RATIO}), sorted(loaded)
 
 
 def test_spectrum_loads_the_eigen_modules():
     loaded = cli_loads(["spectrum", "--family", "q-hahn", "--q", "0.5", "--c1", "0.3",
                         "--c2", "0.4", "--N", "3"])
     assert EIGEN <= loaded
+    assert RATIO not in loaded
+
+
+def test_float_decompose_loads_no_ratio_module():
+    loaded = cli_loads(["decompose", "--family", "q-hahn", "--q", "0.5", "--c1", "0.3",
+                        "--c2", "0.4", "--N", "3"])
+    assert RATIO not in loaded
+
+
+def test_an_all_fraction_build_general_call_loads_the_ratio_module():
+    code = (
+        "import sys\n"
+        "from fractions import Fraction as F\n"
+        "from qosc import GeneralParams, build_general\n"
+        "print('qosc._ratio' in sys.modules)\n"
+        "build_general(GeneralParams(F(1, 2), F(3, 2), F(1, 3), F(1, 4), 0.4), 6)  # one float\n"
+        "print('qosc._ratio' in sys.modules)\n"
+        "build_general(GeneralParams(F(1, 2), F(3, 2), F(1, 3), F(1, 4), F(2, 5)), 6)\n"
+        "print('qosc._ratio' in sys.modules)\n"
+    )
+    assert fresh(code) == "False\nFalse\nTrue\n"

@@ -41,6 +41,10 @@ amps = st.floats(min_value=0.15, max_value=1.8)
 srange = st.floats(min_value=-1.0, max_value=1.0)
 
 
+def typed(values):
+    return [(type(v), v) for v in values]
+
+
 def safe_params(q, xi0, zeta0, s1, s2, size=10):
     """Reject draws whose gamma/y denominators come near resonance."""
     for n in range(size + 1):
@@ -111,6 +115,44 @@ class TestBuildGeneral:
         assert list(tr.eta) == want["eta"]
         assert list(tr.u) == want["u"]
         assert tr.s0 == want["s0"]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_fraction_parameters_match_the_oracle_in_value_and_type(self, seed):
+        # All-Fraction parameters take the unreduced-ratio route; every entry of
+        # A, B and the trace comes out as the reduced Fraction that Fraction
+        # arithmetic gives, with u_0 the int 0 and A's unit subdiagonal ints.
+        rng = random.Random(seed)
+        args = [F(rng.randint(2, 9), rng.choice((10, 11, 13))) * rng.choice((1, -1)),
+                *(F(rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 40)) for _ in range(4))]
+        size = rng.randint(3, 16)
+        A, B, tr = build_general(GeneralParams(*args), size)
+        want = general_solution(*args, size)
+        want["u"][0] = 0
+        for name, values in want.items():
+            got = getattr(tr, name)
+            if name == "s0":
+                got, values = [got], [values]
+            assert typed(got) == typed(values), name
+        assert typed(A.bands[-1]) == [(int, 1)] * (size - 1)
+        assert typed(A.bands[0]) == typed(want["b"]) and typed(A.bands[1]) == typed(want["u"][1:])
+        assert typed(B.bands[-1]) == typed(want["xi"][1:]) and typed(B.bands[0]) == typed(want["eta"])
+        assert typed(B.bands[1]) == typed([z * u for z, u in zip(want["zeta"][1:], want["u"][1:])])
+
+    @pytest.mark.parametrize("args, moved, error, message", [
+        ((F(1, 2), F(1), F(16), F(1, 10), F(1, 5)), 2, ResonanceError, "gamma_2 vanishes"),
+        ((F(1, 2), F(1), F(8), F(1, 10), F(1, 5)), 2, ResonanceError, "y_1 vanishes"),
+        ((F(1, 2), F(-3), F(12), F(0), F(120)), 4, ReducibleRepresentationError,
+         "u_1 vanishes: truncation is reducible"),
+    ], ids=["gamma", "y", "u"])
+    @pytest.mark.parametrize("off", [0, 1, -1])
+    def test_fraction_refusals_keep_their_messages(self, args, moved, error, message, off):
+        # Exactly on the line, and with one parameter 1e-11 off it in relative
+        # terms: the same refusal, naming the same first index.
+        args = list(args)
+        args[moved] *= 1 + off * F(1, 10**11)
+        with pytest.raises(error) as exc:
+            build_general(GeneralParams(*args), 6)
+        assert str(exc.value) == message
 
     def test_band_layout(self):
         p = GeneralParams(**SAFE)
