@@ -345,11 +345,13 @@ def cmd_spectrum(args, pol: TolerancePolicy):
 def cmd_poly(args, pol: TolerancePolicy):
     from .families import eval_monic
 
-    n_max = 5 if args.n_max is None else args.n_max
-    if n_max < 1:
+    n_max = args.n_max
+    if n_max is not None and n_max < 1:
         raise InvalidParameterError("--n-max must be >= 1")
-    rec, params = _family(args, size=n_max)
-    if n_max > rec.size:
+    rec, params = _family(args, size=5 if n_max is None else n_max)
+    if n_max is None:
+        n_max = min(5, rec.size)
+    elif n_max > rec.size:
         raise InvalidParameterError(f"--n-max {n_max} exceeds family size {rec.size}")
     raw = "0.0,0.5,1.0,2.0" if args.x_points is None else args.x_points
     try:

@@ -638,6 +638,17 @@ class TestSpectrumAndPoly:
         assert (code, out) == (2, "")
         assert err == "error[invalid-parameter]: --n-max 5 exceeds family size 4\n"
 
+    @pytest.mark.parametrize("family", [
+        ["big-q-jacobi", "--c1", "0.25", "--c2", "0.5", "--c3", "0.25", "--size", "4"],
+        ["q-hahn", "--c1", "0.3", "--c2", "0.4", "--N", "3"],
+    ], ids=["big-q-jacobi", "q-hahn"])
+    def test_poly_default_n_max_stops_at_the_family_size(self, capsys, family):
+        code, out, err = run(capsys, ["poly", "--q", "0.5", "--family", *family])
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["params"]["n_max"] == 4
+        assert [r[0] for r in table(report, "values")["rows"][1:]] == [0, 1, 2, 3, 4]
+
     @pytest.mark.parametrize("command", ["spectrum", "decompose"])
     @pytest.mark.parametrize("family", ["askey-wilson", "big-q-jacobi"])
     def test_infinite_family_refused_before_its_flags(self, capsys, command, family):
