@@ -171,7 +171,9 @@ def _family(args, size=None):
     _require(args, "family", "q")
     flags, build = _FAMILIES[args.family]
     if args.family in _FINITE:
-        _require(args, flags[-1], *flags[1:-1])  # --N is named first
+        _require(args, flags[-1], *flags[1:-1])  # --N is named first, then a stray --size
+        if args.size is not None:
+            raise InvalidParameterError("--size is not used by finite families; pass --N")
     else:
         if args.size is None:
             args.size = size

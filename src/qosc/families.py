@@ -5,12 +5,9 @@ so the Jacobi matrix has unit subdiagonal, diagonal b_n and superdiagonal u_n.
 The finite families (q-Hahn, q-para-Krawtchouk) carry explicit eigenvalue
 lattices which verify_spectrum certifies against the Jacobi matrix.
 
-When every parameter is exactly a fractions.Fraction, big_q_jacobi (and so
-q_hahn), askey_wilson and q_para_krawtchouk run their code on unreduced
-integer ratios (``representation._ratio_route``) and reduce each b_n and u_n
-to one Fraction on the way out: the value and type of Fraction arithmetic,
-with no gcd before that, and every refusal where Fraction arithmetic puts it.
-Any other parameters keep their own arithmetic.
+On exact parameters, big_q_jacobi (and so q_hahn), askey_wilson and
+q_para_krawtchouk take the builders' route of _ratio.py: the value and type
+of Fraction arithmetic, and every refusal where Fraction arithmetic puts it.
 """
 
 from __future__ import annotations

@@ -5,10 +5,10 @@ fractions.Fraction, or any ring element supporting +, -, *, so exact inputs
 produce exact residuals.  Products, sums, scalings and row sums walk each band
 as a slice under a C-level ``map`` rather than one Python statement per entry;
 the operand order and the order of every sum are those of per-entry loops, so
-the results are the same bit for bit.  On entries of type int and Fraction,
-``band_mul`` and ``char_poly_eval`` take an exact route on plain integers
-instead, with the value and type of that loop and far fewer gcds (and
-``char_poly_eval`` lifts a matrix once, kept on it until a band is replaced).
+the results are the same bit for bit.  On exact input, ints and Fractions
+with one a Fraction (``_exact_kind``, the one test for it), ``band_mul`` and
+``char_poly_eval`` take the integer routes of _ratio.py instead, with the
+value and type of that loop; _ratio.py says how they work.
 ``band_sub`` and ``_q_bracket`` (past its two products) form each band of a
 difference in one pass, with the bits of the band_add/band_scale
 compositions they replaced (kept in tests/test_band_kernels.py).  The
@@ -25,8 +25,7 @@ Truncation bookkeeping: all infinite-matrix identities checked here hold on a
 size x size truncation except for rows coupled to the cut, so residual checks
 take an explicit row window and default to rows 0..size-2.
 
-``band_mul`` and ``char_poly_eval`` (their exact integer routes) and
-``eigenvalues`` (its two paths) say how each works.  The eigen paths live in
+``eigenvalues`` says how its two paths work.  They live in
 _eigen.py, their real-root kernels in _real_roots.py; ``eigenvalues``
 imports them on its first call, so a process that solves no eigenproblem
 never compiles them.
@@ -45,6 +44,7 @@ from .numerics import TolerancePolicy
 
 # Largest |q|-power spread allowed before geometric bands degrade float checks.
 SIZE_GUARD_LIMIT = 1e12
+_ratio = None  # qosc._ratio, the routes of exact input, once _exact_kind imports it
 
 
 def guard_size(q, size: int) -> None:
@@ -97,7 +97,7 @@ class BandMatrix:
             clean[k] = entries
         self.size = size
         self.bands = clean
-        self._lift = None  # char_poly_eval's integer steps (see _lift)
+        self._lift = None  # char_poly_eval's integer steps (see _ratio._lift)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -202,18 +202,15 @@ def band_mul(A: BandMatrix, B: BandMatrix) -> BandMatrix:
     i_lo .. i_lo + n - 1 it reaches, as one map over three aligned slices.
     Each output entry starts at int 0 and takes its terms in band-pair order.
 
-    When every entry is of type int or fractions.Fraction and one is a
-    Fraction, ``_exact_band_mul`` forms the same entries on integer pairs.
-    The type of A's first band head sends floats to the loop with no other
-    test; any other input (complex, bool, a Fraction subclass, one float
-    among Fractions) takes the loop too.
+    Exact input (``_exact_kind``) takes ``_ratio._exact_band_mul``, which forms
+    the same entries on integer pairs.  The type of A's first band head sends
+    floats to the loop with no other test.
     """
     size = _check_same_size(A, B)
     head = next(iter(A.bands.values()), (0.0,))[0]
-    if type(head) is not float:
-        kind = _exact_kind(head, [*A.bands.values(), *B.bands.values()])
-        if kind not in (None, int):
-            return _exact_band_mul(A, B, size, kind)
+    exact = type(head) is not float and _exact_kind(head, [*A.bands.values(), *B.bands.values()])
+    if exact:
+        return exact._exact_band_mul(A, B, size)
     out: dict = {}
     for ka, banda in A.bands.items():
         for kb, bandb in B.bands.items():
@@ -227,37 +224,6 @@ def band_mul(A: BandMatrix, B: BandMatrix) -> BandMatrix:
             acc[o:o + n] = map(operator.add, acc[o:o + n],
                                map(operator.mul, banda[a0:a0 + n], bandb[b0:b0 + n]))
     return BandMatrix(size, {k: tuple(v) for k, v in out.items()})
-
-
-def _exact_band_mul(A: BandMatrix, B: BandMatrix, size: int, fraction) -> BandMatrix:
-    """``band_mul`` on int and ``fraction`` entries, over the same band pairs and rows.
-
-    Each entry is read as an integer pair (``_ratios``), and each output entry
-    sums its terms x/y * u/v as N/D on plain integers, N <- N y v + x u D and
-    D <- D y v, with no gcd; one Fraction(N, D) is reduced per entry at the
-    end.  An entry whose terms are all int * int stays an int, and one that no
-    band pair reaches stays int 0, as in the loop.
-    """
-    pa, pb = [{k: (_ratios(band), [type(v) is not int for v in band])
-               for k, band in M.bands.items()} for M in (A, B)]
-    out: dict = {}
-    for ka, (ra, fa) in pa.items():
-        for kb, (rb, fb) in pb.items():
-            k = ka + kb
-            if abs(k) > size - 1:
-                continue
-            m = size - abs(k)
-            num, den, frac = out.setdefault(k, ([0] * m, [1] * m, [False] * m))
-            i_lo = max(0, -ka, -k)
-            n = size - max(0, ka, k) - i_lo
-            a0, b0, o = i_lo + min(0, ka), i_lo + ka + min(0, kb), i_lo + min(0, k)
-            for t, (x, y), (u, v) in zip(range(o, o + n), ra[a0:a0 + n], rb[b0:b0 + n]):
-                yv, d = y * v, den[t]
-                num[t], den[t] = num[t] * yv + x * u * d, d * yv
-            frac[o:o + n] = map(operator.or_, frac[o:o + n],
-                                map(operator.or_, fa[a0:a0 + n], fb[b0:b0 + n]))
-    return BandMatrix(size, {k: [fraction(x, y) if f else x for x, y, f in zip(*acc)]
-                             for k, acc in out.items()})
 
 
 def inf_norm(M: BandMatrix) -> float:
@@ -357,59 +323,36 @@ def _tridiagonal(M: BandMatrix):
 def char_poly_eval(M: BandMatrix, x):
     """det(xI - M) for tridiagonal M by the three-term minor recurrence.
 
-    When x and every entry are of type int or fractions.Fraction, the
-    recurrence runs on plain integers (``_exact_det``) over M's integer lift
-    (``_lift``), taken once and kept on M for every later point until a band
-    it read is replaced, and one Fraction is built at the end, or an int when
-    every input is an int, or Fraction(0) at once when the minor is 0: the
-    same value and type as the loop below, without a gcd on the growing
-    minors at any step.  Any other input (floats, complex, bool, a Fraction
-    subclass) takes the duck-typed loop, unscaled, so it may overflow for
-    large sizes with wide entry ranges (eigenvalues() uses a rescaled variant).
+    Exact input (``_exact_kind``) takes ``_ratio._char_poly``, on integers, with
+    the value and type of the loop below.  Any other input (floats, complex,
+    all ints) takes that loop, unscaled, so it may overflow for large sizes
+    with wide entry ranges (eigenvalues() uses a rescaled variant).
     """
     bands = sub, b, sup = _tridiagonal(M)
-    kind = _exact_kind(x, bands)
-    if kind is not None:
-        X, d = x.as_integer_ratio()
-        steps, E = _lift(M, bands)
-        P = _exact_det(steps, X, d)
-        if kind is int or P == 0:
-            return kind(P)
-        return kind(P, d ** len(steps) * E)
+    exact = _exact_kind(x, bands)
+    if exact:
+        return exact._char_poly(M, bands, x)
     p0, p1 = 1, x - b[0]
     for bk, s, t in zip(b[1:], sub, sup):
         p0, p1 = p1, (x - bk) * p1 - s * t * p0
     return p1
 
 
-def _lift(M: BandMatrix, bands) -> tuple:
-    """(steps, e_0 ... e_{n-1}) of ``_scaled_steps`` on M's three bands, made on
-    the first exact call and kept on M.  It is keyed on the identity of what
-    M.bands stores at -1, 0 and +1, None for a band not stored, so replacing,
-    adding or deleting a band misses it, and a tuple cannot change in place;
-    a band of another type is not kept."""
-    stored = [M.bands.get(k) for k in (-1, 0, 1)]
-    kept = M._lift
-    if kept is None or not all(map(operator.is_, kept[0], stored)):
-        steps = list(_scaled_steps(*_exact_entries(*bands)))
-        kept = stored, (steps, math.prod(e for e, _, _ in steps))
-        M._lift = kept if all(band is None or type(band) is tuple for band in stored) else None
-    return kept[1]
-
-
-def _exact_kind(x, bands):
-    """int when x and every entry are of type int, fractions.Fraction when
-    each is an int or a Fraction and one is a Fraction, else None.  Types are
-    matched exactly, so bool and subclasses are not exact here.  No Fraction
-    exists unless the fractions module is loaded, so it is never imported."""
-    fractions = sys.modules.get("fractions")
-    exact = {int} if fractions is None else {int, fractions.Fraction}
-    if type(x) not in exact:
+def _exact_kind(x, groups):
+    """The routes of exact input, qosc._ratio, when x and every value of
+    ``groups`` are exactly an int or a Fraction, one a Fraction, else None: the
+    one test for exact input (bool and subclasses are not).  No Fraction exists
+    unless fractions is loaded, so neither it nor _ratio is imported before."""
+    global _ratio
+    fraction = getattr(sys.modules.get("fractions"), "Fraction", None)
+    if fraction is None or type(x) is not int and type(x) is not fraction:
         return None
-    kinds = {type(x)}.union(*[map(type, band) for band in bands])
-    if not kinds <= exact:
+    kinds = {type(x)}.union(*[map(type, group) for group in groups])
+    if not (kinds <= {int, fraction} and fraction in kinds):
         return None
-    return int if kinds == {int} else fractions.Fraction
+    if _ratio is None:
+        from . import _ratio
+    return _ratio
 
 
 def _ratios(band) -> list:
@@ -432,25 +375,8 @@ def _exact_entries(sub, diag, sup):
     return _ratios(diag), [(0, 1)] + w
 
 
-def _scaled_steps(b, w):
-    """(e_k, B_k, W_k) of each step of the minor recurrence, for every point.
-
-    Step k scales by its own denominator c_k, the lcm of den b_k and the
-    part of den w_k that c_{k-1} lacks.  Then e_k = c_k, B_k = c_k b_k and
-    W_k = c_k c_{k-1} w_k are integers, and at a point X / d,
-    P_k = (X e_k - d B_k) P_{k-1} - d^2 W_k P_{k-2} (P_{-1} = 1) is the
-    leading minor of order k + 1 of xI - M times d^(k+1) c_0 ... c_k.  The
-    gcds are on entry denominators only, never on the growing P_k.
-    """
-    c = 1
-    for (bn, bd), (wn, wd) in zip(b, w):
-        ck = math.lcm(bd, wd // math.gcd(wd, c))
-        yield ck, bn * (ck // bd), wn * (ck * c // wd)
-        c = ck
-
-
 def _exact_det(steps, X: int, d: int = 1) -> int:
-    """P_n of the ``_scaled_steps`` recurrence at X / d (or at X of
+    """P_n of the ``_ratio._scaled_steps`` recurrence at X / d (or at X of
     ``_ExactCharPoly``'s lifted steps (1, S b_k, S^2 w_k)): det(xI - M) times
     a positive integer, so its sign is that of det(xI - M)."""
     P0, P1, d2 = 0, 1, d * d

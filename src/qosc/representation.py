@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
 
 from ._record import record
 from .errors import (
@@ -28,6 +27,7 @@ from .errors import (
 from .numerics import TolerancePolicy, _worst_of
 from .opmatrix import (
     BandMatrix,
+    _exact_kind,
     _judge,
     _tridiagonal,
     _worst,
@@ -56,19 +56,14 @@ def _nonresonant(a, b, label: str, index: int):
 
 
 def _ratio_route(*values):
-    """(values, out) for an exact builder.  When every value is exactly a
-    fractions.Fraction, the values come back as unreduced ``_ratio.Ratio``
-    pairs and ``out`` reduces each entry of an iterable to one Fraction (an
-    int stays an int); otherwise they come back as they are and ``out`` is
-    ``tuple``.  Types are matched exactly, so ints, bool, subclasses and a
-    float or complex among Fractions keep their own arithmetic."""
-    # None while the fractions module is not loaded, when no value can be a Fraction
-    fraction = getattr(sys.modules.get("fractions"), "Fraction", None)
-    if type(values[0]) is not fraction or any(type(v) is not fraction for v in values[1:]):
+    """(values, out) for a builder: on exact input (``_exact_kind``) each Fraction
+    as an unreduced ``_ratio.Ratio`` and ``out`` ``_ratio.reduced``, which makes
+    one Fraction of each; else the values as they are and ``out`` ``tuple``."""
+    exact = _exact_kind(values[0], [values])
+    if not exact:
         return values, tuple  # a float q costs one test
-    from ._ratio import Ratio, reduced
-
-    return [Ratio(v.numerator, v.denominator) for v in values], reduced
+    ratio = exact.Ratio
+    return [v if type(v) is int else ratio(v.numerator, v.denominator) for v in values], exact.reduced
 
 
 def _check_q(q) -> None:
@@ -156,11 +151,9 @@ def build_general(p: GeneralParams, size: int):
     Raises ResonanceError when a gamma_n or y_n denominator vanishes in range
     and ReducibleRepresentationError when some u_n vanishes (n = 1..size-1).
 
-    When every parameter is exactly a Fraction, the same code runs on
-    unreduced integer ratios (``_ratio_route``), and each entry of A, B and
-    the trace is reduced to one Fraction on the way out: the value and type
-    of Fraction arithmetic (u_0 stays the int 0), every refusal at the same
-    index.  Any other parameters keep their own arithmetic.
+    Exact parameters take the builders' route of _ratio.py: the value and
+    type of Fraction arithmetic (u_0 stays the int 0), every refusal at the
+    same index.
     """
     if size < 3:
         raise TooSmallError("size must be >= 3")

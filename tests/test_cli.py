@@ -649,6 +649,17 @@ class TestSpectrumAndPoly:
         assert report["params"]["n_max"] == 4
         assert [r[0] for r in table(report, "values")["rows"][1:]] == [0, 1, 2, 3, 4]
 
+    @pytest.mark.parametrize("command", ["spectrum", "decompose", "poly"])
+    @pytest.mark.parametrize("family", [["q-hahn", "--c1", "0.3", "--c2", "0.4", "--N", "3"],
+                                        ["q-para-krawtchouk", "--c3", "0.2", "--N", "3"]],
+                             ids=["q-hahn", "q-para-krawtchouk"])
+    def test_stray_size_on_a_finite_family_is_refused(self, capsys, command, family):
+        argv = [command, "--q", "0.5", "--family", *family]
+        assert run(capsys, argv)[0] == 0
+        code, out, err = run(capsys, argv + ["--size", "99"])
+        assert (code, out) == (2, "")
+        assert err == "error[invalid-parameter]: --size is not used by finite families; pass --N\n"
+
     @pytest.mark.parametrize("command", ["spectrum", "decompose"])
     @pytest.mark.parametrize("family", ["askey-wilson", "big-q-jacobi"])
     def test_infinite_family_refused_before_its_flags(self, capsys, command, family):

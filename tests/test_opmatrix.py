@@ -48,7 +48,7 @@ from qosc import (
     to_monic,
     xi_residuals,
 )
-from qosc import _eigen, _real_roots, opmatrix
+from qosc import _eigen, _ratio, _real_roots, opmatrix
 from qosc.representation import _adjugate_vectors
 
 entries = st.floats(min_value=-5.0, max_value=5.0)
@@ -300,8 +300,8 @@ class TestKernelMatchesEntryLoops:
             B = companion_b(A, sp)
         assert max(F(v).denominator.bit_length() for band in B.bands.values() for v in band) > 200
         routed = []
-        exact = opmatrix._exact_band_mul
-        monkeypatch.setattr(opmatrix, "_exact_band_mul", lambda *a: routed.append(1) or exact(*a))
+        exact = _ratio._exact_band_mul
+        monkeypatch.setattr(_ratio, "_exact_band_mul", lambda *a: routed.append(1) or exact(*a))
         for X, Y in [(A, B), (B, A), (A, A), (B, B)]:
             assert exactly(band_mul(X, Y)) == exactly(loop_band_mul(X, Y))
         assert len(routed) == 4
@@ -324,7 +324,7 @@ class TestKernelMatchesEntryLoops:
         def refuse(*args):
             raise AssertionError("the exact route ran")
 
-        monkeypatch.setattr(opmatrix, "_exact_band_mul", refuse)
+        monkeypatch.setattr(_ratio, "_exact_band_mul", refuse)
         diag = (odd, F(1, 2), 3) if where == "head" else (F(1, 2), odd, 3)
         A = BandMatrix(3, {0: diag, 1: (F(2, 7), 1)})
         B = BandMatrix(3, {0: (F(5, 3), 2, F(1, 4)), -1: (F(1, 5), F(9, 2))})
@@ -649,8 +649,8 @@ class TestExactLift:
     keyed on the band tuples it read; every value equals the Fraction loop."""
 
     def test_seeded_tridiagonals_match_the_fraction_loop(self, monkeypatch):
-        lifts, scaled_steps = [], opmatrix._scaled_steps
-        monkeypatch.setattr(opmatrix, "_scaled_steps",
+        lifts, scaled_steps = [], _ratio._scaled_steps
+        monkeypatch.setattr(_ratio, "_scaled_steps",
                             lambda b, w: lifts.append(1) or scaled_steps(b, w))
         rng = random.Random(26)
         for n in range(1, 26):
@@ -679,8 +679,8 @@ class TestExactLift:
         {1: (F(3, 2), F(1, 5), F(-7, 4))},
     ], ids=["diagonal", "sub", "super"])
     def test_a_band_not_stored_keeps_the_lift(self, bands, monkeypatch):
-        lifts, scaled_steps = [], opmatrix._scaled_steps
-        monkeypatch.setattr(opmatrix, "_scaled_steps",
+        lifts, scaled_steps = [], _ratio._scaled_steps
+        monkeypatch.setattr(_ratio, "_scaled_steps",
                             lambda b, w: lifts.append(1) or scaled_steps(b, w))
         M = BandMatrix(4, bands)
         for x in (F(1, 2), 3, F(-5, 3), F(2), 0):

@@ -47,7 +47,7 @@ GENERAL = ["--q", "0.7", "--xi0", "1.0", "--zeta0", "0.2", "--s1", "0.1", "--s2"
            "--size", "12"]
 STRUCTURED = ["--q", "0.5", "--c1", "0.25", "--c2", "0.5", "--c3", "0.25"]
 EIGEN = {"qosc._eigen", "qosc._real_roots"}
-RATIO = "qosc._ratio"  # loaded only by a builder whose parameters are all Fractions
+RATIO = "qosc._ratio"  # loaded only by exact input: ints and Fractions, one a Fraction
 BIG_Q_JACOBI = {"qosc.families", "qosc.tridiagonalization", "qosc.algebra"}
 
 
