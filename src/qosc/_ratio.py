@@ -1,22 +1,16 @@
 """Exact input on plain integers, reduced once per output entry.
 
-``opmatrix._exact_kind`` sends input here when every value is exactly an int
-or a fractions.Fraction and one is a Fraction.  Three routes take it, each
-with the value, type and refusals of Fraction arithmetic: the builders
-(``big_q_jacobi``, ``askey_wilson``, ``q_para_krawtchouk``, ``build_general``)
-run their own code with each Fraction parameter lifted to a ``Ratio``
-(``representation._ratio_route``), and ``reduced`` makes each output entry
-one Fraction; ``band_mul`` sums each output entry on integer pairs
-(``_exact_band_mul``); ``char_poly_eval`` runs the minor recurrence over an
-integer lift kept on the matrix (``_char_poly``).  Only such input imports it.
+``opmatrix._exact_route`` returns this module when every value is exactly an
+int or a fractions.Fraction and one is a Fraction.  Its three routes keep the
+value, type and refusals of Fraction arithmetic: the builders run their own
+code with each Fraction parameter an unreduced ``Ratio`` and ``reduced`` on
+each output entry (``representation._ratio_route``), ``band_mul`` takes
+``_exact_band_mul`` and ``char_poly_eval`` takes ``_char_poly``.
 
-A ``Ratio`` (n, d), d > 0, stands for n / d and is never reduced: ``+ - * /``
-and ``**`` by an int, with Ratios or ints, take no gcd.  With a float it
-works on ``float(r)`` as Fraction does, so an int q still makes floats where
-``q**-k`` does; and ``float(r)`` is n / d, Python's correctly rounded int
-division, with the bits of ``float(Fraction(n, d))`` and its OverflowError.
-Comparisons with floats are exact and treat NaN and +-inf as Fraction does,
-so every refusal falls where it falls in Fraction arithmetic.
+A ``Ratio`` takes no gcd.  ``float(r)`` is n / d, with the bits and the
+OverflowError of ``float(Fraction(n, d))``; with a float a Ratio works on n / d
+and compares exactly (NaN and +-inf included) as Fraction does, so an int q
+still makes floats where ``q**-k`` does.
 """
 
 from __future__ import annotations
@@ -125,6 +119,12 @@ class Ratio:
 
     def __le__(self, other):
         return self._compare(other, operator.le)
+
+    def __gt__(self, other):
+        return self._compare(other, operator.gt)
+
+    def __ge__(self, other):
+        return self._compare(other, operator.ge)
 
 
 def _ratio(n: int, d: int) -> Ratio:

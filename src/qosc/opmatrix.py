@@ -6,7 +6,7 @@ produce exact residuals.  Products, sums, scalings and row sums walk each band
 as a slice under a C-level ``map`` rather than one Python statement per entry;
 the operand order and the order of every sum are those of per-entry loops, so
 the results are the same bit for bit.  On exact input, ints and Fractions
-with one a Fraction (``_exact_kind``, the one test for it), ``band_mul`` and
+with one a Fraction (``_exact_route``, the one test for it), ``band_mul`` and
 ``char_poly_eval`` take the integer routes of _ratio.py instead, with the
 value and type of that loop; _ratio.py says how they work.
 ``band_sub`` and ``_q_bracket`` (past its two products) form each band of a
@@ -44,7 +44,7 @@ from .numerics import TolerancePolicy
 
 # Largest |q|-power spread allowed before geometric bands degrade float checks.
 SIZE_GUARD_LIMIT = 1e12
-_ratio = None  # qosc._ratio, the routes of exact input, once _exact_kind imports it
+_ratio = None  # qosc._ratio, the routes of exact input, once _exact_route imports it
 
 
 def guard_size(q, size: int) -> None:
@@ -202,13 +202,13 @@ def band_mul(A: BandMatrix, B: BandMatrix) -> BandMatrix:
     i_lo .. i_lo + n - 1 it reaches, as one map over three aligned slices.
     Each output entry starts at int 0 and takes its terms in band-pair order.
 
-    Exact input (``_exact_kind``) takes ``_ratio._exact_band_mul``, which forms
+    Exact input (``_exact_route``) takes ``_ratio._exact_band_mul``, which forms
     the same entries on integer pairs.  The type of A's first band head sends
     floats to the loop with no other test.
     """
     size = _check_same_size(A, B)
     head = next(iter(A.bands.values()), (0.0,))[0]
-    exact = type(head) is not float and _exact_kind(head, [*A.bands.values(), *B.bands.values()])
+    exact = type(head) is not float and _exact_route(head, [*A.bands.values(), *B.bands.values()])
     if exact:
         return exact._exact_band_mul(A, B, size)
     out: dict = {}
@@ -323,13 +323,13 @@ def _tridiagonal(M: BandMatrix):
 def char_poly_eval(M: BandMatrix, x):
     """det(xI - M) for tridiagonal M by the three-term minor recurrence.
 
-    Exact input (``_exact_kind``) takes ``_ratio._char_poly``, on integers, with
+    Exact input (``_exact_route``) takes ``_ratio._char_poly``, on integers, with
     the value and type of the loop below.  Any other input (floats, complex,
     all ints) takes that loop, unscaled, so it may overflow for large sizes
     with wide entry ranges (eigenvalues() uses a rescaled variant).
     """
     bands = sub, b, sup = _tridiagonal(M)
-    exact = _exact_kind(x, bands)
+    exact = _exact_route(x, bands)
     if exact:
         return exact._char_poly(M, bands, x)
     p0, p1 = 1, x - b[0]
@@ -338,7 +338,7 @@ def char_poly_eval(M: BandMatrix, x):
     return p1
 
 
-def _exact_kind(x, groups):
+def _exact_route(x, groups):
     """The routes of exact input, qosc._ratio, when x and every value of
     ``groups`` are exactly an int or a Fraction, one a Fraction, else None: the
     one test for exact input (bool and subclasses are not).  No Fraction exists

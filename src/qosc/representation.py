@@ -27,7 +27,7 @@ from .errors import (
 from .numerics import TolerancePolicy, _worst_of
 from .opmatrix import (
     BandMatrix,
-    _exact_kind,
+    _exact_route,
     _judge,
     _tridiagonal,
     _worst,
@@ -56,10 +56,10 @@ def _nonresonant(a, b, label: str, index: int):
 
 
 def _ratio_route(*values):
-    """(values, out) for a builder: on exact input (``_exact_kind``) each Fraction
+    """(values, out) for a builder: on exact input (``_exact_route``) each Fraction
     as an unreduced ``_ratio.Ratio`` and ``out`` ``_ratio.reduced``, which makes
     one Fraction of each; else the values as they are and ``out`` ``tuple``."""
-    exact = _exact_kind(values[0], [values])
+    exact = _exact_route(values[0], [values])
     if not exact:
         return values, tuple  # a float q costs one test
     ratio = exact.Ratio

@@ -591,7 +591,7 @@ class TestExactCharPoly:
         def refuse(*args):
             raise AssertionError("the exact path ran")
 
-        monkeypatch.setattr(opmatrix, "_exact_det", refuse)
+        monkeypatch.setattr(_ratio, "_char_poly", refuse)
         M = band_tridiagonal(off, diag, off)
         assert exactly(char_poly_eval(M, x)) == exactly(loop_char_poly(M, x))
 

@@ -101,11 +101,11 @@ def test_comparisons_with_floats_agree_with_fraction():
     for _ in range(300):
         r, f = unreduced(rng, rng.choice((8, 80)))
         x = rng.choice(specials + [float(f), float(f) * (1 + 2**-52), rng.uniform(-3, 3)])
-        for op in (operator.lt, operator.le, operator.eq):
-            assert op(r, x) is op(f, x), (op, f, x)
-        assert (x > r) is (x > f) and (x >= r) is (x >= f)
         k = rng.randint(-3, 3)
-        assert (r == k) is (f == k) and (r < k) is (f < k) and (r <= k) is (f <= k)
+        for op in (operator.lt, operator.le, operator.eq, operator.ne, operator.gt, operator.ge):
+            for y in (x, k):
+                assert op(r, y) is op(f, y), (op, f, y)
+                assert op(y, r) is op(y, f), (op, y, f)
     assert Ratio(6, 3) == 2 and Ratio(6, 3) == Ratio(4, 2) and Ratio(6, 3) != Ratio(5, 2)
 
 
@@ -159,7 +159,7 @@ def test_only_exact_values_take_the_route(values, lifted):
 
 
 # -- one rule for exact input ---------------------------------------------------------
-# opmatrix._exact_kind decides every route: ints and Fractions, one a Fraction.
+# opmatrix._exact_route decides every route: ints and Fractions, one a Fraction.
 # Each call below takes the _ratio route exactly when its input is exact, and
 # gives the value, type or refusal it gives with the rule patched to refuse.
 
@@ -258,7 +258,7 @@ def test_one_rule_routes_exact_input_and_changes_nothing(name, kind, monkeypatch
     del routed[:]
     with monkeypatch.context() as patch:
         for module in (opmatrix, representation):
-            patch.setattr(module, "_exact_kind", lambda x, groups: None)
+            patch.setattr(module, "_exact_route", lambda x, groups: None)
         assert [outcome(call) for call in calls] == got
         assert not routed
 
@@ -277,5 +277,5 @@ def test_one_rule_keeps_refusals_on_mixed_input(call, monkeypatch):
     routed = outcome(call)
     assert routed[0] is ResonanceError
     for module in (opmatrix, representation):
-        monkeypatch.setattr(module, "_exact_kind", lambda x, groups: None)
+        monkeypatch.setattr(module, "_exact_route", lambda x, groups: None)
     assert outcome(call) == routed
