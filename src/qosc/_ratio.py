@@ -7,10 +7,11 @@ code with each Fraction parameter an unreduced ``Ratio`` and ``reduced`` on
 each output entry (``representation._ratio_route``), ``band_mul`` takes
 ``_exact_band_mul`` and ``char_poly_eval`` takes ``_char_poly``.
 
-A ``Ratio`` takes no gcd.  ``float(r)`` is n / d, with the bits and the
-OverflowError of ``float(Fraction(n, d))``; with a float a Ratio works on n / d
-and compares exactly (NaN and +-inf included) as Fraction does, so an int q
-still makes floats where ``q**-k`` does.
+A ``Ratio`` takes no gcd and does arithmetic only.  ``float(r)`` is n / d,
+with the bits and the OverflowError of ``float(Fraction(n, d))``, and with a
+float a Ratio works on n / d as Fraction does, so an int q still makes floats
+where ``q**-k`` does.  A comparison or truth test raises TypeError: the
+builders decide every refusal on ``float()``.
 """
 
 from __future__ import annotations
@@ -87,44 +88,14 @@ class Ratio:
     def __neg__(self):
         return Ratio(-self.n, self.d)
 
-    def __abs__(self):
-        return Ratio(abs(self.n), self.d)
-
-    def __bool__(self) -> bool:
-        return self.n != 0
-
     def __float__(self) -> float:
         return self.n / self.d
 
-    def _compare(self, other, op):
-        """op(self, other) decided exactly; a NaN or an infinite float is
-        compared with 0.0 in place of self, as Fraction does."""
-        if type(other) is Ratio:
-            m, e = other.n, other.d
-        elif type(other) is int:
-            m, e = other, 1
-        elif type(other) is float:
-            if not math.isfinite(other):
-                return op(0.0, other)
-            m, e = other.as_integer_ratio()
-        else:
-            return NotImplemented
-        return op(self.n * e, m * self.d)
+    def _undecided(self, *other):
+        raise TypeError("a Ratio is neither compared nor tested for truth: a builder"
+                        " decides on float() (representation._refuse_vanishing)")
 
-    def __eq__(self, other):
-        return self._compare(other, operator.eq)
-
-    def __lt__(self, other):
-        return self._compare(other, operator.lt)
-
-    def __le__(self, other):
-        return self._compare(other, operator.le)
-
-    def __gt__(self, other):
-        return self._compare(other, operator.gt)
-
-    def __ge__(self, other):
-        return self._compare(other, operator.ge)
+    __eq__ = __lt__ = __le__ = __gt__ = __ge__ = __bool__ = _undecided
 
 
 def _ratio(n: int, d: int) -> Ratio:

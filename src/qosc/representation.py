@@ -43,15 +43,27 @@ from .opmatrix import (
 _DEGENERACY_RTOL = 1e-10
 
 
-def _nonresonant(a, b, label: str, index: int):
-    """a - b, refused with ResonanceError when it vanishes relative to |a| + |b|.
-
-    The test runs in floats, so exact inputs pay no big-integer arithmetic for it.
-    The refusal names ``label.format(index)``, formatted only then.
+def _refuse_vanishing(value, scale: float, error: type, label: str, index: int, why: str = "") -> None:
+    """Raise ``error`` when |float(value)| <= _DEGENERACY_RTOL * scale: the one test
+    behind every builder refusal, so a builder reads a value through ``float()``
+    only and never compares it.  The refusal names ``label.format(index)``,
+    formatted only then, "vanishes" and ``why``.  Against an infinite scale the
+    test cannot tell a zero, so it raises OverflowError naming the quantity; a
+    NaN value or scale, or an infinite value at a finite scale, does not vanish.
     """
+    if abs(float(value)) <= _DEGENERACY_RTOL * scale:
+        name = label.format(index)
+        if scale == math.inf:
+            raise OverflowError(f"the scale of {name} overflows")
+        raise error(f"{name} vanishes{why}")
+
+
+def _nonresonant(a, b, label: str, index: int):
+    """a - b, refused with ResonanceError by ``_refuse_vanishing`` when it vanishes
+    relative to |a| + |b|; the test runs in floats, so exact inputs pay no
+    big-integer arithmetic for it."""
     d = a - b
-    if abs(float(d)) <= _DEGENERACY_RTOL * (abs(float(a)) + abs(float(b))):
-        raise ResonanceError(f"{label.format(index)} vanishes")
+    _refuse_vanishing(d, abs(float(a)) + abs(float(b)), ResonanceError, label, index)
     return d
 
 
@@ -149,7 +161,8 @@ def build_general(p: GeneralParams, size: int):
     A is monic tridiagonal (unit subdiagonal, diagonal b_n, superdiagonal u_n);
     B has subdiagonal xi_n, diagonal eta_n, superdiagonal zeta_{n+1} * u_{n+1}.
     Raises ResonanceError when a gamma_n or y_n denominator vanishes in range
-    and ReducibleRepresentationError when some u_n vanishes (n = 1..size-1).
+    and ReducibleRepresentationError when some u_n vanishes (n = 1..size-1),
+    or OverflowError when the scale it vanishes against is infinite.
 
     Exact parameters take the builders' route of _ratio.py: the value and
     type of Fraction arithmetic (u_0 stays the int 0), every refusal at the
@@ -188,8 +201,8 @@ def build_general(p: GeneralParams, size: int):
         floor = (
             (abs(float(xi[n])) + abs(float(zeta[n]))) / shift_abs + abs(float(K[n])) + s0_abs
         ) / abs(float(yy))
-        if abs(un) <= _DEGENERACY_RTOL * floor:
-            raise ReducibleRepresentationError(f"u_{n} vanishes: truncation is reducible")
+        _refuse_vanishing(un, floor, ReducibleRepresentationError, "u_{}", n,
+                          ": truncation is reducible")
         u.append(un)
 
     xi, zeta, z, gamma, y, K, (s0,), b, eta, u = map(

@@ -614,6 +614,19 @@ def test_resonance_messages(build, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("build, name", [
+    (lambda: build_general(GeneralParams(0.5, 1e300, 0.2, 0.1, 0.3), 30), "gamma_28"),
+    (lambda: big_q_jacobi(StructuredParams(0.5, 1e300, 1e10, 0.25), 5), "denominator 1-c1*c2*q^1"),
+    (lambda: askey_wilson(AWParams(0.5, 1e200, 1e200, 0.5, 0.5), 4), "denominator 1-g*q^-1"),
+], ids=["general", "big-q-jacobi", "askey-wilson"])
+def test_an_overflowed_scale_is_no_resonance(build, name):
+    # inf <= 1e-10 * inf holds, but a denominator judged against an infinite
+    # scale has overflowed float arithmetic, not vanished
+    with pytest.raises(OverflowError) as exc:
+        build()
+    assert str(exc.value) == f"the scale of {name} overflows"
+
+
 @pytest.mark.parametrize("case", sorted(NEAR_RESONANT))
 def test_one_relative_resonance_rule(case):
     # families and build_general share one rule: refuse at 1e-10 relative.

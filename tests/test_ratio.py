@@ -1,7 +1,7 @@
 """The unreduced rational behind the exact builders: its arithmetic equals
-Fraction's in value, its float has Fraction's bits, and its comparisons with
-floats (NaN and +-inf included) decide as Fraction's do.  And the one rule
-that sends exact input to _ratio.py changes no value, type or refusal."""
+Fraction's in value, its float has Fraction's bits, and it refuses every
+comparison and truth test.  And the one rule that sends exact input to
+_ratio.py changes no value, type or refusal."""
 
 import math
 import operator
@@ -14,7 +14,7 @@ from qosc import (AWParams, BandMatrix, GeneralParams, StructuredParams, _ratio,
                   band_mul, band_tridiagonal, big_q_jacobi, build_general, char_poly_eval,
                   opmatrix, q_hahn, q_para_krawtchouk, representation)
 from qosc._ratio import Ratio, reduced
-from qosc.errors import ResonanceError
+from qosc.errors import ReducibleRepresentationError, ResonanceError
 from qosc.representation import _ratio_route
 
 
@@ -43,7 +43,7 @@ def test_arithmetic_matches_fraction_in_value_and_reduces_nothing():
                 assert value(op(r, k)) == op(f, k)
             if op is not operator.truediv or f:
                 assert value(op(k, r)) == op(k, f)
-        assert value(-r) == -f and value(abs(r)) == abs(f) and bool(r) is bool(f)
+        assert value(-r) == -f
         for e in range(-4, 5):
             if f or e >= 0:
                 assert value(r**e) == f**e
@@ -95,18 +95,19 @@ def test_float_beyond_the_range_overflows_as_fractions_does():
     assert str(mine.value) == str(fractions.value)
 
 
-def test_comparisons_with_floats_agree_with_fraction():
-    rng = random.Random(11)
-    specials = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1.7e308]
-    for _ in range(300):
-        r, f = unreduced(rng, rng.choice((8, 80)))
-        x = rng.choice(specials + [float(f), float(f) * (1 + 2**-52), rng.uniform(-3, 3)])
-        k = rng.randint(-3, 3)
-        for op in (operator.lt, operator.le, operator.eq, operator.ne, operator.gt, operator.ge):
-            for y in (x, k):
-                assert op(r, y) is op(f, y), (op, f, y)
-                assert op(y, r) is op(y, f), (op, y, f)
-    assert Ratio(6, 3) == 2 and Ratio(6, 3) == Ratio(4, 2) and Ratio(6, 3) != Ratio(5, 2)
+@pytest.mark.parametrize("other", [Ratio(1, 2), 1, 0.5, math.nan, math.inf, F(1, 2)],
+                         ids=["ratio", "int", "float", "nan", "inf", "fraction"])
+def test_comparisons_and_truth_tests_raise(other):
+    # a builder decides on float(): a Ratio compared or tested on the exact route fails loudly
+    r = Ratio(1, 2)
+    for op in (operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge):
+        for a, b in ((r, other), (other, r)):
+            with pytest.raises(TypeError):
+                op(a, b)
+    with pytest.raises(TypeError):
+        bool(r)
+    with pytest.raises(TypeError):
+        bool(Ratio(0, 3))
 
 
 def test_arithmetic_with_a_float_has_fractions_bits():
@@ -263,19 +264,24 @@ def test_one_rule_routes_exact_input_and_changes_nothing(name, kind, monkeypatch
         assert not routed
 
 
-@pytest.mark.parametrize("call", [
-    lambda: big_q_jacobi(StructuredParams(F(1, 2), 4, 2, F(1, 3)), 5),
-    lambda: big_q_jacobi(StructuredParams(2, F(1, 8), 1, F(1, 3)), 5),
-    lambda: q_hahn(8, 1, F(1, 2), 5),
-    lambda: askey_wilson(AWParams(2, F(1, 4), 1, 1, 1), 5),
-    lambda: build_general(GeneralParams(2, F(16), 1, F(1, 10), F(1, 5)), 6),
-    lambda: build_general(GeneralParams(F(1, 2), 1, 16, F(1, 10), 0), 6),
+R, U = ResonanceError, ReducibleRepresentationError
+
+
+@pytest.mark.parametrize("call, refusal", [
+    (lambda: big_q_jacobi(StructuredParams(F(1, 2), 4, 2, F(1, 3)), 5), R),
+    (lambda: big_q_jacobi(StructuredParams(2, F(1, 8), 1, F(1, 3)), 5), R),
+    (lambda: q_hahn(8, 1, F(1, 2), 5), R),
+    (lambda: askey_wilson(AWParams(2, F(1, 4), 1, 1, 1), 5), R),
+    (lambda: build_general(GeneralParams(2, F(16), 1, F(1, 10), F(1, 5)), 6), R),
+    (lambda: build_general(GeneralParams(F(1, 2), 1, 16, F(1, 10), 0), 6), R),
+    (lambda: build_general(GeneralParams(F(1, 2), -3, 12, 0, 120), 4), U),
 ], ids=["big-q-jacobi", "big-q-jacobi-int-q", "q-hahn", "askey-wilson-int-q", "general-int-q",
-        "general"])
-def test_one_rule_keeps_refusals_on_mixed_input(call, monkeypatch):
-    # ints and Fractions on a resonance line: the route refuses as Fraction arithmetic does
+        "general", "general-u-n"])
+def test_one_rule_keeps_refusals_on_mixed_input(call, refusal, monkeypatch):
+    # ints and Fractions on a resonance line, or on u_1 = 0 (a reducible
+    # truncation): the route refuses as Fraction arithmetic does
     routed = outcome(call)
-    assert routed[0] is ResonanceError
+    assert routed[0] is refusal
     for module in (opmatrix, representation):
         monkeypatch.setattr(module, "_exact_route", lambda x, groups: None)
     assert outcome(call) == routed

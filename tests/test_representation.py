@@ -31,6 +31,7 @@ from qosc import (
     jacobi_matrix,
     q_commutator_residual,
     q_hahn,
+    representation,
     xi_residuals,
 )
 
@@ -83,6 +84,21 @@ class TestBuildGeneral:
         p = GeneralParams(q=0.5, xi0=0.25, zeta0=1.0, s1=0.1, s2=0.1)
         with pytest.raises(ResonanceError):
             build_general(p, 6)
+
+    @pytest.mark.parametrize("value, scale, refused", [
+        (0.0, 1.0, ResonanceError), (1e-11, 1.0, ResonanceError), (1e-9, 1.0, None),
+        (math.inf, 1.0, None), (math.nan, 1.0, None), (0.0, math.nan, None),
+        (math.nan, math.inf, None), (1.0, math.inf, OverflowError),
+        (math.inf, math.inf, OverflowError), (F(1, 10**11), 1.0, ResonanceError),
+    ])
+    def test_one_float_test_decides_every_refusal(self, value, scale, refused):
+        # a NaN never vanishes, and an infinite scale is an overflow, not a zero
+        refuse = lambda: representation._refuse_vanishing(value, scale, ResonanceError, "x_{}", 3)
+        if refused is None:
+            refuse()
+        else:
+            with pytest.raises(refused, match="x_3"):
+                refuse()
 
     def test_reducible_truncation_detected(self):
         # bisect s2 to a zero of u_1; the builder must refuse that parameter
