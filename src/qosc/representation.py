@@ -46,10 +46,10 @@ _DEGENERACY_RTOL = 1e-10
 def _refuse_vanishing(value, scale: float, error: type, label: str, index: int, why: str = "") -> None:
     """Raise ``error`` when |float(value)| <= _DEGENERACY_RTOL * scale: the one test
     behind every builder refusal, so a builder reads a value through ``float()``
-    only and never compares it.  The refusal names ``label.format(index)``,
-    formatted only then, "vanishes" and ``why``.  Against an infinite scale the
-    test cannot tell a zero, so it raises OverflowError naming the quantity; a
-    NaN value or scale, or an infinite value at a finite scale, does not vanish.
+    only and never compares it.  The refusal reads "{name} vanishes{why}", its
+    name ``label.format(index)`` formatted only then.  Against an infinite scale
+    the test cannot tell a zero, so it raises OverflowError naming the quantity;
+    a NaN value or scale, or an infinite value at a finite scale, does not vanish.
     """
     if abs(float(value)) <= _DEGENERACY_RTOL * scale:
         name = label.format(index)
