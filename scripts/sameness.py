@@ -1,7 +1,8 @@
 """Sameness sweep: a digest of every output of the band kernel, the checks on it and the CLI.
 
 Records, for one source tree, a sha256 per input of what the band kernel
-(band_mul, band_add, band_sub, band_scale, inf_norm, _worst), build_Z's distinctness check,
+(band_mul, band_add, band_sub, band_scale, inf_norm, _worst), the diagonal of Z
+(with the distinctness check of a tree that has one),
 the certificates built on them (q_commutator_residual, xi_residuals,
 classify, both algebra residual suites, companion_b, build_W -> to_monic),
 the eigen layer (eigenvalues on tridiagonals with every w_n > 0 or with mixed
@@ -398,11 +399,13 @@ def cases(Q):
         return p, Q.WCoeffs(*(rng.uniform(*RANGES["tau"]) for _ in range(4))), size
 
     def distinct(z):
-        """The checked diagonal: DiagonalOperator(z).z in a tree with that class,
-        else z as a tuple once build_Z's private check has passed it."""
+        """The diagonal as build_Z's tree checks it: DiagonalOperator(z).z in a tree
+        with that class, z as a tuple once the private _check_distinct has passed it
+        in a tree with that check, else z as a tuple (no distinctness rule)."""
         if hasattr(tri, "DiagonalOperator"):
             return tri.DiagonalOperator(z).z
-        tri._check_distinct(z)
+        if hasattr(tri, "_check_distinct"):
+            tri._check_distinct(z)
         return tuple(z)
 
     def skip_none(run):

@@ -47,14 +47,17 @@ def _refuse_vanishing(value, scale: float, error: type, label: str, index: int, 
     """Raise ``error`` when |float(value)| <= _DEGENERACY_RTOL * scale: the one test
     behind every builder refusal, so a builder reads a value through ``float()``
     only and never compares it.  The refusal reads "{name} vanishes{why}", its
-    name ``label.format(index)`` formatted only then.  Against an infinite scale
-    the test cannot tell a zero, so it raises OverflowError naming the quantity;
-    a NaN value or scale, or an infinite value at a finite scale, does not vanish.
+    name ``label.format(index)`` formatted only then.  Against a scale that left
+    the float range the test cannot tell a zero, so it raises OverflowError
+    (infinite scale) or ZeroDivisionError (zero scale) naming the quantity; a
+    NaN value or scale, or an infinite value at a finite scale, does not vanish.
     """
     if abs(float(value)) <= _DEGENERACY_RTOL * scale:
         name = label.format(index)
         if scale == math.inf:
             raise OverflowError(f"the scale of {name} overflows")
+        if scale == 0:
+            raise ZeroDivisionError(f"the scale of {name} underflows")
         raise error(f"{name} vanishes{why}")
 
 
@@ -162,7 +165,8 @@ def build_general(p: GeneralParams, size: int):
     B has subdiagonal xi_n, diagonal eta_n, superdiagonal zeta_{n+1} * u_{n+1}.
     Raises ResonanceError when a gamma_n or y_n denominator vanishes in range
     and ReducibleRepresentationError when some u_n vanishes (n = 1..size-1),
-    or OverflowError when the scale it vanishes against is infinite.
+    or OverflowError (ZeroDivisionError) when the scale it vanishes against is
+    infinite (zero).
 
     Exact parameters take the builders' route of _ratio.py: the value and
     type of Fraction arithmetic (u_0 stays the int 0), every refusal at the

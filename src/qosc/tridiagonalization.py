@@ -14,7 +14,7 @@ the bottom, whose identities ``qdiff_residuals`` reports.
 from __future__ import annotations
 
 from ._record import record
-from .errors import InvalidParameterError, NotMonicReducibleError, ResonanceError, UnsupportedFamilyError
+from .errors import InvalidParameterError, NotMonicReducibleError, UnsupportedFamilyError
 from .families import MonicRecurrence, askey_wilson, big_q_jacobi, expand_monic, jacobi_matrix
 from .numerics import (
     LaurentPoly,
@@ -48,40 +48,15 @@ def eigenvalue_sequence(p: StructuredParams, size: int) -> tuple:
     return tuple(c12 * qp[n + 1] + qp[-n] for n in range(size))
 
 
-def _z_matrix(p: StructuredParams, size: int) -> BandMatrix:
+def build_Z(p: StructuredParams, size: int) -> BandMatrix:
+    """diag(z_0, ..., z_{size-1}) after ``guard_size``.
+
+    z_i - z_j = (q**-i - q**-j) * (1 - c1*c2*q**(i+j+1)), so for |q| != 1 two
+    entries coincide exactly when a denominator 1 - c1*c2*q**k vanishes with
+    k = i+j+1 in 2..2*size-2, a resonance ``big_q_jacobi(p, size)`` refuses.
+    """
     guard_size(p.q, size)
     return BandMatrix(size, {0: eigenvalue_sequence(p, size)})
-
-
-def _check_distinct(z) -> None:
-    """Raise ResonanceError unless the entries of ``z`` are pairwise distinct.
-
-    z_i and z_j coincide when |z_i - z_j| <= 1e-12 * max(1, |z_i|, |z_j|).  When
-    every gap between neighbours in sorted order exceeds twice that, no pair
-    can coincide and the check ends in O(n log n).  Otherwise (a NaN or an inf
-    fails that test too) every pair is compared, so the first coinciding
-    (i, j) is the one named.
-    """
-    zf = [float(v) for v in z]
-    s = sorted(zf)
-    if all(b - a > 2e-12 * max(1.0, abs(a), abs(b)) for a, b in zip(s, s[1:])):
-        return
-    for i in range(len(zf)):
-        for j in range(i + 1, len(zf)):
-            if abs(zf[i] - zf[j]) <= 1e-12 * max(1.0, abs(zf[i]), abs(zf[j])):
-                raise ResonanceError(f"z_{i} and z_{j} coincide")
-
-
-def build_Z(p: StructuredParams, size: int) -> BandMatrix:
-    """diag(z_0, ..., z_{size-1}), whose entries must be pairwise distinct.
-
-    Distinctness backs the eigenbasis arguments; pencil constructions that only
-    need the diagonal values (companion_b, build_W) skip the check, since e.g.
-    the q-para-Krawtchouk specialization has a palindromic z sequence.
-    """
-    Z = _z_matrix(p, size)
-    _check_distinct(Z.bands[0])
-    return Z
 
 
 def r_coefficients(p: StructuredParams):
@@ -94,7 +69,7 @@ def r_coefficients(p: StructuredParams):
 
 def companion_b(A: BandMatrix, p: StructuredParams) -> BandMatrix:
     """B = r1*(Z@A - q*A@Z) + r0*I for a given realization A of multiplication by x."""
-    Z = _z_matrix(p, A.size)
+    Z = build_Z(p, A.size)
     r0, r1 = r_coefficients(p)
     return band_add(band_scale(r1, _q_bracket(Z, A, p.q)), band_scale(r0, band_identity(A.size)))
 
@@ -111,7 +86,7 @@ class WCoeffs:
 
 def build_W(p: StructuredParams, w: WCoeffs, size: int) -> BandMatrix:
     A = jacobi_matrix(big_q_jacobi(p, size))
-    Z = _z_matrix(p, size)
+    Z = build_Z(p, size)
     W = band_add(
         band_scale(w.tau1, band_mul(Z, A)),
         band_scale(w.tau2, band_mul(A, Z)),

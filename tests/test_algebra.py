@@ -6,6 +6,7 @@ import pytest
 
 from qosc import (
     AWAlgebraConstants,
+    ResonanceError,
     StructuredParams,
     TolerancePolicy,
     TooSmallError,
@@ -62,6 +63,14 @@ class TestBigQJacobiResiduals:
         p = StructuredParams(float("nan"), 0.25, 0.5, 0.25)
         for rep in big_qjacobi_algebra_residuals(p, 6):
             assert rep.max_abs != rep.max_abs and not rep.passed
+
+    def test_coincident_z_entries_are_refused_as_a_resonance(self):
+        # c1*c2 = q**-2 makes z_0 = z_1: big_q_jacobi refuses before Z is built
+        p = StructuredParams(0.5, 4.0, 1.0, 0.3)
+        with pytest.raises(ResonanceError, match=r"^denominator 1-c1\*c2\*q\^2 vanishes$"):
+            big_qjacobi_algebra_residuals(p, 4)
+        with pytest.raises(ResonanceError, match=r"^denominator 1-c1\*c2\*q\^2 vanishes$"):
+            aw_algebra_residuals(p, 0.3, 5)
 
     def test_interior_rows_exact_in_rationals(self):
         size = 8

@@ -34,6 +34,7 @@ from qosc import (
     band_scale,
     band_sub,
     big_q_jacobi,
+    build_Z,
     companion_b,
     inf_norm,
     jacobi_matrix,
@@ -42,7 +43,6 @@ from qosc import (
     residual_report,
 )
 from qosc.opmatrix import _q_bracket
-from qosc.tridiagonalization import _z_matrix
 
 
 # -- the compositions as they were ---------------------------------------------
@@ -74,7 +74,7 @@ def ref_residual(X, Y, q, rhs):
 
 def ref_companion_b(A, p):
     r0, r1 = r_coefficients(p)
-    Bq = ref_q_bracket(_z_matrix(p, A.size), A, p.q)
+    Bq = ref_q_bracket(build_Z(p, A.size), A, p.q)
     return ref_band_add(ref_band_scale(r1, Bq), ref_band_scale(r0, band_identity(A.size)))
 
 

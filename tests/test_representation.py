@@ -90,15 +90,25 @@ class TestBuildGeneral:
         (math.inf, 1.0, None), (math.nan, 1.0, None), (0.0, math.nan, None),
         (math.nan, math.inf, None), (1.0, math.inf, OverflowError),
         (math.inf, math.inf, OverflowError), (F(1, 10**11), 1.0, ResonanceError),
+        (0.0, 0.0, ZeroDivisionError), (1e-300, 0.0, None),
     ])
     def test_one_float_test_decides_every_refusal(self, value, scale, refused):
-        # a NaN never vanishes, and an infinite scale is an overflow, not a zero
+        # a NaN never vanishes, and an infinite (zero) scale is an overflow
+        # (underflow), not a zero
         refuse = lambda: representation._refuse_vanishing(value, scale, ResonanceError, "x_{}", 3)
         if refused is None:
             refuse()
         else:
             with pytest.raises(refused, match="x_3"):
                 refuse()
+
+    @pytest.mark.parametrize("zeta0", [F(3, 10**400), F(1, 10**400)], ids=["apart", "resonant"])
+    def test_an_underflowed_scale_is_no_resonance(self, zeta0):
+        # gamma_0 = xi0 - zeta0 reads 0.0 against 0.0 + 0.0 in floats, whether it is
+        # -2/10**400 or exactly 0: the float test cannot tell, so it is an underflow
+        p = GeneralParams(F(1, 2), F(1, 10**400), zeta0, F(1, 5), F(1, 7))
+        with pytest.raises(ZeroDivisionError, match="^the scale of gamma_0 underflows$"):
+            build_general(p, 4)
 
     def test_reducible_truncation_detected(self):
         # bisect s2 to a zero of u_1; the builder must refuse that parameter

@@ -6,7 +6,6 @@ import os
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from exact_oracles import askey_wilson_bu, big_q_jacobi_bu, dense, mat_mul
 
@@ -49,7 +48,6 @@ from qosc import (
     r_coefficients,
     to_monic,
 )
-from qosc.tridiagonalization import _check_distinct
 
 EXACT_P = StructuredParams(F(1, 2), F(1, 4), F(1, 2), F(1, 4))
 FLOAT_P = StructuredParams(0.5, 0.25, 0.5, 0.25)
@@ -73,69 +71,27 @@ class TestZOperator:
         assert M == BandMatrix(6, {0: tuple(z_of(EXACT_P, n) for n in range(6))})
         assert M.entry(0, 1) == 0
 
-    def test_coincident_eigenvalues_rejected(self):
-        # c1*c2 = q**-2 makes z_0 = z_1.
-        with pytest.raises(ResonanceError, match="^z_0 and z_1 coincide$"):
-            build_Z(StructuredParams(0.5, 4.0, 1.0, 0.3), 4)
-        with pytest.raises(SizeGuardError):  # the size guard runs before the check
-            build_Z(StructuredParams(0.5, 4.0, 1.0, 0.3), 200)
+    @pytest.mark.parametrize("p", [
+        EXACT_P,
+        StructuredParams(F(-2, 3), F(5, 7), F(-3, 2), F(1, 9)),
+        StructuredParams(F(7, 4), F(1, 3), F(2, 5), F(-1, 2)),
+    ])
+    def test_gaps_factor_through_the_big_q_jacobi_denominators(self, p):
+        # z_i - z_j = (q^-i - q^-j)(1 - c1*c2*q^(i+j+1)): for |q| != 1 two entries
+        # coincide exactly where big_q_jacobi refuses a denominator
+        q, c12, zs = p.q, p.c1 * p.c2, eigenvalue_sequence(p, 7)
+        for i in range(7):
+            for j in range(7):
+                assert zs[i] - zs[j] == (q**-i - q**-j) * (1 - c12 * q ** (i + j + 1))
 
-    def test_distinctness_guard(self):
-        with pytest.raises(ResonanceError, match="^z_0 and z_2 coincide$"):
-            _check_distinct((1.0, 2.0, 1.0 + 1e-15))
-
-
-def pairwise_verdict(z):
-    """The all-pairs distinctness rule: the message naming the first coinciding
-    (i, j), or None when every pair is apart."""
-    zf = [float(v) for v in z]
-    for i in range(len(zf)):
-        for j in range(i + 1, len(zf)):
-            if abs(zf[i] - zf[j]) <= 1e-12 * max(1.0, abs(zf[i]), abs(zf[j])):
-                return f"z_{i} and z_{j} coincide"
-    return None
-
-
-def verdict(z):
-    try:
-        _check_distinct(z)
-    except ResonanceError as exc:
-        return str(exc)
-    return None
-
-
-class TestDistinctnessMatchesPairwiseRule:
-    """The sorted-gap shortcut accepts only what the all-pairs rule accepts, and
-    every refusal names the same first pair."""
-
-    @pytest.mark.parametrize("gap", [0.5e-12, 1e-12, 2e-12, 3e-12])
-    @pytest.mark.parametrize("x", [0.25, 1.0, 7.0, -3e5, 1e12, -1e-300])
-    def test_relative_gaps_at_the_threshold(self, gap, x):
-        spread = [x + 10.0 * n * max(1.0, abs(x)) for n in range(1, 6)]
-        for near in (x + gap * max(1.0, abs(x)), x * (1 + gap), x - gap * max(1.0, abs(x))):
-            for z in ([x, near], spread[:2] + [x] + spread[2:] + [near], [near] + spread + [x]):
-                assert verdict(z) == pairwise_verdict(z), z
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_nan_and_inf_entries(self, bad):
-        for z in ([bad, 1.0, 2.0], [1.0, bad, 2.0, bad], [bad, bad], [1.0, 2.0, 1.0, bad],
-                  [bad, 3.0, 3.0 + 1e-15, -bad]):
-            assert verdict(z) == pairwise_verdict(z), z
-
-    def test_exact_and_int_entries(self):
-        for z in ([F(1, 3), F(2, 3), 1], [F(1, 3), 0.3333333333333333, 2], [0, -0.0], [5, 4, 3, 5]):
-            assert verdict(z) == pairwise_verdict(z), z
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.one_of(st.floats(width=64), st.sampled_from((0.0, -0.0, 1.0, 1.0 + 2e-12))),
-                    max_size=12))
-    def test_random_values(self, z):
-        assert verdict(z) == pairwise_verdict(z)
-
-    @pytest.mark.parametrize("size", [32, 120])
-    def test_big_q_jacobi_sequences(self, size):
-        z = eigenvalue_sequence(StructuredParams(0.8, 0.3, 0.4, 0.2), size)
-        assert verdict(z) is None and pairwise_verdict(z) is None
+    def test_coincident_eigenvalues_are_a_big_q_jacobi_resonance(self):
+        # c1*c2 = q**-2 makes z_0 = z_1, and so 1 - c1*c2*q^2 = 0
+        p = StructuredParams(0.5, 4.0, 1.0, 0.3)
+        assert dense(build_Z(p, 4))[0][0] == dense(build_Z(p, 4))[1][1] == 3.0
+        with pytest.raises(ResonanceError, match=r"^denominator 1-c1\*c2\*q\^2 vanishes$"):
+            big_q_jacobi(p, 4)
+        with pytest.raises(SizeGuardError):
+            build_Z(p, 200)
 
 
 class TestCompanion:
