@@ -16,6 +16,7 @@ from qosc import (
     LaurentPoly,
     MonicRecurrence,
     NotMonicReducibleError,
+    ResonanceError,
     SizeGuardError,
     StructuredParams,
     WCoeffs,
@@ -91,6 +92,32 @@ class TestZOperator:
         assert Z.entry(0, 0) == Z.entry(1, 1) == 3.0
         with pytest.raises(SizeGuardError):
             build_Z(p, 200)
+
+
+class TestOneZeroRuleForZ:
+    """Two entries of Z coincide exactly where big_q_jacobi refuses: the one
+    zero rule that replaces a distinctness test of Z's own."""
+
+    @pytest.mark.parametrize("k", range(2, 11))
+    @pytest.mark.parametrize("q", [F(1, 2), F(-2, 3), F(3, 2)])
+    def test_each_coincidence_is_the_resonance_big_q_jacobi_names(self, q, k):
+        # c1*c2 = q^-k: z_i = z_j exactly for i + j + 1 = k, and big_q_jacobi
+        # refuses that k and no earlier one
+        c1 = F(1, 3)
+        p = StructuredParams(q, c1, q**-k / c1, F(1, 5))
+        zs = eigenvalue_sequence(p, 6)
+        coincide = {(i, j) for i in range(6) for j in range(i + 1, 6) if zs[i] == zs[j]}
+        assert coincide == {(i, k - 1 - i) for i in range(6) if i < k - 1 - i < 6}
+        with pytest.raises(ResonanceError) as exc:
+            big_q_jacobi(p, 6)
+        assert str(exc.value) == f"denominator 1-c1*c2*q^{k} vanishes"
+
+    @pytest.mark.parametrize("size", [32, 120])
+    def test_accepted_parameters_give_distinct_entries(self, size):
+        p = StructuredParams(0.8, 0.3, 0.4, 0.2)
+        big_q_jacobi(p, size)
+        zs = sorted(eigenvalue_sequence(p, size))
+        assert all(b - a > 1e-12 * max(1.0, abs(b)) for a, b in zip(zs, zs[1:]))
 
 
 class TestCompanion:
