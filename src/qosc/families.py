@@ -18,14 +18,8 @@ import sys
 from ._record import field_names, record
 from .errors import InvalidParameterError, SpectrumMismatchError, UnsupportedFamilyError
 from .numerics import LaurentPoly, TolerancePolicy, _worst_of, laurent_add, laurent_mul, laurent_scale
-from .opmatrix import (
-    BandMatrix,
-    _judge,
-    band_tridiagonal,
-    char_poly_eval,
-    eigenvalues,
-    guard_size,
-)
+from .opmatrix import (BandMatrix, _exact_route, _judge, band_tridiagonal, char_poly_eval,
+                       eigenvalues, guard_size)
 from .representation import (AWParams, StructuredParams, _check_q, _nonresonant, _ratio_route,
                              _scaled_minors)
 
@@ -216,7 +210,7 @@ class SpectrumLattice:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "points", tuple(self.points))
-        pts = sorted(float(x) for x in self.points)
+        pts = sorted(self.points)  # as given, so exact points are told apart exactly
         for a, b in zip(pts, pts[1:]):
             if a == b:
                 raise InvalidParameterError("lattice points must be pairwise distinct")
@@ -246,7 +240,8 @@ class SpectrumReport:
     The first six fields are those of ResidualReport.  The four tuples run
     over the lattice points in ascending order: each point, the computed
     eigenvalue paired with it, their relative distance, and the point's
-    |charpoly| scaled by its product of gaps.
+    |charpoly| scaled by its product of gaps.  Where exact zeros decide
+    (verify_spectrum), the eigenvalue is the point and the distance 0.0.
     """
 
     max_abs: float
@@ -261,11 +256,12 @@ class SpectrumReport:
     charpoly_scaled: tuple
 
 
-def _charpoly_scaled(rec: MonicRecurrence, J: BandMatrix, x, pts) -> float:
-    """|charpoly(x)| / prod_{y != x} |x - y|, 0 exactly when charpoly(x) is.  Where a side leaves
-    the normal floats, by (mantissa, exponent) pairs: rescaled recurrences that round as math.prod
-    and char_poly_eval do, or an exact charpoly's numerator and denominator."""
-    c, fx = char_poly_eval(J, x), float(x)
+def _charpoly_scaled(rec: MonicRecurrence, J: BandMatrix, x, pts, c=None) -> float:
+    """|c| / prod_{y != x} |x - y|, c = charpoly(x) unless given, 0 when c is (and where the
+    quotient underflows).  Where a side leaves the normal floats, by (mantissa, exponent) pairs:
+    rescaled recurrences that round as math.prod and char_poly_eval do, or an exact charpoly's
+    numerator and denominator."""
+    c, fx = (char_poly_eval(J, x) if c is None else c), float(x)
     gaps = [abs(fx - y) for y in pts if y != fx]
     try:
         a, g = abs(float(c)), math.prod(gaps)
@@ -300,22 +296,29 @@ def verify_spectrum(
     to its nearest point.  The report keeps both per point; max_abs is the
     worst of either (a NaN counts as worst) and location = (s, s) indexes the
     ascending points.  Raises SpectrumMismatchError when counts differ or two
-    eigenvalues pair with one point.
+    eigenvalues pair with one point.  On exact input (opmatrix._exact_route)
+    whose charpoly is exactly 0 at every point, these distinct zeros prove
+    charpoly = prod (x - x_s), so no eigenvalue is computed: ``eigenvalues``
+    holds the points as floats and every rel_distance is 0.0.
     """
     if len(lattice.points) != rec.size:
         raise SpectrumMismatchError(f"lattice has {len(lattice.points)} points for size {rec.size}")
     J = jacobi_matrix(rec)
     given = sorted(lattice.points)
     pts = tuple(float(x) for x in given)
-    scaled = tuple(_charpoly_scaled(rec, J, x, pts) for x in given)
-    paired = [None] * len(pts)
-    for lam in eigenvalues(J):
-        s = min(range(len(pts)), key=lambda t: abs(lam - pts[t]))
-        if paired[s] is not None:
-            msg = f"eigenvalue pairing is not injective at lattice point {pts[s]!r}"
-            raise SpectrumMismatchError(msg)
-        paired[s] = lam
-    rel = tuple(abs(lam - x) / max(abs(x), 1e-300) for lam, x in zip(paired, pts))
+    cps = [char_poly_eval(J, x) for x in given]
+    scaled = tuple(_charpoly_scaled(rec, J, x, pts, c) for x, c in zip(given, cps))
+    if _exact_route(given[0], [given, rec.b, rec.u]) and not any(cps):
+        paired, rel = pts, (0.0,) * len(pts)
+    else:
+        paired = [None] * len(pts)
+        for lam in eigenvalues(J):
+            s = min(range(len(pts)), key=lambda t: abs(lam - pts[t]))
+            if paired[s] is not None:
+                msg = f"eigenvalue pairing is not injective at lattice point {pts[s]!r}"
+                raise SpectrumMismatchError(msg)
+            paired[s] = lam
+        rel = tuple(abs(lam - x) / max(abs(x), 1e-300) for lam, x in zip(paired, pts))
     worst, i = _worst_of(d for pair in zip(scaled, rel) for d in pair)
     loc = None if i is None else (i // 2, i // 2)
     verdict = _judge(worst, loc, (0, rec.size - 1), 1.0, pol.effective(1.0))

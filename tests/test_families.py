@@ -540,6 +540,89 @@ class TestSpectrumCertification:
             verify_spectrum(rec, short)
 
 
+class EigenCalled(Exception):
+    pass
+
+
+class TestExactZerosDecide:
+    """On exact input whose charpoly is exactly 0 at every claimed point, those
+    size distinct zeros prove the spectrum: no eigenvalue is computed."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigenvalues(*args, **kwargs)
+
+        monkeypatch.setattr(families, "eigenvalues", counted)
+        return calls
+
+    @pytest.fixture
+    def no_solve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise EigenCalled
+
+        monkeypatch.setattr(families, "eigenvalues", refuse)
+
+    # the float eigensolver took 0.58 s and 9.4 s on the first two, and refused
+    # the three c3 = 1/10**300 lattices; SpectrumLattice refused the 1/10**400 one,
+    # whose three small points all round to 0.0
+    @pytest.mark.parametrize("family, args", [
+        (q_para_krawtchouk, (F(1, 5), F(9, 10), 21)), (q_para_krawtchouk, (F(1, 5), F(9, 10), 31)),
+        (q_para_krawtchouk, (F(1, 5), F(9, 10), 81)), (q_para_krawtchouk, (F(1, 10**300), F(1, 2), 5)),
+        (q_para_krawtchouk, (F(1, 10**300), F(1, 2), 21)),
+        (q_para_krawtchouk, (F(1, 10**300), F(1, 2), 31)),
+        (q_para_krawtchouk, (F(1, 10**400), F(1, 2), 5)), (q_hahn, (F(3, 10), F(2, 5), F(1, 2), 38)),
+    ], ids=["qpk-21", "qpk-31", "qpk-81", "tiny-c3-5", "tiny-c3-21", "tiny-c3-31", "tinier-c3-5",
+            "q-hahn-38"])
+    def test_exact_lattice_passes_without_eigenvalues(self, no_solve, family, args):
+        rec = family(*args)
+        lattice = claimed_spectrum(rec)
+        rep = verify_spectrum(rec, lattice)
+        n = rec.size
+        assert rep.passed and rep.max_abs == 0.0 and rep.location is None
+        assert rep.points == tuple(sorted(float(x) for x in lattice.points))
+        assert rep.eigenvalues == rep.points
+        assert rep.rel_distance == rep.charpoly_scaled == (0.0,) * n
+
+    def test_float_family_still_solves(self, solves):
+        rec = q_para_krawtchouk(0.2, 0.5, 5)
+        assert verify_spectrum(rec, claimed_spectrum(rec)).passed
+        assert len(solves) == 1
+
+    def test_a_moved_exact_point_takes_the_eigen_route_and_fails(self, solves):
+        rec = q_para_krawtchouk(F(1, 5), F(9, 10), 7)
+        pts = list(claimed_spectrum(rec).points)
+        s = pts.index(F(10, 9) ** 3)
+        pts[s] *= 1 + F(1, 1000)
+        rep = verify_spectrum(rec, SpectrumLattice(pts, "bi-exponential"))
+        assert len(solves) == 1
+        assert not rep.passed and 1.3e-3 < rep.max_abs < 1.4e-3
+        assert rep.points[rep.location[0]] == float(pts[s])
+
+    def test_an_underflowed_charpoly_scaled_is_no_zero(self, no_solve):
+        # moved by 1/10**100 relative, a small point reads charpoly_scaled 0.0 by
+        # underflow, but its exact charpoly is not 0, so the zeros do not decide
+        rec = q_para_krawtchouk(F(1, 10**300), F(1, 2), 5)
+        pts = sorted(claimed_spectrum(rec).points)
+        pts[1] *= 1 + F(1, 10**100)
+        J, fpts = jacobi_matrix(rec), tuple(float(x) for x in pts)
+        assert char_poly_eval(J, pts[1]) != 0
+        assert [families._charpoly_scaled(rec, J, x, fpts) for x in pts] == [0.0] * 6
+        with pytest.raises(EigenCalled):
+            verify_spectrum(rec, SpectrumLattice(pts, "bi-exponential"))
+
+    def test_exact_points_are_told_apart_exactly(self):
+        tiny = F(1, 10**400)
+        assert SpectrumLattice((tiny, 2 * tiny, F(1)), "x").points == (tiny, 2 * tiny, F(1))
+        with pytest.raises(InvalidParameterError, match="pairwise distinct"):
+            SpectrumLattice((F(1, 3), F(1, 2), F(1, 3)), "x")
+        with pytest.raises(InvalidParameterError, match="pairwise distinct"):
+            SpectrumLattice((F(1, 2), 0.5), "x")  # an exact point and its float are equal
+
+
 # Each builder, given x = 1 - 2r, has one denominator 1 - x (or xi0 - zeta0 for
 # gamma_0) at relative distance |a - b| / (|a| + |b|) = r / (1 - r) from zero.
 NEAR_RESONANT = {
