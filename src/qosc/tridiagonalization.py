@@ -219,13 +219,13 @@ def qdiff_residuals(p: StructuredParams, kmax: int, nmax: int, pol: TolerancePol
     """
     if kmax < 0 or nmax < 0:
         raise InvalidParameterError("kmax and nmax must be >= 0")
-    x = LaurentPoly({1: 1.0})
+    x = LaurentPoly({1: 1})
     comm = []
     for k in range(kmax + 1):
-        f = LaurentPoly({k: 1.0})
+        f = LaurentPoly({k: 1})
         lhs = laurent_add(laurent_mul(x, qdiff_B_apply(f, p)),
                           laurent_scale(-p.q, qdiff_B_apply(laurent_mul(x, f), p)))
-        comm.append(float(laurent_add(lhs, laurent_scale(-1.0, f)).mass()))  # f has mass 1
+        comm.append(float(laurent_add(lhs, laurent_scale(-1, f)).mass()))  # f has mass 1
     rec = big_q_jacobi(p, nmax + 1)
     eig = []
     for n, z in enumerate(eigenvalue_sequence(p, nmax + 1)):

@@ -515,6 +515,16 @@ class TestSuiteReports:
         assert comm.max_abs == 1.2079226507921703e-13 and comm.location == (10, 10)
         assert not comm.passed and eig.passed
 
+    def test_qdiff_exact_input_stays_exact(self):
+        # x and f are seeded with ints, so the commutator runs in Fraction
+        # arithmetic too; in floats it reads 1.42e-12 here, past 1e-12
+        p = StructuredParams(F(-241, 500), F(-5967, 10000), F(29, 200), F(-4433, 10000))
+        comm, eig = qdiff_residuals(p, 11, 11)
+        assert comm.max_abs == eig.max_abs == 0.0 and comm.passed and eig.passed
+        floats = StructuredParams(*(float(v) for v in (p.q, p.c1, p.c2, p.c3)))
+        comm, _ = qdiff_residuals(floats, 11, 11)
+        assert comm.max_abs == 1.4210854715202004e-12 and not comm.passed
+
     def test_qdiff_negative_counts_refused(self):
         with pytest.raises(InvalidParameterError):
             qdiff_residuals(FLOAT_P, -1, 3)
