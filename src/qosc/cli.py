@@ -3,8 +3,8 @@
 Each run prints a single JSON report to stdout with top-level fields {command, params,
 checks, tables, version}.  Numbers are 17-significant-digit decimals (null when not
 finite), so a rerun with the same inputs is byte-identical.  Most checks copy max_abs,
-tolerance and pass from a library report; the CLI judges five itself, by _judge on
-numbers it picks: xi-conditions, block-count, decomposed, p0-is-one, p1-is-x-minus-b0.
+tolerance and pass from a library report; the CLI judges three itself, by _judge on
+numbers it picks: xi-conditions, block-count, decomposed.  poly checks nothing.
 Exit status: 0 when every check passes, 1 when some check fails, 2 on a parameter error,
 a float overflow or underflow, or a --params or --csv-dir path that cannot be used.
 """
@@ -20,7 +20,7 @@ import sys
 from . import __version__
 from ._record import field_names
 from .errors import InvalidParameterError, NotDecomposableError, QoscError
-from .numerics import TolerancePolicy, _worst_of
+from .numerics import TolerancePolicy
 from .opmatrix import _judge, q_commutator_residual
 from .representation import (
     AWParams,
@@ -363,14 +363,8 @@ def cmd_poly(args, pol: TolerancePolicy):
     if not xs:
         raise InvalidParameterError("--x-points must name at least one point")
 
-    p0_dev, _ = _worst_of(abs(eval_monic(rec, 0, x) - 1.0) for x in xs)
-    p1_dev, _ = _worst_of(abs(eval_monic(rec, 1, x) - (x - rec.b[0])) for x in xs)
-    checks = [
-        _check("p0-is-one", _judge(p0_dev, None, None, 1.0, pol.abs_tol)),
-        _check("p1-is-x-minus-b0", _judge(p1_dev, None, None, 1.0, pol.abs_tol)),
-    ]
     rows = [["n", *xs]] + [[n] + [eval_monic(rec, n, x) for x in xs] for n in range(n_max + 1)]
-    return {**params, "n_max": n_max, "x_points": xs}, checks, [{"name": "values", "rows": rows}]
+    return {**params, "n_max": n_max, "x_points": xs}, [], [{"name": "values", "rows": rows}]
 
 
 def cmd_decompose(args, pol: TolerancePolicy):

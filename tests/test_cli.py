@@ -573,13 +573,15 @@ class TestSpectrumAndPoly:
         code, out, _ = run(capsys, argv)
         assert code == 0
         report = json.loads(out)
-        names = [c["name"] for c in report["checks"]]
-        assert "p0-is-one" in names and "p1-is-x-minus-b0" in names
+        assert report["checks"] == []  # P_0 = 1 and P_1 = x - b_0 cannot fail: the table shows them
         values = table(report, "values")
         header = values["rows"][0]
         assert header[0] == "n"
         xs = header[1:]
         assert xs == [0.0, 0.5, 1.0, 2.0]
+        b0 = -row(values, 1)[1]
+        assert row(values, 0)[1:] == [1, 1, 1, 1]
+        assert row(values, 1)[1:] == [x - b0 for x in xs]
         p5 = row(values, 5)
         frozen = [
             F(-1715794, 175030472903),
