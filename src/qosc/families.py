@@ -269,15 +269,15 @@ def _charpoly_scaled(rec: MonicRecurrence, J: BandMatrix, x, pts, c=None) -> flo
             return a / g
     except OverflowError:  # an exact charpoly beyond the float range
         pass
-    gm, ge = _scaled_minors(gaps, [0.0] * len(gaps))[-1]
     if isinstance(c, float):
         cm, ce = _scaled_minors([fx - v for v in rec.b], (0.0,) + rec.u)[-1]  # J = jacobi_matrix(rec)
     else:  # c = cm * 2**ce with cm in (1/2, 2), or c = 0
         n, d = c.numerator, c.denominator
         ce = n.bit_length() - d.bit_length()
         cm = (n << max(0, -ce)) / (d << max(0, ce))
-    if not cm:
+    if not cm:  # before the gaps, whose scaled product a subnormal gap overflows
         return 0.0
+    gm, ge = _scaled_minors(gaps, [0.0] * len(gaps))[-1]
     r, k = math.frexp(cm / gm)
     return abs(math.ldexp(r, k + ce - ge)) if k + ce - ge <= 1024 else math.inf
 

@@ -567,16 +567,18 @@ class TestExactZerosDecide:
         monkeypatch.setattr(families, "eigenvalues", refuse)
 
     # the float eigensolver took 0.58 s and 9.4 s on the first two, and refused
-    # the three c3 = 1/10**300 lattices; SpectrumLattice refused the 1/10**400 one,
-    # whose three small points all round to 0.0
+    # the three c3 = 1/10**300 lattices; the subnormal gaps of c3 = 1/10**310 made
+    # charpoly_scaled overflow; SpectrumLattice refused the 1/10**400 one, whose
+    # three small points all round to 0.0
     @pytest.mark.parametrize("family, args", [
         (q_para_krawtchouk, (F(1, 5), F(9, 10), 21)), (q_para_krawtchouk, (F(1, 5), F(9, 10), 31)),
         (q_para_krawtchouk, (F(1, 5), F(9, 10), 81)), (q_para_krawtchouk, (F(1, 10**300), F(1, 2), 5)),
         (q_para_krawtchouk, (F(1, 10**300), F(1, 2), 21)),
         (q_para_krawtchouk, (F(1, 10**300), F(1, 2), 31)),
+        (q_para_krawtchouk, (F(1, 10**310), F(1, 2), 5)),
         (q_para_krawtchouk, (F(1, 10**400), F(1, 2), 5)), (q_hahn, (F(3, 10), F(2, 5), F(1, 2), 38)),
-    ], ids=["qpk-21", "qpk-31", "qpk-81", "tiny-c3-5", "tiny-c3-21", "tiny-c3-31", "tinier-c3-5",
-            "q-hahn-38"])
+    ], ids=["qpk-21", "qpk-31", "qpk-81", "tiny-c3-5", "tiny-c3-21", "tiny-c3-31", "subnormal-c3-5",
+            "tinier-c3-5", "q-hahn-38"])
     def test_exact_lattice_passes_without_eigenvalues(self, no_solve, family, args):
         rec = family(*args)
         lattice = claimed_spectrum(rec)
